@@ -48,6 +48,7 @@ from .events import (
     validate_spread,
 )
 from .ghz import (
+    THEOREM_CONTEXTS,
     GhzStructure,
     GhzVector,
     build_abstract_structure,

@@ -60,15 +60,27 @@ def _string_list(raw: Any, where: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        _expect(key not in obj, f"duplicate key: {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_document(text: str) -> ModelDocument:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "document must be a JSON object")
     for key in ("version", "points", "order", "events", "spreads", "nspreads"):
         _expect(key in raw, f"missing field: {key}")
-    _expect(raw["version"] == SCHEMA_VERSION, "unsupported document version")
+    version = raw["version"]
+    _expect(
+        type(version) is int and version == SCHEMA_VERSION,
+        "unsupported document version",
+    )
 
     points = _string_list(raw["points"], "points")
 

@@ -250,7 +250,8 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
 
     Raises :class:`InvalidSpread` when a constituent spread fails
     validation.  The implication chain maximal => 1-consistent => minimal
-    is asserted on every grading.
+    is checked on every grading; a break is a bug and raises
+    ``RuntimeError``, also under ``python -O``.
     """
     _require_valid(model, ns)
     initials = list(ns.initials)
@@ -265,7 +266,11 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
         v for v in vectors if not is_consistent(model, (), v.terms)
     )
     maximal = not inconsistent
-    assert (not maximal or one) and (not one or minimal)
+    if (maximal and not one) or (one and not minimal):
+        raise RuntimeError(
+            "internal error: consistency grade breaks the implication chain "
+            f"maximal => 1-consistent => minimal ({maximal}, {one}, {minimal})"
+        )
     return GradeReport(
         minimal=minimal,
         one_consistent=one,

@@ -12,14 +12,17 @@ directed subsets.
 
 The postulate checks (`check_prior_choice`, `check_infima_suprema`,
 `check_density`) return reports instead of raising: a malformed *input*
-raises, a *failed property* is data.
+raises, a *failed property* is data.  The infima/suprema postulate holds
+in every finite model (a finite chain's least and greatest members are
+its bounds), so its check reports a pass without scanning; density fails
+in every nontrivial finite order and is reported as waived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import CycleDetected, EmptyModel, SameHistory, UnknownPoint
 
@@ -251,68 +254,24 @@ def check_prior_choice(model: CausalModel) -> ValidationReport:
     )
 
 
-def _maximal_chains(model: CausalModel) -> Iterator[tuple[PointEventId, ...]]:
-    """All maximal chains, as cover paths from minimal to maximal points."""
-    minimal = [p for p in model.points if not model.below[p]]
-
-    def extend(path: tuple[PointEventId, ...]) -> Iterator[tuple[PointEventId, ...]]:
-        nxt = model.covers(path[-1])
-        if not nxt:
-            yield path
-            return
-        for q in nxt:
-            yield from extend(path + (q,))
-
-    for start in minimal:
-        yield from extend((start,))
-
-
 def check_infima_suprema(model: CausalModel) -> ValidationReport:
-    """Check lower bounded chains have infima and upper bounded chains have
-    suprema inside every history containing them.
+    """Report on infima and suprema of chains.
 
-    Every chain extends to a maximal chain, and its infimum and supremum
-    candidates depend only on its least and greatest member, so scanning
-    the (lo, hi) spans of all maximal chains is exhaustive in a finite
-    model.
+    The postulate asks that lower bounded chains have infima and upper
+    bounded chains have suprema in every history containing them.  In a
+    finite model every nonempty chain has a least and a greatest member:
+    the least is its infimum, and the greatest lies in every history that
+    contains the chain and is its supremum there.  So the postulate holds
+    in every model, and the report is ``"pass"`` without a scan; ``model``
+    is taken only to keep the signature of the other checks.
     """
-    violations: list[str] = []
-    checked = 0
-    for chain in _maximal_chains(model):
-        for i, lo in enumerate(chain):
-            for hi in chain[i:]:
-                span = [p for p in chain if model.le(lo, p) and model.le(p, hi)]
-                checked += 1
-                lower = frozenset.intersection(
-                    *[model.down_closure(p) for p in span]
-                )
-                greatest = [p for p in lower if not (model.above[p] & lower)]
-                if sorted(greatest) != [lo]:
-                    violations.append(
-                        f"chain {lo}..{hi} has no greatest lower bound"
-                    )
-                for h in model.histories:
-                    if not set(span) <= h.members:
-                        continue
-                    upper = frozenset(
-                        u
-                        for u in h.members
-                        if all(model.le(p, u) for p in span)
-                    )
-                    least = [u for u in upper if not (model.below[u] & upper)]
-                    if sorted(least) != [hi]:
-                        violations.append(
-                            f"chain {lo}..{hi} has no supremum in history "
-                            f"{h.top}"
-                        )
-    status = "fail" if violations else "pass"
     return ValidationReport(
         check="infima-suprema",
-        status=status,
-        violations=tuple(sorted(set(violations))),
+        status="pass",
         notes=(
-            f"scanned the spans of all maximal chains ({checked} spans); "
-            "bounds of a chain depend only on its endpoints",
+            "finite chains have a least and a greatest member, which are "
+            "their infimum and their supremum in every history containing "
+            "them; the postulate holds in every finite model",
         ),
     )
 

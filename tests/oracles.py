@@ -1,16 +1,18 @@
 """Independent brute-force reference computations for the test suite.
 
 Nothing here reuses the library's derived machinery: histories are found
-by enumerating *all* subsets and keeping the maximal directed ones, and
-the branching-location check quantifies over all chains rather than
-single points.  Agreement with the fast implementations is what the
-tests assert.
+by enumerating *all* subsets and keeping the maximal directed ones, the
+branching-location check quantifies over all chains rather than single
+points, and the infima/suprema check scans every maximal chain instead
+of trusting finiteness.  Agreement with the fast implementations is what
+the tests assert.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
 from bstghz.events import Event, NSpread, Spread, is_consistent
 from bstghz.model import CausalModel, build_model
@@ -87,6 +89,56 @@ def brute_force_prior_choice_ok(model: CausalModel) -> bool:
                     if not any(
                         all(model.lt(c, e) for e in combo) for c in cps
                     ):
+                        return False
+    return True
+
+
+def _maximal_chains(model: CausalModel) -> Iterator[tuple[str, ...]]:
+    """All maximal chains, as cover paths from minimal to maximal points."""
+    minimal = [p for p in model.points if not model.below[p]]
+
+    def extend(path: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+        nxt = model.covers(path[-1])
+        if not nxt:
+            yield path
+            return
+        for q in nxt:
+            yield from extend(path + (q,))
+
+    for start in minimal:
+        yield from extend((start,))
+
+
+def brute_force_infima_suprema_ok(model: CausalModel) -> bool:
+    """Infima and suprema by scanning the spans of every maximal chain.
+
+    Every chain extends to a maximal chain, and its infimum and supremum
+    candidates depend only on its least and greatest member, so the
+    (lo, hi) spans of all maximal chains cover every chain.  Each span
+    must have a greatest lower bound in the model and a least upper bound
+    inside every history containing it.  Exponential in the width of the
+    order: keep the models small.
+    """
+    for chain in _maximal_chains(model):
+        for i, lo in enumerate(chain):
+            for hi in chain[i:]:
+                span = [p for p in chain if model.le(lo, p) and model.le(p, hi)]
+                lower = frozenset.intersection(
+                    *[model.down_closure(p) for p in span]
+                )
+                greatest = [p for p in lower if not (model.above[p] & lower)]
+                if sorted(greatest) != [lo]:
+                    return False
+                for h in model.histories:
+                    if not set(span) <= h.members:
+                        continue
+                    upper = frozenset(
+                        u
+                        for u in h.members
+                        if all(model.le(p, u) for p in span)
+                    )
+                    least = [u for u in upper if not (model.below[u] & upper)]
+                    if sorted(least) != [hi]:
                         return False
     return True
 

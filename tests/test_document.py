@@ -77,6 +77,26 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="version"):
             parse_document(json.dumps(raw))
 
+    def test_boolean_version(self):
+        raw = json.loads(dump_document(small_doc()))
+        raw["version"] = True
+        with pytest.raises(ParseError, match="version"):
+            parse_document(json.dumps(raw))
+
+    def test_duplicate_top_level_key(self):
+        text = dump_document(small_doc()).replace(
+            '"points": [', '"points": ["a"],\n  "points": [', 1
+        )
+        with pytest.raises(ParseError, match="duplicate key: 'points'"):
+            parse_document(text)
+
+    def test_duplicate_nested_key(self):
+        text = dump_document(small_doc()).replace(
+            '"d": [', '"plus": ["d"],\n    "d": [', 1
+        )
+        with pytest.raises(ParseError, match="duplicate key: 'plus'"):
+            parse_document(text)
+
     def test_malformed_order_pair(self):
         raw = json.loads(dump_document(small_doc()))
         raw["order"] = [["d"]]

@@ -1,7 +1,14 @@
 """Event roles, spread validation, and consistency grading."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+from bstghz import events
 from bstghz.errors import InvalidSpread, MisclassifiedEvent
 from bstghz.events import (
     Event,
@@ -176,6 +183,36 @@ class TestGrading:
         ns = NSpread(spreads=(Spread(initial=d, outcomes=(dm,)),))
         with pytest.raises(InvalidSpread):
             consistency_grade(f, ns)
+
+    def test_broken_implication_chain_raises(self, toy, monkeypatch):
+        # initials never consistent, vectors always: maximal but not
+        # 1-consistent, which no correct consistency relation allows
+        monkeypatch.setattr(
+            events, "is_consistent", lambda model, initials, outcomes: not initials
+        )
+        with pytest.raises(RuntimeError, match="implication chain"):
+            consistency_grade(toy.model, toy.station_nspread)
+
+    def test_broken_implication_chain_raises_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            from bstghz import build_toy_decay, consistency_grade, events
+            events.is_consistent = lambda model, initials, outcomes: not initials
+            toy = build_toy_decay()
+            try:
+                consistency_grade(toy.model, toy.station_nspread)
+            except RuntimeError:
+                print("raised")
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(events.__file__).parents[1])},
+        )
+        assert out.stdout == "raised\n"
 
 
 class TestSpacelike:

@@ -1,6 +1,9 @@
 """Order construction, histories, and the three structural checks."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bstghz.errors import CycleDetected, EmptyModel, SameHistory, UnknownPoint
 from bstghz.model import (
@@ -14,7 +17,12 @@ from bstghz.model import (
     is_chain,
 )
 
-from .oracles import brute_force_histories, brute_force_prior_choice_ok
+from .oracles import (
+    brute_force_histories,
+    brute_force_infima_suprema_ok,
+    brute_force_prior_choice_ok,
+    seeded_model,
+)
 
 
 def fork():
@@ -207,9 +215,35 @@ class TestInfimaSuprema:
             assert r.status == "pass"
             assert not r.violations
 
-    def test_span_count_reported(self):
+    def test_finiteness_note_reported(self):
         r = check_infima_suprema(chain3())
-        assert any("spans" in n for n in r.notes)
+        assert r.notes == (
+            "finite chains have a least and a greatest member, which are "
+            "their infimum and their supremum in every history containing "
+            "them; the postulate holds in every finite model",
+        )
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_the_span_scan(self, seed):
+        # the oracle walks every maximal chain, so the models stay small
+        m = seeded_model(random.Random(seed), max_points=8)
+        assert check_infima_suprema(m).ok == brute_force_infima_suprema_ok(m)
+
+    def test_no_chain_walk_on_a_wide_deep_model(self):
+        # complete bipartite covers between consecutive layers: every
+        # bottom-to-top path is a maximal chain, width ** depth of them
+        width, depth = 8, 25
+        layers = [[f"L{i:02d}w{j}" for j in range(width)] for i in range(depth)]
+        pairs = [
+            (a, b) for lo, hi in zip(layers, layers[1:]) for a in lo for b in hi
+        ]
+        m = build_model([p for layer in layers for p in layer], pairs)
+        assert len(m.points) >= 200
+        assert width**depth > 2**30
+        r = check_infima_suprema(m)
+        assert r.status == "pass"
+        assert not r.violations
 
 
 class TestDensity:

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from bstghz.document import dump_document, ghz_document, toy_decay_document
+from bstghz.common_cause import toy_decay_document
+from bstghz.document import dump_document
+from bstghz.ghz import ghz_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

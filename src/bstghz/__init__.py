@@ -54,6 +54,7 @@ from .ghz import (
     build_abstract_structure,
     build_concrete_model,
     contextual_assignment_search,
+    ghz_document,
     parity_consistent,
     value_assignment_search,
 )
@@ -69,6 +70,7 @@ from .common_cause import (
     classify_determinism,
     refute_joint_common_cause,
     search_common_causes,
+    toy_decay_document,
 )
 from .quantum import (
     DiscrepancyReport,
@@ -82,10 +84,8 @@ from .quantum import (
 from .document import (
     ModelDocument,
     dump_document,
-    ghz_document,
     load_document,
     resolve_document,
-    toy_decay_document,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from .common_cause import (
 from .document import (
     ResolvedModel,
     dump_document,
-    ghz_document,
     load_document,
     resolve_document,
 )
@@ -38,6 +37,7 @@ from .ghz import (
     signs_label,
     value_assignment_search,
     contextual_assignment_search,
+    ghz_document,
 )
 from .model import check_density, check_infima_suprema, check_prior_choice
 from .quantum import (

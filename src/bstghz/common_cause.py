@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .document import ModelDocument, model_document
 from .errors import InvalidSpread, NotInconsistencyType, PreconditionFailed
 from .events import (
     Event,
@@ -750,4 +751,16 @@ def build_toy_decay() -> ToyDecayScenario:
         decay_spread=sigma_d,
         station_nspread=ns,
         inconsistent=inconsistent,
+    )
+
+
+def toy_decay_document() -> ModelDocument:
+    """The anticorrelated decay scenario as a document."""
+    toy = build_toy_decay()
+    a, b = toy.station_nspread.spreads
+    return model_document(
+        toy.model,
+        toy.events,
+        {"sigma_a": a, "sigma_b": b, "sigma_d": toy.decay_spread},
+        {"Sigma_ab": toy.station_nspread},
     )

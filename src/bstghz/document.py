@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .common_cause import build_toy_decay
 from .errors import ParseError, UnknownReference
 from .events import Event, NSpread, Spread
-from .ghz import build_concrete_model
 from .model import CausalModel, build_model
 
 SCHEMA_VERSION = 1
@@ -99,10 +97,14 @@ def parse_document(text: str) -> ModelDocument:
         order.append((a, b))
 
     _expect(isinstance(raw["events"], dict), "events must be an object")
-    events = {
-        name: _string_list(members, f"event {name!r}")
-        for name, members in raw["events"].items()
-    }
+    events: dict[str, tuple[str, ...]] = {}
+    for name, members in raw["events"].items():
+        listed = _string_list(members, f"event {name!r}")
+        seen: set[str] = set()
+        for p in listed:
+            _expect(p not in seen, f"event {name!r} lists {p!r} twice")
+            seen.add(p)
+        events[name] = listed
 
     _expect(isinstance(raw["spreads"], dict), "spreads must be an object")
     spreads = {}
@@ -209,66 +211,41 @@ def resolve_document(doc: ModelDocument) -> ResolvedModel:
     )
 
 
-def ghz_document() -> ModelDocument:
-    """The concrete GHZ realization as a document."""
-    model, structure = build_concrete_model()
-    cover_pairs = sorted(
-        (p, q) for p in model.points for q in model.covers(p)
-    )
+def model_document(
+    model: CausalModel,
+    events: Mapping[str, Event],
+    spreads: Mapping[str, Spread],
+    nspreads: Mapping[str, NSpread],
+) -> ModelDocument:
+    """A document for a live model and its named structure.
+
+    The order is given by the model's cover pairs.  Spreads name their
+    events, and n-spreads name their spreads by the first key of
+    ``spreads`` holding an equal spread.  Sections are sorted by name.
+    """
+
+    def spread_name(spread: Spread) -> str:
+        for name, s in spreads.items():
+            if s is spread or s == spread:
+                return name
+        raise KeyError(spread.initial.name)
+
     return ModelDocument(
         points=model.points,
-        order=tuple(cover_pairs),
+        order=tuple((p, q) for p in model.points for q in model.covers(p)),
         events={
             name: tuple(sorted(ev.members))
-            for name, ev in sorted(structure.events.items())
+            for name, ev in sorted(events.items())
         },
         spreads={
             name: SpreadDoc(
                 initial=s.initial.name,
                 outcomes=tuple(o.name for o in s.outcomes),
             )
-            for name, s in sorted(structure.spreads.items())
+            for name, s in sorted(spreads.items())
         },
         nspreads={
-            name: tuple(
-                _spread_key(structure, s) for s in ns.spreads
-            )
-            for name, ns in sorted(structure.nspreads.items())
+            name: tuple(spread_name(s) for s in ns.spreads)
+            for name, ns in sorted(nspreads.items())
         },
-    )
-
-
-def _spread_key(structure: Any, spread: Spread) -> str:
-    for name, s in structure.spreads.items():
-        if s is spread or s == spread:
-            return name
-    raise KeyError(spread.initial.name)
-
-
-def toy_decay_document() -> ModelDocument:
-    """The anticorrelated decay scenario as a document."""
-    toy = build_toy_decay()
-    cover_pairs = sorted(
-        (p, q) for p in toy.model.points for q in toy.model.covers(p)
-    )
-    spreads = {
-        "sigma_a": toy.station_nspread.spreads[0],
-        "sigma_b": toy.station_nspread.spreads[1],
-        "sigma_d": toy.decay_spread,
-    }
-    return ModelDocument(
-        points=toy.model.points,
-        order=tuple(cover_pairs),
-        events={
-            name: tuple(sorted(ev.members))
-            for name, ev in sorted(toy.events.items())
-        },
-        spreads={
-            name: SpreadDoc(
-                initial=s.initial.name,
-                outcomes=tuple(o.name for o in s.outcomes),
-            )
-            for name, s in spreads.items()
-        },
-        nspreads={"Sigma_ab": ("sigma_a", "sigma_b")},
     )

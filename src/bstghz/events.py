@@ -17,13 +17,23 @@ of spreads; its outcome vectors (one outcome per spread, enumerated
 lexicographically in declared order) are the joint results one can ask
 consistency questions about.  Consistency itself is existential: some
 history realizes everything at once.
+
+Queries are integer arithmetic on the model's per-point history
+bitmasks: an initial's mask is the AND of its members' masks (the
+histories containing it in full), an outcome's the OR (the histories
+overlapping it), and a query is consistent when the AND of its events'
+masks is nonzero.  Each event's role check (chain, bounded) runs once
+per model and is memoised on the model with the event's mask; only
+passed checks are kept, so a misclassified event raises every time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidSpread, MisclassifiedEvent
 from .model import CausalModel, PointEventId, ValidationReport, is_chain
@@ -146,19 +156,29 @@ def _lower_bounded(model: CausalModel, members: frozenset[PointEventId]) -> bool
     return any(all(model.le(b, m) for m in members) for b in model.points)
 
 
-def _check_roles(
-    model: CausalModel,
-    initials: Sequence[Event],
-    outcomes: Sequence[Event],
-) -> None:
-    for e in initials:
-        model.require_points(e.members)
-        if not (is_chain(model, e.members) and _upper_bounded(model, e.members)):
-            raise MisclassifiedEvent(f"{e.name!r} is not an initial event")
-    for e in outcomes:
-        model.require_points(e.members)
-        if not (is_chain(model, e.members) and _lower_bounded(model, e.members)):
-            raise MisclassifiedEvent(f"{e.name!r} is not an outcome event")
+def _role_mask(model: CausalModel, event: Event, role: str) -> int:
+    """The histories realizing ``event`` in ``role``, as a bitmask.
+
+    ``role`` is ``"initial"`` (histories containing every member) or
+    ``"outcome"`` (histories containing some member).  The role check
+    runs once per model: a mask is memoised on the model, keyed by the
+    members and the role, only after the check passed, so a misclassified
+    event or an unknown point raises on every call.
+    """
+    key = (event.members, role)
+    memo = model.role_masks
+    if key in memo:
+        return memo[key]
+    model.require_points(event.members)
+    bounded = _upper_bounded if role == "initial" else _lower_bounded
+    if not (is_chain(model, event.members) and bounded(model, event.members)):
+        raise MisclassifiedEvent(f"{event.name!r} is not an {role} event")
+    combine = operator.and_ if role == "initial" else operator.or_
+    mask = functools.reduce(
+        combine, (model.history_bits[p] for p in event.members)
+    )
+    memo[key] = mask
+    return mask
 
 
 def is_consistent(
@@ -172,14 +192,12 @@ def is_consistent(
     The asymmetry is deliberate: initials must happen in full, outcomes
     need only have begun.
     """
-    ini = tuple(initials)
-    out = tuple(outcomes)
-    _check_roles(model, ini, out)
-    return any(
-        all(e.members <= h.members for e in ini)
-        and all(e.members & h.members for e in out)
-        for h in model.histories
-    )
+    acc = (1 << len(model.histories)) - 1
+    for e in initials:
+        acc &= _role_mask(model, e, "initial")
+    for e in outcomes:
+        acc &= _role_mask(model, e, "outcome")
+    return acc != 0
 
 
 def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
@@ -194,7 +212,8 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     violations: list[str] = []
 
     try:
-        _check_roles(model, [spread.initial], spread.outcomes)
+        initial = _role_mask(model, spread.initial, "initial")
+        masks = [_role_mask(model, o, "outcome") for o in spread.outcomes]
     except MisclassifiedEvent as exc:
         return ValidationReport(
             check=name, status="fail", violations=(str(exc),)
@@ -208,14 +227,21 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
                         f"(i) initial point {pi} does not strictly precede "
                         f"{po} of outcome {o.name}"
                     )
-    for h in model.histories:
-        if spread.initial.members <= h.members:
-            if not any(o.members & h.members for o in spread.outcomes):
-                violations.append(
-                    f"(ii) history {h.top} contains the initial but "
-                    f"overlaps no outcome"
-                )
-        hit = [o.name for o in spread.outcomes if o.members & h.members]
+    # histories overlapping some outcome, and overlapping two or more
+    some = twice = 0
+    for m in masks:
+        twice |= some & m
+        some |= m
+    bad = (initial & ~some) | twice
+    for k, h in enumerate(model.histories):
+        if not bad >> k & 1:
+            continue
+        if initial >> k & 1 and not some >> k & 1:
+            violations.append(
+                f"(ii) history {h.top} contains the initial but "
+                f"overlaps no outcome"
+            )
+        hit = [o.name for o, m in zip(spread.outcomes, masks) if m >> k & 1]
         if len(hit) > 1:
             violations.append(
                 f"(iii) history {h.top} overlaps outcomes {', '.join(hit)}"

@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .document import ModelDocument, model_document
 from .events import Event, NSpread, Spread
 from .model import CausalModel, build_model
 
@@ -266,6 +267,14 @@ def build_concrete_model() -> tuple[CausalModel, GhzStructure]:
                 pairs.append((out, t))
 
     return build_model(points, pairs), structure
+
+
+def ghz_document() -> ModelDocument:
+    """The concrete GHZ realization as a document."""
+    model, structure = build_concrete_model()
+    return model_document(
+        model, structure.events, structure.spreads, structure.nspreads
+    )
 
 
 # -- brute-force sign assignment searches ---------------------------------

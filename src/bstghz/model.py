@@ -10,6 +10,12 @@ takes the principal down-set of each maximal point.  The test suite
 re-verifies that characterization against a brute-force enumeration of
 directed subsets.
 
+Consistency questions are answered from one cached bitmask per point,
+``history_bits``: bit k is set when ``histories[k]`` contains the point.
+It is built once, lazily, like the histories.  ``role_masks`` is the
+event layer's memo of passed role checks, so it lives and dies with the
+model.
+
 The postulate checks (`check_prior_choice`, `check_infima_suprema`,
 `check_density`) return reports instead of raising: a malformed *input*
 raises, a *failed property* is data.  The infima/suprema postulate holds
@@ -93,13 +99,16 @@ class CausalModel:
                 raise UnknownPoint(f"unknown point id: {p!r}")
 
     def covers(self, p: PointEventId) -> tuple[PointEventId, ...]:
-        """Immediate successors of ``p``: q > p with nothing in between."""
-        out = [
-            q
-            for q in sorted(self.above[p])
-            if not any(self.lt(p, r) and self.lt(r, q) for r in self.above[p])
-        ]
-        return tuple(out)
+        """Immediate successors of ``p``: q > p with nothing in between.
+
+        Those are the points above ``p`` that lie above no other point
+        above ``p``.
+        """
+        ups = self.above[p]
+        out = set(ups)
+        for r in ups:
+            out -= self.above[r]
+        return tuple(sorted(out))
 
     def maximal_points(self) -> tuple[PointEventId, ...]:
         return tuple(p for p in self.points if not self.above[p])
@@ -117,6 +126,28 @@ class CausalModel:
             History(top=m, members=self.down_closure(m))
             for m in self.maximal_points()
         )
+
+    @cached_property
+    def history_bits(self) -> Mapping[PointEventId, int]:
+        """Per point, the histories containing it as a bitmask.
+
+        Bit k stands for ``histories[k]``.  Consistency queries are
+        answered from these masks by integer arithmetic.
+        """
+        bits = dict.fromkeys(self.points, 0)
+        for k, h in enumerate(self.histories):
+            for p in h.members:
+                bits[p] |= 1 << k
+        return bits
+
+    @cached_property
+    def role_masks(self) -> dict[tuple[frozenset[PointEventId], str], int]:
+        """Memo of the event layer, filled by ``events``.
+
+        Maps (event members, role) to the history mask of the event in
+        that role, for role checks that passed in this model.
+        """
+        return {}
 
     def order_pairs(self) -> tuple[tuple[PointEventId, PointEventId], ...]:
         """The full strict relation as sorted (lower, upper) pairs."""
@@ -283,18 +314,14 @@ def check_density(model: CausalModel) -> ValidationReport:
     ordered pair gets status ``"waived"`` together with a witness gap.  A
     model whose order relation is empty is vacuously dense and passes.
     """
-    gaps: list[tuple[PointEventId, PointEventId]] = []
-    for b in model.points:
-        for a in sorted(model.below[b]):
-            if not any(model.lt(a, c) and model.lt(c, b) for c in model.below[b]):
-                gaps.append((a, b))
+    gaps = [(a, b) for a in model.points for b in model.covers(a)]
     if not gaps:
         return ValidationReport(
             check="density",
             status="pass",
             notes=("order relation is empty; density holds vacuously",),
         )
-    a, b = sorted(gaps)[0]
+    a, b = min(gaps)
     return ValidationReport(
         check="density",
         status="waived",

@@ -3,16 +3,18 @@
 Nothing here reuses the library's derived machinery: histories are found
 by enumerating *all* subsets and keeping the maximal directed ones, the
 branching-location check quantifies over all chains rather than single
-points, and the infima/suprema check scans every maximal chain instead
-of trusting finiteness.  Agreement with the fast implementations is what
-the tests assert.
+points, the infima/suprema check scans every maximal chain instead
+of trusting finiteness, consistency scans every history with set
+operations instead of reading history bitmasks, and covers and density
+gaps test every candidate point in between.  Agreement with the fast
+implementations is what the tests assert.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from bstghz.events import Event, NSpread, Spread, is_consistent
 from bstghz.model import CausalModel, build_model
@@ -93,12 +95,59 @@ def brute_force_prior_choice_ok(model: CausalModel) -> bool:
     return True
 
 
+def brute_force_is_consistent(
+    model: CausalModel,
+    initials: Iterable[Event] = (),
+    outcomes: Iterable[Event] = (),
+) -> bool:
+    """Some history contains every initial and overlaps every outcome.
+
+    A scan of every history with set operations; roles are not checked.
+    """
+    ini = tuple(initials)
+    out = tuple(outcomes)
+    return any(
+        all(e.members <= h.members for e in ini)
+        and all(e.members & h.members for e in out)
+        for h in model.histories
+    )
+
+
+def brute_force_covers(model: CausalModel, p: str) -> tuple[str, ...]:
+    """Points q above ``p`` with no r strictly between, by testing every r."""
+    return tuple(
+        q
+        for q in sorted(model.above[p])
+        if not any(model.lt(p, r) and model.lt(r, q) for r in model.above[p])
+    )
+
+
+def brute_force_density_gaps(model: CausalModel) -> list[tuple[str, str]]:
+    """Ordered pairs a < b with no point between, by testing every c < b."""
+    return [
+        (a, b)
+        for b in model.points
+        for a in sorted(model.below[b])
+        if not any(model.lt(a, c) and model.lt(c, b) for c in model.below[b])
+    ]
+
+
+def random_chain(model: CausalModel, rng: random.Random) -> frozenset[str]:
+    """A nonempty chain grown from a random point by comparable points."""
+    pts = list(model.points)
+    chain = {rng.choice(pts)}
+    for q in rng.sample(pts, len(pts)):
+        if rng.random() < 0.5 and all(model.comparable(q, c) for c in chain):
+            chain.add(q)
+    return frozenset(chain)
+
+
 def _maximal_chains(model: CausalModel) -> Iterator[tuple[str, ...]]:
     """All maximal chains, as cover paths from minimal to maximal points."""
     minimal = [p for p in model.points if not model.below[p]]
 
     def extend(path: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        nxt = model.covers(path[-1])
+        nxt = brute_force_covers(model, path[-1])
         if not nxt:
             yield path
             return

@@ -5,11 +5,9 @@ import json
 import pytest
 
 from bstghz.cli import main
-from bstghz.document import (
-    dump_document,
-    ghz_document,
-    toy_decay_document,
-)
+from bstghz.common_cause import toy_decay_document
+from bstghz.document import dump_document
+from bstghz.ghz import ghz_document
 
 
 @pytest.fixture(scope="module")

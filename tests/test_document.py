@@ -5,18 +5,18 @@ from pathlib import Path
 
 import pytest
 
+from bstghz.common_cause import toy_decay_document
 from bstghz.document import (
     SCHEMA_VERSION,
     ModelDocument,
     SpreadDoc,
     dump_document,
-    ghz_document,
     load_document,
     parse_document,
     resolve_document,
-    toy_decay_document,
 )
 from bstghz.errors import ParseError, UnknownReference
+from bstghz.ghz import ghz_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -96,6 +96,12 @@ class TestParseErrors:
         )
         with pytest.raises(ParseError, match="duplicate key: 'plus'"):
             parse_document(text)
+
+    def test_duplicate_event_member(self):
+        raw = json.loads(dump_document(small_doc()))
+        raw["events"]["d"] = ["d", "d"]
+        with pytest.raises(ParseError, match="event 'd' lists 'd' twice"):
+            parse_document(json.dumps(raw))
 
     def test_malformed_order_pair(self):
         raw = json.loads(dump_document(small_doc()))

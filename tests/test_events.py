@@ -1,15 +1,17 @@
 """Event roles, spread validation, and consistency grading."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bstghz import events
-from bstghz.errors import InvalidSpread, MisclassifiedEvent
+from bstghz.errors import InvalidSpread, MisclassifiedEvent, UnknownPoint
 from bstghz.events import (
     Event,
     NSpread,
@@ -23,6 +25,8 @@ from bstghz.events import (
     validate_spread,
 )
 from bstghz.model import build_model
+
+from .oracles import brute_force_is_consistent, random_chain, seeded_model
 
 
 def ev(*names):
@@ -119,6 +123,62 @@ class TestIsConsistent:
 
     def test_empty_question_is_trivially_consistent(self):
         assert is_consistent(fork())
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_the_history_scan(self, seed):
+        rng = random.Random(seed)
+        m = seeded_model(rng, max_points=12)
+        for _ in range(10):
+            # a finite chain is bounded by its own extremes, so every
+            # chain passes both role checks
+            ini = [
+                Event(name=f"i{k}", members=random_chain(m, rng))
+                for k in range(rng.randint(0, 2))
+            ]
+            out = [
+                Event(name=f"o{k}", members=random_chain(m, rng))
+                for k in range(rng.randint(0, 3))
+            ]
+            assert is_consistent(m, ini, out) == brute_force_is_consistent(
+                m, ini, out
+            )
+
+    def test_misclassified_initial_raises_on_every_call(self):
+        f = fork()
+        non_chain = Event(name="e", members=frozenset({"d-", "d+"}))
+        d, dm = ev("d", "d-")
+        for _ in range(2):
+            with pytest.raises(MisclassifiedEvent, match="not an initial"):
+                is_consistent(f, [d, non_chain], [dm])
+            report = validate_spread(f, Spread(initial=non_chain, outcomes=(dm,)))
+            assert report.violations == ("'e' is not an initial event",)
+
+    def test_misclassified_outcome_raises_on_every_call(self):
+        f = fork()
+        non_chain = Event(name="e", members=frozenset({"d-", "d+"}))
+        d, dm = ev("d", "d-")
+        for _ in range(2):
+            with pytest.raises(MisclassifiedEvent, match="not an outcome"):
+                is_consistent(f, [d], [dm, non_chain])
+            report = validate_spread(f, Spread(initial=d, outcomes=(non_chain,)))
+            assert report.violations == ("'e' is not an outcome event",)
+
+    def test_unknown_point_raises_on_every_call(self):
+        (stray,) = ev("zz")
+        for _ in range(2):
+            with pytest.raises(UnknownPoint):
+                is_consistent(fork(), [stray], ())
+
+    def test_role_checks_are_not_shared_between_models(self):
+        e = Event(name="e", members=frozenset({"a", "b"}))
+        chain = build_model(["a", "b"], [("a", "b")])
+        antichain = build_model(["a", "b"], [])
+        assert is_consistent(chain, [e], [e])
+        with pytest.raises(MisclassifiedEvent):
+            is_consistent(antichain, [e], ())
+        with pytest.raises(MisclassifiedEvent):
+            is_consistent(antichain, (), [e])
 
 
 class TestValidateSpread:

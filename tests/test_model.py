@@ -18,6 +18,8 @@ from bstghz.model import (
 )
 
 from .oracles import (
+    brute_force_covers,
+    brute_force_density_gaps,
     brute_force_histories,
     brute_force_infima_suprema_ok,
     brute_force_prior_choice_ok,
@@ -92,6 +94,13 @@ class TestOrderPrimitives:
         m = chain3()
         assert m.covers("a") == ("b",)
         assert m.covers("c") == ()
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_covers_agree_with_the_pairwise_scan(self, seed):
+        m = seeded_model(random.Random(seed), max_points=12)
+        for p in m.points:
+            assert m.covers(p) == brute_force_covers(m, p)
 
     def test_maximal_points(self):
         assert fork().maximal_points() == ("d+", "d-")
@@ -258,3 +267,17 @@ class TestDensity:
         r = check_density(build_model(["a", "b"], []))
         assert r.status == "pass"
         assert not r.violations
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_agrees_with_the_gap_scan(self, seed):
+        m = seeded_model(random.Random(seed), max_points=12)
+        gaps = brute_force_density_gaps(m)
+        r = check_density(m)
+        if not gaps:
+            assert r.status == "pass"
+            return
+        a, b = sorted(gaps)[0]
+        assert r.status == "waived"
+        assert r.violations == (f"no point strictly between {a} and {b}",)
+        assert f"; {len(gaps)} immediate gaps in total" in r.notes[0]

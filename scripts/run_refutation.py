@@ -8,19 +8,22 @@ a quick manual regression check.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from bstghz.common_cause import classify_determinism, refute_joint_common_cause
+from bstghz.errors import BadFlag
 from bstghz.events import consistency_grade, is_spacelike
 from bstghz.ghz import (
     THEOREM_CONTEXTS,
     build_concrete_model,
     context_label,
+    parse_context,
 )
 from bstghz.model import check_density, check_infima_suprema, check_prior_choice
 from bstghz.quantum import compare_with_stipulation, omega_eigencheck
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--contexts",
@@ -28,7 +31,15 @@ def main() -> None:
         help="comma separated context labels for the refutation",
     )
     args = parser.parse_args()
-    contexts = [tuple(label) for label in args.contexts.split(",") if label]
+    try:
+        contexts = [
+            parse_context(label) for label in args.contexts.split(",") if label
+        ]
+        if not contexts:
+            raise BadFlag("--contexts needs at least one context")
+    except BadFlag as exc:
+        print(f"error: BadFlag: {exc}", file=sys.stderr)
+        return 2
 
     model, structure = build_concrete_model()
     print(f"model: {len(model.points)} points, {len(model.histories)} histories")
@@ -42,25 +53,25 @@ def main() -> None:
     star = structure.nspreads["Sigma_star_123"]
     print(f"space-like joint arrangement: {is_spacelike(model, star)}")
     for ctx in contexts:
-        ns = structure.context_nspread(ctx)  # type: ignore[arg-type]
+        ns = structure.context_nspread(ctx)
         grade = consistency_grade(model, ns)
         print(
-            f"  context {context_label(ctx)}: "  # type: ignore[arg-type]
+            f"  context {context_label(ctx)}: "
             f"1-consistent={grade.one_consistent} "
             f"inconsistent vectors={len(grade.inconsistent_vectors)}"
         )
 
-    result = refute_joint_common_cause(structure, contexts)  # type: ignore[arg-type]
+    result = refute_joint_common_cause(structure, contexts)
     print(
         f"refutation: {len(result.survivors)} of {result.profile_count} "
         "profiles survive"
     )
-    if result.trace and result.trace.complete:
+    if result.trace:
         for i, step in enumerate(result.trace.steps, start=1):
             print(f"  {i}. [{step.rule} {step.context}] {step.conclusion}")
 
     level = classify_determinism(
-        model, [structure.context_nspread(c) for c in contexts]  # type: ignore[arg-type]
+        model, [structure.context_nspread(c) for c in contexts]
     )
     print(
         f"determinism: level={level.level} "
@@ -76,7 +87,8 @@ def main() -> None:
         "rule-vs-state disagreements: "
         f"{len(compare_with_stipulation().disagreements)}"
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

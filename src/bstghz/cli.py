@@ -168,14 +168,10 @@ def cmd_ghz_refute(args: argparse.Namespace) -> Report:
     findings.extend(f"note: {n}" for n in result.notes)
     trace_payload = []
     if args.trace and result.trace is not None:
-        if result.trace.complete:
-            for i, step in enumerate(result.trace.steps, start=1):
-                findings.append(
-                    f"trace {i}: [{step.rule} {step.context}] "
-                    f"{step.conclusion}"
-                )
-        else:
-            findings.append(f"trace: unavailable ({result.trace.note})")
+        for i, step in enumerate(result.trace.steps, start=1):
+            findings.append(
+                f"trace {i}: [{step.rule} {step.context}] {step.conclusion}"
+            )
     if result.trace is not None:
         trace_payload = [
             {

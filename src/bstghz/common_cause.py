@@ -20,15 +20,28 @@ relating spread initials to their outcomes) force, per measurement
 context, some parity consistent vector whose three terms are all flagged
 consistent; condition cc3 forbids any parity inconsistent vector from
 being fully flagged.  cc1 is deliberately unused: the refutation does
-not need causal priority.  Exhausting all 2^12 profiles with zero
-survivors closes every case at once, and a step-by-step reductio trace
-replays the classic derivation for the xxx/xxy/xyy/xyx family.
+not need causal priority.
+
+One propagation engine over the twelve flags (unit propagation with
+case splits, after Davis, Logemann and Loveland) finds the survivors
+and, when there are none, derives the contradiction.
+Its contradictions, on a full profile exactly the survival conditions,
+are an inconsistent vector with every term flagged consistent (cc3) and
+a measured station/axis with both outcomes flagged inconsistent (cc2
+through its stable initial); its forced steps are screening and
+settling (see ``_close``).  Branching on the lowest open flag,
+"inconsistent" first, lists the survivors in lexicographic order.  A
+refuted family gets a derivation from the same search: it starts from a
+consistent vector of the first listed context, records one
+justification per derived fact, and prints the facts each contradiction
+rests on.  The paper's start x+1, x-2, x+3 is preferred, so the
+xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .document import ModelDocument, model_document
 from .errors import InvalidSpread, NotInconsistencyType, PreconditionFailed
@@ -55,7 +68,6 @@ from .ghz import (
     context_label,
     inconsistent_vectors,
     outcome_name,
-    parity_consistent,
     stable_name,
 )
 from .model import CausalModel, build_model
@@ -286,67 +298,10 @@ class CandidateProfile:
         )
 
 
-def surviving_profiles(
-    event_names: Sequence[str],
-    groups: Sequence[tuple[Sequence[tuple[str, ...]], Sequence[tuple[str, ...]]]],
-) -> list[tuple[bool, ...]]:
-    """Profiles over the given events surviving all constraint groups.
-
-    Each group is (consistent vectors, inconsistent vectors), a vector
-    being a tuple of event names.  A profile survives when, per group,
-    some consistent vector has all terms flagged and no inconsistent
-    vector does.  Survivors come back sorted lexicographically (False
-    before True, first event most significant).
-    """
-    index = {n: k for k, n in enumerate(event_names)}
-
-    def mask(vector: tuple[str, ...]) -> int:
-        m = 0
-        for n in vector:
-            m |= 1 << index[n]
-        return m
-
-    compiled = [
-        ([mask(v) for v in cons], [mask(v) for v in inc])
-        for cons, inc in groups
-    ]
-    survivors = []
-    for m in range(1 << len(event_names)):
-        ok = all(
-            any(m & cm == cm for cm in cons)
-            and not any(m & im == im for im in inc)
-            for cons, inc in compiled
-        )
-        if ok:
-            survivors.append(
-                tuple(bool(m >> k & 1) for k in range(len(event_names)))
-            )
-    survivors.sort()
-    return survivors
-
-
-def profile_satisfies_constraints(
-    profile: CandidateProfile, contexts: Sequence[Context]
-) -> bool:
-    """Plain re-check of the two survival conditions, without bit tricks."""
-    flags = profile.as_dict()
-    for ctx in contexts:
-        if not any(
-            all(flags[n] for n in v.outcome_names)
-            for v in consistent_vectors(ctx)
-        ):
-            return False
-        if any(
-            all(flags[n] for n in v.outcome_names)
-            for v in inconsistent_vectors(ctx)
-        ):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class TraceStep:
-    rule: str  # "cc2-existence" | "cc3-screening" | "contradiction"
+    # "cc2-existence" | "cc3-screening" | "case-split" | "contradiction"
+    rule: str
     context: str
     detail: str
     conclusion: str
@@ -354,191 +309,213 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class ReductioTrace:
-    """A step-by-step derivation of the contradiction, when one linear
-    derivation exists; ``complete`` is False when the refutation rests on
-    the exhaustive profile search alone."""
+    """The derivation of the contradiction.  A ``case-split`` step opens a
+    branch that runs to its own ``contradiction``; the other case of the
+    same flag follows it."""
 
     steps: tuple[TraceStep, ...]
     complete: bool
-    note: str = ""
 
 
-class _Derivation:
-    """Records facts of the form 'the candidate outcome is (in)consistent
-    with outcome event e' and the justified steps deriving them."""
+@dataclass(frozen=True, eq=False)
+class _Fact:
+    """A trace step and the facts it was derived from."""
 
-    def __init__(self, contexts: Sequence[Context]):
-        self.contexts = list(contexts)
-        self.facts: dict[str, bool] = {}
-        self.steps: list[TraceStep] = []
+    step: TraceStep
+    premises: tuple[_Fact, ...] = ()
 
-    def start(self, vector: GhzVector) -> None:
-        if vector.context not in self.contexts or not parity_consistent(vector):
-            raise RuntimeError("start vector must be consistent and listed")
-        for n in vector.outcome_names:
-            self.facts[n] = True
-        names = ", ".join(vector.outcome_names)
-        self.steps.append(
-            TraceStep(
-                rule="cc2-existence",
-                context=context_label(vector.context),
-                detail=f"consistent vector {vector.label()}",
-                conclusion=(
-                    "the candidate outcome is consistent with each of "
-                    + names
-                ),
-            )
+
+# The paper's start, x+1, x-2, x+3: preferred whenever it is a candidate.
+_PREFERRED_START = GhzVector(context=("x", "x", "x"), signs=(1, -1, 1))
+_BIT = {n: 1 << k for k, n in enumerate(OUTCOME_EVENT_ORDER)}
+_ALL_FLAGS = (1 << len(OUTCOME_EVENT_ORDER)) - 1
+_IS = "the candidate outcome is "
+# Compiled rules: a screen per inconsistent vector of a listed context,
+# (context, detail, term mask); a stable per measured station/axis in order
+# of first appearance, (first context measuring it, its name, minus bit,
+# plus bit).
+_Screen = tuple[str, str, int]
+_Stable = tuple[str, str, int, int]
+
+
+def _name(bit: int) -> str:
+    return OUTCOME_EVENT_ORDER[bit.bit_length() - 1]
+
+
+def _fact(
+    why: dict[int, _Fact], mask: int, rule: str, ctx: str, *text: str
+) -> _Fact:
+    """A step whose premises are the facts of the flags in ``mask``."""
+    premises = tuple(why[b] for b in _BIT.values() if mask & b)
+    return _Fact(TraceStep(rule, ctx, *text), premises)
+
+
+def _compile(
+    contexts: Sequence[Context],
+) -> tuple[list[_Screen], list[_Stable]]:
+    screens = [
+        (
+            context_label(ctx),
+            f"inconsistent vector {v.label()}",
+            sum(_BIT[n] for n in v.outcome_names),
         )
-
-    def screen(self, vector: GhzVector) -> str:
-        if vector.context not in self.contexts or parity_consistent(vector):
-            raise RuntimeError("screening needs a listed inconsistent vector")
-        names = vector.outcome_names
-        unknown = [n for n in names if n not in self.facts]
-        if len(unknown) != 1 or not all(
-            self.facts[n] for n in names if n not in unknown
-        ):
-            raise RuntimeError(f"screening step not forced for {vector.label()}")
-        target = unknown[0]
-        self.facts[target] = False
-        self.steps.append(
-            TraceStep(
-                rule="cc3-screening",
-                context=context_label(vector.context),
-                detail=f"inconsistent vector {vector.label()}",
-                conclusion=f"the candidate outcome is inconsistent with {target}",
-            )
-        )
-        return target
-
-    def _context_with(self, station: int, axis: str) -> Context:
-        for ctx in self.contexts:
-            if ctx[station - 1] == axis:
-                return ctx
-        raise RuntimeError(f"no listed context measures {axis} at {station}")
-
-    def settle(self, station: int, axis: str) -> str:
-        ctx = self._context_with(station, axis)
-        names = [outcome_name(station, axis, s) for s in SIGNS]
-        false = [n for n in names if self.facts.get(n) is False]
-        open_ = [n for n in names if n not in self.facts]
-        if len(false) != 1 or len(open_) != 1:
-            raise RuntimeError(
-                f"settling {stable_name(station, axis)} is not forced"
-            )
-        target = open_[0]
-        self.facts[target] = True
-        self.steps.append(
-            TraceStep(
-                rule="cc2-existence",
-                context=context_label(ctx),
-                detail=(
-                    f"stable initial {stable_name(station, axis)} branches "
-                    f"to {names[0]} or {names[1]}"
-                ),
-                conclusion=f"the candidate outcome is consistent with {target}",
-            )
-        )
-        return target
-
-    def contradiction(self, station: int, axis: str) -> ReductioTrace:
-        ctx = self._context_with(station, axis)
-        names = [outcome_name(station, axis, s) for s in SIGNS]
-        if not all(self.facts.get(n) is False for n in names):
-            raise RuntimeError("contradiction step not reached")
-        self.steps.append(
-            TraceStep(
-                rule="contradiction",
-                context=context_label(ctx),
-                detail=f"stable event {stable_name(station, axis)}",
-                conclusion=(
-                    f"the candidate outcome is inconsistent with both "
-                    f"{names[0]} and {names[1]}, although consistency with "
-                    f"{stable_name(station, axis)} requires one of them"
-                ),
-            )
-        )
-        return ReductioTrace(steps=tuple(self.steps), complete=True)
-
-
-def _canonical_trace(contexts: Sequence[Context]) -> ReductioTrace | None:
-    """The fixed derivation for the xxx/xxy/xyy/xyx family.
-
-    Every step is validated against the parity facts as it is replayed;
-    the persuasive start vector is x+1, x-2, x+3.
-    """
-    needed = {
-        ("x", "x", "x"),
-        ("x", "x", "y"),
-        ("x", "y", "y"),
-        ("x", "y", "x"),
-    }
-    if not needed <= set(contexts):
-        return None
-    d = _Derivation(contexts)
-    d.start(GhzVector(context=("x", "x", "x"), signs=(1, -1, 1)))
-    d.screen(GhzVector(context=("x", "x", "y"), signs=(1, -1, 1)))
-    d.settle(3, "y")
-    d.screen(GhzVector(context=("x", "y", "y"), signs=(1, 1, -1)))
-    d.screen(GhzVector(context=("x", "y", "x"), signs=(1, -1, 1)))
-    return d.contradiction(2, "y")
-
-
-def _propagated_trace(contexts: Sequence[Context]) -> ReductioTrace | None:
-    """Forward chaining fallback for other context families.
-
-    Starts from each consistent vector of the first listed context in
-    turn and applies forced screening / settling steps until a
-    contradiction or a fixpoint.  Returns None when no start closes
-    without case splitting.
-    """
-    stations_axes: list[tuple[int, str]] = []
+        for ctx in contexts
+        for v in inconsistent_vectors(ctx)
+    ]
+    stables: dict[str, _Stable] = {}
     for ctx in contexts:
-        for i in STATIONS:
-            if (i, ctx[i - 1]) not in stations_axes:
-                stations_axes.append((i, ctx[i - 1]))
+        for i, a in zip(STATIONS, ctx):
+            name = stable_name(i, a)
+            lo, hi = (_BIT[outcome_name(i, a, s)] for s in SIGNS)
+            stables.setdefault(name, (context_label(ctx), name, lo, hi))
+    return screens, list(stables.values())
 
-    for start in consistent_vectors(contexts[0]):
-        d = _Derivation(contexts)
-        d.start(start)
-        while True:
-            progressed = False
-            for ctx in contexts:
-                for v in inconsistent_vectors(ctx):
-                    names = v.outcome_names
-                    known = [d.facts.get(n) for n in names]
-                    if all(k is True for k in known):
-                        d.steps.append(
-                            TraceStep(
-                                rule="contradiction",
-                                context=context_label(ctx),
-                                detail=f"inconsistent vector {v.label()}",
-                                conclusion=(
-                                    "every term of an inconsistent vector "
-                                    "came out consistent"
-                                ),
-                            )
-                        )
-                        return ReductioTrace(
-                            steps=tuple(d.steps), complete=True
-                        )
-                    unknown = [n for n in names if n not in d.facts]
-                    if len(unknown) == 1 and all(
-                        d.facts[n] for n in names if n not in unknown
-                    ):
-                        d.screen(v)
-                        progressed = True
-            for station, axis in stations_axes:
-                names = [outcome_name(station, axis, s) for s in SIGNS]
-                vals = [d.facts.get(n) for n in names]
-                if vals.count(False) == 2:
-                    return d.contradiction(station, axis)
-                if vals.count(False) == 1 and vals.count(None) == 1:
-                    d.settle(station, axis)
-                    progressed = True
-            if not progressed:
+
+def _close(
+    screens: list[_Screen],
+    stables: list[_Stable],
+    t: int,
+    f: int,
+    why: dict[int, _Fact] | None = None,
+) -> tuple[int, int, _Fact | bool]:
+    """Saturate t (flagged consistent) and f (flagged inconsistent).
+
+    Contradictions are checked first.  Otherwise one forced step is taken
+    and the scan restarts: screening (an inconsistent vector with all
+    terms but one in t puts the last in f), else settling (a station/axis
+    with one outcome in f puts the other in t).  Returns the flags and the
+    contradiction, False if none; with ``why``, each derived flag's fact
+    is recorded there and the contradiction comes back as a fact.
+    """
+    while True:
+        for ctx, detail, m in screens:
+            if t & m == m:
+                return t, f, why is None or _fact(
+                    why, m, "contradiction", ctx, detail,
+                    "every term of an inconsistent vector came out "
+                    "consistent",
+                )
+        for ctx, stable, lo, hi in stables:
+            if f & lo and f & hi:
+                return t, f, why is None or _fact(
+                    why, lo | hi, "contradiction", ctx,
+                    f"stable event {stable}",
+                    f"{_IS}inconsistent with both {_name(lo)} and "
+                    f"{_name(hi)}, although consistency with {stable} "
+                    "requires one of them",
+                )
+        for ctx, detail, m in screens:
+            rest = m & ~t
+            if rest & (rest - 1) == 0 and not rest & f:
+                f |= rest
+                if why is not None:
+                    why[rest] = _fact(
+                        why, m & ~rest, "cc3-screening", ctx, detail,
+                        f"{_IS}inconsistent with {_name(rest)}",
+                    )
                 break
-    return None
+        else:
+            for ctx, stable, lo, hi in stables:
+                settled = (lo | hi) & ~f
+                if settled != lo | hi and not t & settled:
+                    t |= settled
+                    if why is not None:
+                        why[settled] = _fact(
+                            why, (lo | hi) & f, "cc2-existence", ctx,
+                            f"stable initial {stable} branches to {_name(lo)} "
+                            f"or {_name(hi)}",
+                            f"{_IS}consistent with {_name(settled)}",
+                        )
+                    break
+            else:
+                return t, f, False
+
+
+def _survivors(
+    screens: list[_Screen], stables: list[_Stable], t: int = 0, f: int = 0
+) -> Iterator[int]:
+    """The surviving full masks t in lexicographic order (False before
+    True, first event most significant): branch on the lowest open flag,
+    "inconsistent" first."""
+    t, f, clash = _close(screens, stables, t, f)
+    if clash:
+        return
+    open_ = _ALL_FLAGS & ~(t | f)
+    if not open_:
+        yield t
+        return
+    bit = open_ & -open_
+    yield from _survivors(screens, stables, t, f | bit)
+    yield from _survivors(screens, stables, t | bit, f)
+
+
+def _derive(
+    screens: list[_Screen],
+    stables: list[_Stable],
+    t: int,
+    f: int,
+    why: dict[int, _Fact],
+) -> _Fact | tuple:
+    """A closed proof: the contradiction, or, when saturation stalls, the
+    (case, proof) pairs of a split on the lowest open measured flag,
+    "inconsistent" first.  On a refuted family every branch closes."""
+    t, f, clash = _close(screens, stables, t, f, why)
+    if clash:
+        return clash
+    open_ = sum(lo | hi for *_, lo, hi in stables) & ~(t | f)
+    bit = open_ & -open_
+    ctx = next(ctx for ctx, _, lo, hi in stables if (lo | hi) & bit)
+    cases = []
+    for kind, t_bit, f_bit in ("inconsistent", 0, bit), ("consistent", bit, 0):
+        case = _fact(
+            why, 0, "case-split", ctx, f"case split on {_name(bit)}",
+            f"suppose {_IS}{kind} with {_name(bit)}",
+        )
+        sub = {**why, bit: case}
+        proof = _derive(screens, stables, t | t_bit, f | f_bit, sub)
+        cases.append((case, proof))
+    return tuple(cases)
+
+
+def _render(proof: _Fact | tuple, shown: set[_Fact]) -> list[_Fact]:
+    """Lay a proof out as the facts not yet shown that it rests on, each
+    after its premises, premises visited last first; a split lays out each
+    case and then its branch."""
+    if isinstance(proof, tuple):
+        return [
+            fact
+            for case, branch in proof
+            for fact in [case] + _render(branch, shown | {case})
+        ]
+    out: list[_Fact] = []
+
+    def visit(fact: _Fact) -> None:
+        if fact not in shown and fact not in out:
+            for premise in reversed(fact.premises):
+                visit(premise)
+            out.append(fact)
+
+    visit(proof)
+    return out
+
+
+def _derivation(
+    contexts: Sequence[Context], screens: list[_Screen], stables: list[_Stable]
+) -> ReductioTrace:
+    """Derive the contradiction from a consistent vector of the first
+    listed context, the paper's start when it is one."""
+    candidates = consistent_vectors(contexts[0])
+    preferred = _PREFERRED_START in candidates
+    start = _PREFERRED_START if preferred else candidates[0]
+    fact = _fact(
+        {}, 0, "cc2-existence", context_label(start.context),
+        f"consistent vector {start.label()}",
+        f"{_IS}consistent with each of " + ", ".join(start.outcome_names),
+    )
+    why = {_BIT[n]: fact for n in start.outcome_names}
+    proof = _derive(screens, stables, sum(why), 0, why)
+    steps = [fact] + _render(proof, {fact})
+    return ReductioTrace(steps=tuple(n.step for n in steps), complete=True)
 
 
 @dataclass(frozen=True)
@@ -573,15 +550,13 @@ def refute_joint_common_cause(
         if name not in structure.events:
             raise ValueError(f"structure lacks outcome event {name!r}")
 
-    groups = [
-        (
-            [v.outcome_names for v in consistent_vectors(ctx)],
-            [v.outcome_names for v in inconsistent_vectors(ctx)],
+    screens, stables = _compile(ctx_list)
+    survivors = tuple(
+        CandidateProfile(
+            flags=tuple(bool(t & b) for b in _BIT.values())
         )
-        for ctx in ctx_list
-    ]
-    flags = surviving_profiles(OUTCOME_EVENT_ORDER, groups)
-    survivors = tuple(CandidateProfile(flags=f) for f in flags)
+        for t in _survivors(screens, stables)
+    )
 
     notes: list[str] = []
     trace: ReductioTrace | None = None
@@ -593,16 +568,7 @@ def refute_joint_common_cause(
             "not establish that a common cause exists"
         )
     else:
-        trace = _canonical_trace(ctx_list) or _propagated_trace(ctx_list)
-        if trace is None:
-            trace = ReductioTrace(
-                steps=(),
-                complete=False,
-                note=(
-                    "no single-branch derivation closes for this family; "
-                    "the refutation rests on the exhaustive profile search"
-                ),
-            )
+        trace = _derivation(ctx_list, screens, stables)
         notes.append(
             "every profile violates the existence or screening constraints"
         )

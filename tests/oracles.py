@@ -6,17 +6,28 @@ branching-location check quantifies over all chains rather than single
 points, the infima/suprema check scans every maximal chain instead
 of trusting finiteness, consistency scans every history with set
 operations instead of reading history bitmasks, and covers and density
-gaps test every candidate point in between.  Agreement with the fast
-implementations is what the tests assert.
+gaps test every candidate point in between, refutation survivors come
+from a scan of all 2^12 flag masks, and a refutation trace is replayed
+from the parity rule and the event labels alone.  Agreement with the
+fast implementations is what the tests assert.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn, Sequence
 
+from bstghz.common_cause import CandidateProfile, ReductioTrace
 from bstghz.events import Event, NSpread, Spread, is_consistent
+from bstghz.ghz import (
+    Context,
+    GhzVector,
+    consistent_vectors,
+    context_label,
+    inconsistent_vectors,
+    parity_consistent,
+)
 from bstghz.model import CausalModel, build_model
 
 
@@ -241,3 +252,191 @@ def fact1_violations(
                     f"vector-consistency {rhs}"
                 )
     return bad
+
+
+def brute_force_survivors(
+    event_names: Sequence[str],
+    groups: Sequence[tuple[Sequence[tuple[str, ...]], Sequence[tuple[str, ...]]]],
+) -> list[tuple[bool, ...]]:
+    """Profiles over the given events surviving all constraint groups.
+
+    Each group is (consistent vectors, inconsistent vectors), a vector
+    being a tuple of event names.  A profile survives when, per group,
+    some consistent vector has all terms flagged and no inconsistent
+    vector does.  Survivors come back sorted lexicographically (False
+    before True, first event most significant).
+    """
+    index = {n: k for k, n in enumerate(event_names)}
+
+    def mask(vector: tuple[str, ...]) -> int:
+        m = 0
+        for n in vector:
+            m |= 1 << index[n]
+        return m
+
+    compiled = [
+        ([mask(v) for v in cons], [mask(v) for v in inc])
+        for cons, inc in groups
+    ]
+    survivors = []
+    for m in range(1 << len(event_names)):
+        ok = all(
+            any(m & cm == cm for cm in cons)
+            and not any(m & im == im for im in inc)
+            for cons, inc in compiled
+        )
+        if ok:
+            survivors.append(
+                tuple(bool(m >> k & 1) for k in range(len(event_names)))
+            )
+    survivors.sort()
+    return survivors
+
+
+def family_groups(
+    contexts: Sequence[Context],
+) -> list[tuple[list[tuple[str, ...]], list[tuple[str, ...]]]]:
+    """The (consistent, inconsistent) vector groups of a context family."""
+    return [
+        (
+            [v.outcome_names for v in consistent_vectors(ctx)],
+            [v.outcome_names for v in inconsistent_vectors(ctx)],
+        )
+        for ctx in contexts
+    ]
+
+
+def profile_satisfies_constraints(
+    profile: CandidateProfile, contexts: Sequence[Context]
+) -> bool:
+    """Plain re-check of the two survival conditions, without bit tricks."""
+    flags = profile.as_dict()
+    for ctx in contexts:
+        if not any(
+            all(flags[n] for n in v.outcome_names)
+            for v in consistent_vectors(ctx)
+        ):
+            return False
+        if any(
+            all(flags[n] for n in v.outcome_names)
+            for v in inconsistent_vectors(ctx)
+        ):
+            return False
+    return True
+
+
+def check_derivation(contexts: Sequence[Context], trace: ReductioTrace) -> int:
+    """Replay a reductio trace from the parity rule and the labels alone.
+
+    The first step must flag consistent every term of a parity consistent
+    vector of a listed context.  Every later step must be forced by the
+    facts already established in its branch: screening by an inconsistent
+    vector of a listed context whose other two terms are flagged
+    consistent, settling by a measured station/axis whose other outcome is
+    flagged inconsistent.  A case split assumes an open measured outcome
+    inconsistent, closes that branch, then assumes it consistent.  Every
+    branch must end in a justified contradiction and no step may follow
+    the last one.  Returns the number of closed branches; raises
+    ValueError at the first step that fails.
+    """
+    listed = {context_label(c): c for c in contexts}
+    steps = trace.steps
+    is_ = "the candidate outcome is "
+
+    def fail(k: int, why: str) -> NoReturn:
+        raise ValueError(f"step {k + 1}: {why}")
+
+    def vector(k: int, kind: str) -> GhzVector:
+        prefix = f"{kind} vector "
+        detail = steps[k].detail
+        label, _, signs = detail[len(prefix):].partition(":")
+        if not detail.startswith(prefix) or label not in listed:
+            fail(k, f"{detail!r} is not a vector of a listed context")
+        if label != steps[k].context:
+            fail(k, f"vector {detail!r} reported under {steps[k].context}")
+        v = GhzVector(
+            context=listed[label],
+            signs=tuple(1 if s == "+" else -1 for s in signs),
+        )
+        if detail != prefix + v.label():
+            fail(k, f"bad vector label {detail!r}")
+        if parity_consistent(v) != (kind == "consistent"):
+            fail(k, f"{v.label()} is not parity {kind}")
+        return v
+
+    def stable(k: int, label: str) -> tuple[str, str]:
+        ctx = listed.get(steps[k].context)
+        if ctx is None or len(label) != 2 or label[1] not in "123":
+            fail(k, f"{label!r} is not measured by a listed context")
+        axis, station = label[0], int(label[1])
+        if ctx[station - 1] != axis:
+            fail(k, f"{steps[k].context} does not measure {label}")
+        return f"{axis}-{station}", f"{axis}+{station}"
+
+    def claim(k: int, prefix: str) -> str:
+        text = steps[k].conclusion
+        if not text.startswith(prefix):
+            fail(k, f"expected {prefix!r}, got {text!r}")
+        return text[len(prefix):]
+
+    def branch(k: int, facts: dict[str, bool]) -> tuple[int, int]:
+        for k in range(k, len(steps)):
+            rule, detail = steps[k].rule, steps[k].detail
+            if rule == "contradiction" and detail.startswith("stable event "):
+                lo, hi = stable(k, detail[len("stable event "):])
+                if facts.get(lo) is not False or facts.get(hi) is not False:
+                    fail(k, f"{lo} and {hi} are not both inconsistent")
+                return k + 1, 1
+            if rule == "contradiction":
+                v = vector(k, "inconsistent")
+                if not all(facts.get(n) for n in v.outcome_names):
+                    fail(k, f"{v.label()} is not fully consistent")
+                return k + 1, 1
+            if rule == "case-split":
+                name = claim(k, f"suppose {is_}inconsistent with ")
+                if name not in stable(k, name[:1] + name[2:]) or name in facts:
+                    fail(k, f"{name} is not an open measured outcome")
+                k, closed_a = branch(k + 1, {**facts, name: False})
+                if k == len(steps) or steps[k].rule != "case-split":
+                    fail(k, f"expected the second case of {name}")
+                if claim(k, f"suppose {is_}consistent with ") != name:
+                    fail(k, f"expected the second case of {name}")
+                k, closed_b = branch(k + 1, {**facts, name: True})
+                return k, closed_a + closed_b
+            if rule == "cc3-screening":
+                v = vector(k, "inconsistent")
+                target = claim(k, f"{is_}inconsistent with ")
+                rest = [n for n in v.outcome_names if n != target]
+                if len(rest) != 2 or target in facts:
+                    fail(k, f"{target} is not an open term of {v.label()}")
+                if not all(facts.get(n) for n in rest):
+                    fail(k, f"screening {target} by {v.label()} is not forced")
+                facts[target] = False
+            elif rule == "cc2-existence" and detail.startswith("stable "):
+                label = detail.split(" ")[2]
+                lo, hi = stable(k, label)
+                if detail != f"stable initial {label} branches to {lo} or {hi}":
+                    fail(k, f"bad settling detail {detail!r}")
+                target = claim(k, f"{is_}consistent with ")
+                other = {lo: hi, hi: lo}.get(target)
+                if other is None or target in facts:
+                    fail(k, f"{target} is not an open outcome of {label}")
+                if facts.get(other) is not False:
+                    fail(k, f"settling {target} is not forced")
+                facts[target] = True
+            else:
+                fail(k, f"unexpected {rule} step {detail!r}")
+        fail(len(steps) - 1, "the branch ends without a contradiction")
+
+    if not trace.complete or not steps:
+        raise ValueError("the trace is incomplete")
+    if steps[0].rule != "cc2-existence":
+        fail(0, "the derivation must start from a consistent vector")
+    start = vector(0, "consistent")
+    names = ", ".join(start.outcome_names)
+    if claim(0, f"{is_}consistent with each of ") != names:
+        fail(0, f"the start does not flag {names}")
+    end, closed = branch(1, dict.fromkeys(start.outcome_names, True))
+    if end != len(steps):
+        fail(end, "a step follows the closed derivation")
+    return closed

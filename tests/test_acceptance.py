@@ -96,9 +96,14 @@ def test_criterion_02_product_constraint_family_refuted():
     elapsed = time.perf_counter() - t0
     assert result.survivors == ()
     assert result.witness is None
-    assert result.trace is not None and not result.trace.complete
+    assert result.trace is not None and result.trace.complete
+    assert "case-split" in [s.rule for s in result.trace.steps]
     assert elapsed < 1.0
-    stamp(2, f"0 of 4096 profiles survive, exhaustion noted, {elapsed:.3f}s")
+    stamp(
+        2,
+        f"0 of 4096 profiles survive, {len(result.trace.steps)}-step trace "
+        f"with a case split, {elapsed:.3f}s",
+    )
 
 
 def test_criterion_03_eigenvalues_within_tolerance():

@@ -145,7 +145,12 @@ class TestGhzRefute:
         )
         assert code == 0
         assert "survivors: 0" in out
-        assert "trace: unavailable" in out
+        assert "trace: unavailable" not in out
+        assert (
+            "trace 2: [case-split yxy] suppose the candidate outcome is "
+            "inconsistent with y-1"
+        ) in out.splitlines()
+        assert "trace 14: [contradiction yyx]" in out
 
     def test_single_context_fails_with_witness(self, capsys):
         code, out, _ = run(capsys, "ghz", "refute", "--contexts", "xxx")

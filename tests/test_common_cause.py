@@ -1,17 +1,23 @@
 """Screening conditions, the profile refutation, and determinism levels."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from bstghz.common_cause import (
     CandidateProfile,
-    _Derivation,
+    ReductioTrace,
+    TraceStep,
+    _BIT,
+    _close,
+    _compile,
+    _Fact,
     atomic_spreads,
     check_common_cause,
     classify_determinism,
-    profile_satisfies_constraints,
     refute_joint_common_cause,
     search_common_causes,
-    surviving_profiles,
 )
 from bstghz.errors import (
     InvalidSpread,
@@ -20,14 +26,27 @@ from bstghz.errors import (
 )
 from bstghz.events import Event, NSpread, OutcomeVector, Spread
 from bstghz.ghz import (
+    ALL_CONTEXTS,
+    OMEGA_CONSTRAINTS,
     OUTCOME_EVENT_ORDER,
     THEOREM_CONTEXTS,
-    GhzVector,
     build_abstract_structure,
-    consistent_vectors,
     inconsistent_vectors,
 )
 from bstghz.model import build_model
+
+from .oracles import (
+    brute_force_survivors,
+    check_derivation,
+    family_groups,
+    profile_satisfies_constraints,
+)
+
+EVERY_FAMILY = [
+    fam
+    for r in range(len(ALL_CONTEXTS) + 1)
+    for fam in itertools.combinations(ALL_CONTEXTS, r)
+]
 
 
 def spread_of(events, initial, *outcomes):
@@ -226,13 +245,13 @@ class TestProfiles:
         assert d["x+1"] and d["y-3"] and not d["x-1"]
 
     def test_surviving_profiles_tiny_case(self):
-        out = surviving_profiles(
+        out = brute_force_survivors(
             ["e1", "e2"], [([("e1",)], [("e2",)])]
         )
         assert out == [(True, False)]
 
     def test_survivors_sorted_lexicographically(self):
-        out = surviving_profiles(["e1", "e2"], [([("e1",), ("e2",)], [])])
+        out = brute_force_survivors(["e1", "e2"], [([("e1",), ("e2",)], [])])
         assert out == sorted(out)
         assert out == [(False, True), (True, False), (True, True)]
 
@@ -245,8 +264,6 @@ class TestProfiles:
 
     def test_each_context_alone_admits_256(self):
         structure = build_abstract_structure()
-        from bstghz.ghz import ALL_CONTEXTS
-
         for ctx in ALL_CONTEXTS:
             result = refute_joint_common_cause(structure, [ctx])
             assert len(result.survivors) == 256
@@ -265,6 +282,15 @@ class TestProfiles:
             ):
                 slow.add(flags)
         assert fast == slow
+
+    def test_engine_matches_brute_force_on_every_family(self):
+        structure = build_abstract_structure()
+        for fam in EVERY_FAMILY:
+            result = refute_joint_common_cause(structure, fam)
+            oracle = brute_force_survivors(
+                OUTCOME_EVENT_ORDER, family_groups(fam)
+            )
+            assert [p.flags for p in result.survivors] == oracle, fam
 
     def test_adding_contexts_only_removes_survivors(self):
         structure = build_abstract_structure()
@@ -328,9 +354,22 @@ class TestRefutation:
             build_abstract_structure(), contexts
         )
         assert result.survivors == ()
-        assert result.trace is not None
-        assert not result.trace.complete
-        assert "exhaustive profile search" in result.trace.note
+        assert result.trace is not None and result.trace.complete
+        assert "case-split" in [s.rule for s in result.trace.steps]
+        assert check_derivation(contexts, result.trace) == 2
+
+    def test_every_refuted_family_has_a_checked_trace(self):
+        structure = build_abstract_structure()
+        refuted = 0
+        for fam in EVERY_FAMILY[1:]:
+            result = refute_joint_common_cause(structure, fam)
+            if result.survivors:
+                assert result.trace is None
+                continue
+            refuted += 1
+            assert result.trace.complete
+            assert check_derivation(fam, result.trace) >= 1, fam
+        assert refuted == 73
 
     def test_duplicate_contexts_are_collapsed(self):
         result = refute_joint_common_cause(
@@ -357,24 +396,122 @@ class TestRefutation:
         assert any("necessary conditions only" in n for n in result.notes)
 
 
+def flagged(*names):
+    return sum(_BIT[n] for n in names)
+
+
+class TestPropagation:
+    """The closure on states the refutation itself never builds: screening
+    fires before a vector can fill up, so the cc3 contradiction is only
+    reachable from a state handed in whole."""
+
+    def test_a_fully_consistent_inconsistent_vector_is_a_contradiction(self):
+        screens, stables = _compile([("x", "x", "x")])
+        t = flagged("x-1", "x-2", "x+3")
+        assert _close(screens, stables, t, 0)[2] is True
+        given = _Fact(TraceStep("cc2-existence", "xxx", "given", "given"))
+        why = {_BIT[n]: given for n in ("x-1", "x-2", "x+3")}
+        clash = _close(screens, stables, t, 0, why)[2]
+        assert clash.step == TraceStep(
+            "contradiction",
+            "xxx",
+            "inconsistent vector xxx:--+",
+            "every term of an inconsistent vector came out consistent",
+        )
+        assert clash.premises == (given,) * 3
+
+    def test_settling_and_screening_are_forced_steps(self):
+        screens, stables = _compile([("x", "x", "y")])
+        assert _close(screens, stables, 0, flagged("x-1")) == (
+            flagged("x+1"), flagged("x-1"), False
+        )
+        # xxy:++- screens y-3 and y+3 settles; then xxy:+-+ and xxy:-++
+        # screen x-2 and x-1
+        assert _close(screens, stables, flagged("x+1", "x+2"), 0) == (
+            flagged("x+1", "x+2", "y+3"), flagged("y-3", "x-2", "x-1"), False
+        )
+
+
+def theorem_trace():
+    return refute_joint_common_cause(
+        build_abstract_structure(), THEOREM_CONTEXTS
+    ).trace
+
+
+def with_steps(trace, steps):
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
 class TestDerivationGuards:
+    """The replay oracle rejects every derivation that is not forced."""
+
     def test_start_needs_a_listed_consistent_vector(self):
-        d = _Derivation([("x", "x", "x")])
-        with pytest.raises(RuntimeError):
-            d.start(GhzVector(context=("x", "x", "x"), signs=(1, 1, 1)))
-        with pytest.raises(RuntimeError):
-            d.start(GhzVector(context=("x", "x", "y"), signs=(1, -1, 1)))
+        trace = theorem_trace()
+        start = trace.steps[0]
+        inconsistent = dataclasses.replace(
+            start, detail="consistent vector xxx:+++"
+        )
+        steps = (inconsistent,) + trace.steps[1:]
+        with pytest.raises(ValueError, match="not parity consistent"):
+            check_derivation(THEOREM_CONTEXTS, with_steps(trace, steps))
+        with pytest.raises(ValueError, match="listed context"):
+            check_derivation(THEOREM_CONTEXTS[1:], trace)
 
     def test_screen_must_be_forced(self):
-        d = _Derivation([("x", "x", "x"), ("x", "x", "y")])
-        with pytest.raises(RuntimeError):
-            d.screen(GhzVector(context=("x", "x", "y"), signs=(1, -1, 1)))
+        trace = theorem_trace()
+        # screening y+2 by xyy:++- needs y-3, which the settling step gives
+        steps = list(trace.steps)
+        del steps[2]
+        with pytest.raises(ValueError, match="step 3: .*not forced"):
+            check_derivation(THEOREM_CONTEXTS, with_steps(trace, steps))
 
     def test_screen_rejects_consistent_vectors(self):
-        d = _Derivation([("x", "x", "x")])
-        ok = consistent_vectors(("x", "x", "x"))[0]
-        with pytest.raises(RuntimeError):
-            d.screen(ok)
+        trace = theorem_trace()
+        consistent = dataclasses.replace(
+            trace.steps[1], detail="inconsistent vector xxy:+--"
+        )
+        steps = (trace.steps[0], consistent) + trace.steps[2:]
+        with pytest.raises(ValueError, match="not parity inconsistent"):
+            check_derivation(THEOREM_CONTEXTS, with_steps(trace, steps))
+
+    def test_the_theorem_trace_passes(self):
+        assert check_derivation(THEOREM_CONTEXTS, theorem_trace()) == 1
+
+    def test_dropping_any_step_fails(self):
+        trace = theorem_trace()
+        for k in range(len(trace.steps)):
+            steps = trace.steps[:k] + trace.steps[k + 1:]
+            with pytest.raises(ValueError):
+                check_derivation(THEOREM_CONTEXTS, with_steps(trace, steps))
+
+    def test_reordering_a_dependent_step_fails(self):
+        trace = theorem_trace()
+        # steps 4 and 5 screen y+2 and y-2 independently; every other
+        # adjacent pair is a premise and the step that uses it
+        for k in (0, 1, 2, 4):
+            steps = list(trace.steps)
+            steps[k], steps[k + 1] = steps[k + 1], steps[k]
+            with pytest.raises(ValueError):
+                check_derivation(THEOREM_CONTEXTS, with_steps(trace, steps))
+
+    def test_a_step_after_the_contradiction_fails(self):
+        trace = theorem_trace()
+        steps = trace.steps + trace.steps[-1:]
+        with pytest.raises(ValueError, match="follows the closed derivation"):
+            check_derivation(THEOREM_CONTEXTS, with_steps(trace, steps))
+
+    def test_both_cases_of_a_split_must_close(self):
+        contexts = [ctx for ctx, _ in OMEGA_CONSTRAINTS]
+        trace = refute_joint_common_cause(
+            build_abstract_structure(), contexts
+        ).trace
+        rules = [s.rule for s in trace.steps]
+        second = len(rules) - 1 - rules[::-1].index("case-split")
+        with pytest.raises(ValueError, match="second case"):
+            check_derivation(contexts, with_steps(trace, trace.steps[:second]))
+        incomplete = ReductioTrace(steps=trace.steps, complete=False)
+        with pytest.raises(ValueError, match="incomplete"):
+            check_derivation(contexts, incomplete)
 
 
 class TestDeterminism:

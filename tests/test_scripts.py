@@ -5,24 +5,57 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_run_refutation_walkthrough():
+def run_refutation(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_refutation.py")],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_refutation.py"), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_run_refutation_walkthrough():
+    proc = run_refutation()
     assert proc.returncode == 0, proc.stderr
     assert "refutation: 0 of 4096 profiles survive" in proc.stdout
     assert (
         "  6. [contradiction xyy] the candidate outcome is inconsistent with "
         "both y-2 and y+2, although consistency with y2 requires one of them"
     ) in proc.stdout.splitlines()
+
+
+def test_run_refutation_prints_a_case_split_trace():
+    proc = run_refutation("--contexts", "xyy,yxy,yyx,xxx")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "refutation: 0 of 4096 profiles survive" in lines
+    assert (
+        "  2. [case-split yxy] suppose the candidate outcome is "
+        "inconsistent with y-1"
+    ) in lines
+    assert any(line.startswith("  14. [contradiction ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "contexts, message",
+    [
+        ("xxz", "not an axis context: 'xxz'"),
+        (",", "--contexts needs at least one context"),
+    ],
+)
+def test_run_refutation_rejects_a_bad_label(contexts, message):
+    proc = run_refutation("--contexts", contexts)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: BadFlag: {message}")
+    assert "Traceback" not in proc.stderr

@@ -3,7 +3,7 @@
 The package splits into a generic layer (causal models, histories,
 events, spreads, consistency grading) and a scenario layer (the
 three-station parity setup, its 53-point realization, the common-cause
-checker and the exhaustive refutation, and a small quantum cross-check).
+checker and the exhaustive refutation, and an exact quantum cross-check).
 """
 
 from .errors import (

@@ -276,8 +276,9 @@ def cmd_ghz_oracle(args: argparse.Namespace) -> Report:
     probabilities: dict[str, float] = {}
     for ctx in contexts:
         if args.context:
-            for signs, p in sorted(context_distribution(ctx).items()):
+            for signs, exact in sorted(context_distribution(ctx).items()):
                 label = f"{context_label(ctx)}:{signs_label(signs)}"
+                p = float(exact)
                 findings.append(f"p({label}) = {p:.6f}")
                 probabilities[label] = p
         findings.append(
@@ -290,9 +291,9 @@ def cmd_ghz_oracle(args: argparse.Namespace) -> Report:
         findings=tuple(findings),
         payload={
             "eigenvalues": {
-                spec.label(): value for spec, value in eig.operators
+                spec.label(): float(value) for spec, value in eig.operators
             },
-            "product": eig.product_eigenvalue,
+            "product": float(eig.product_eigenvalue),
             "commuting": eig.pairwise_commuting,
             "threshold": report.threshold,
             "probabilities": probabilities,

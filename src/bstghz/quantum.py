@@ -1,25 +1,37 @@
-"""Independent quantum check of the stipulated parity rule.
+"""Independent quantum check of the stipulated parity rule, computed exactly.
 
 Everything here is computed from the three-qubit state
-(|000> - |111>)/sqrt(2) and explicit Pauli tensor products; the parity
-rule enters only at the comparison step.  Conventions: the computational
-basis is ordered |000> .. |111>, sign eigenstates are
-|+-x> = (|0> +- |1>)/sqrt(2) and |+-y> = (|0> +- i|1>)/sqrt(2).
+(|000> - |111>)/sqrt(2) and the Pauli strings; the parity rule enters
+only at the comparison step.  Conventions: the computational basis is
+ordered |000> .. |111> with the first station's qubit most significant,
+and sign eigenstates are |+-x> = (|0> +- |1>)/sqrt(2) and
+|+-y> = (|0> +- i|1>)/sqrt(2).
+
+No matrix is formed and no float enters.  A state is a tuple of
+Gaussian-integer amplitudes (re, im) over a common sqrt(2)**k.  A Pauli
+string of x and y acts on a basis state |b> by flipping every bit, with
+a phase: each y at qubit j contributes i * (-1)**b_j.  Eigenvalues are
+read off by comparing amplitudes exactly, two strings commute iff they
+differ at an even number of positions, and a Born probability is
+|<v|psi>|**2 as a Fraction, in O(n * 2**n) integer work.  The results
+are exactly +-1 and exactly 0, 1/4 or 1/8 (Mermin, Am. J. Phys. 58, 731
+(1990)).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
-
-import numpy as np
 
 from .errors import NotEigenstate
 from .ghz import (
     ALL_CONTEXTS,
+    AXES,
     OMEGA_CONSTRAINTS,
     SIGNS,
+    STATIONS,
     Context,
     GhzVector,
     SignVector,
@@ -28,20 +40,34 @@ from .ghz import (
     parity_consistent,
 )
 
+# Kept for callers that compare the oracle's values against floats; the
+# oracle itself is exact, so its own values are off by 0.
 EIGEN_TOLERANCE = 1e-12
 
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
+_QUBITS = len(STATIONS)
+Gaussian = tuple[int, int]  # re + i * im
 
 
-def ghz_state() -> np.ndarray:
-    """The entangled three-qubit state, as 8 complex amplitudes."""
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = 1 / sqrt(2)
-    psi[7] = -1 / sqrt(2)
-    return psi
+def _times_i(z: Gaussian, power: int) -> Gaussian:
+    """z * i**power."""
+    re, im = z
+    return ((re, im), (-im, re), (-re, -im), (im, -re))[power % 4]
+
+
+@dataclass(frozen=True)
+class QubitState:
+    """Amplitude of |b> is amplitudes[b] / sqrt(2)**sqrt2_power."""
+
+    amplitudes: tuple[Gaussian, ...]
+    sqrt2_power: int
+
+
+def ghz_state() -> QubitState:
+    """The entangled three-qubit state (|000> - |111>)/sqrt(2)."""
+    zero = (0, 0)
+    return QubitState(
+        amplitudes=((1, 0),) + (zero,) * 6 + ((-1, 0),), sqrt2_power=1
+    )
 
 
 @dataclass(frozen=True)
@@ -51,36 +77,62 @@ class ObservableSpec:
     axes: Context
 
     def __post_init__(self) -> None:
-        if len(self.axes) != 3 or any(a not in _PAULI for a in self.axes):
+        if len(self.axes) != _QUBITS or any(a not in AXES for a in self.axes):
             raise ValueError(f"bad observable axes: {self.axes!r}")
-
-    def matrix(self) -> np.ndarray:
-        m = _PAULI[self.axes[0]]
-        for a in self.axes[1:]:
-            m = np.kron(m, _PAULI[a])
-        return m
 
     def label(self) -> str:
         return context_label(self.axes)
 
 
-def eigenvalue_for(spec: ObservableSpec, state: np.ndarray) -> float:
-    """Eigenvalue of the observable on the state, or NotEigenstate."""
-    m = spec.matrix()
-    lam = complex(np.vdot(state, m @ state))
-    residual = float(np.linalg.norm(m @ state - lam * state))
-    if residual > EIGEN_TOLERANCE or abs(lam.imag) > EIGEN_TOLERANCE:
-        raise NotEigenstate(
-            f"state is not an eigenstate of {spec.label()} "
-            f"(residual {residual:.3e})"
+def _apply(axes: Context, amplitudes: Sequence[Gaussian]) -> list[Gaussian]:
+    """The Pauli string's action: |b> -> phase(b) |b xor 1..1>."""
+    n = len(axes)
+    flip = (1 << n) - 1
+    ys = sum(1 << (n - 1 - j) for j, a in enumerate(axes) if a == "y")
+    n_y = bin(ys).count("1")
+    out: list[Gaussian] = [(0, 0)] * len(amplitudes)
+    for b, z in enumerate(amplitudes):
+        out[b ^ flip] = _times_i(z, n_y + 2 * bin(b & ys).count("1"))
+    return out
+
+
+def _eigenvalue(
+    image: Sequence[Gaussian], state: QubitState, name: str
+) -> int:
+    """The real lam with image == lam * state, or NotEigenstate."""
+    pairs = list(zip(image, state.amplitudes))
+    for power, lam in ((0, 1), (2, -1)):
+        if all(w == _times_i(z, power) for w, z in pairs):
+            return lam
+    raise NotEigenstate(f"state is not an eigenstate of {name}")
+
+
+def _check_state(state: QubitState, n: int) -> None:
+    amps = state.amplitudes
+    if len(amps) != 1 << n:
+        raise ValueError(
+            f"state has {len(amps)} amplitudes; {n} qubits need {1 << n}"
         )
-    return float(lam.real)
+    if not any(z != (0, 0) for z in amps):
+        raise ValueError("state has no nonzero amplitude")
+
+
+def eigenvalue_for(spec: ObservableSpec, state: QubitState) -> int:
+    """Eigenvalue (exactly +1 or -1) of the observable, or NotEigenstate."""
+    _check_state(state, len(spec.axes))
+    image = _apply(spec.axes, state.amplitudes)
+    return _eigenvalue(image, state, spec.label())
+
+
+def commute(a: ObservableSpec, b: ObservableSpec) -> bool:
+    """Pauli strings anticommute at each position where x meets y."""
+    return sum(p != q for p, q in zip(a.axes, b.axes)) % 2 == 0
 
 
 @dataclass(frozen=True)
 class EigencheckResult:
-    operators: tuple[tuple[ObservableSpec, float], ...]
-    product_eigenvalue: float
+    operators: tuple[tuple[ObservableSpec, int], ...]
+    product_eigenvalue: int
     pairwise_commuting: bool
 
 
@@ -93,48 +145,52 @@ def omega_eigencheck() -> EigencheckResult:
     psi = ghz_state()
     specs = [ObservableSpec(axes=ctx) for ctx, _ in OMEGA_CONSTRAINTS]
     operators = tuple((s, eigenvalue_for(s, psi)) for s in specs)
-    product = np.eye(8, dtype=complex)
-    for s in specs:
-        product = product @ s.matrix()
-    lam = complex(np.vdot(psi, product @ psi))
-    residual = float(np.linalg.norm(product @ psi - lam * psi))
-    if residual > EIGEN_TOLERANCE:
-        raise NotEigenstate("product observable residual exceeds tolerance")
+    image: Sequence[Gaussian] = psi.amplitudes
+    for s in reversed(specs):  # the product's rightmost factor acts first
+        image = _apply(s.axes, image)
+    product = _eigenvalue(image, psi, "the product observable")
     commuting = all(
-        np.allclose(
-            a.matrix() @ b.matrix(), b.matrix() @ a.matrix(), atol=EIGEN_TOLERANCE
-        )
-        for i, a in enumerate(specs)
-        for b in specs[i + 1 :]
+        commute(a, b) for i, a in enumerate(specs) for b in specs[i + 1 :]
     )
     return EigencheckResult(
         operators=operators,
-        product_eigenvalue=float(lam.real),
+        product_eigenvalue=product,
         pairwise_commuting=commuting,
     )
 
 
-def _sign_eigenstate(axis: str, sign: int) -> np.ndarray:
-    if axis == "x":
-        return np.array([1, sign], dtype=complex) / sqrt(2)
-    return np.array([1, sign * 1j], dtype=complex) / sqrt(2)
+def _born(context: Context, signs: SignVector, state: QubitState) -> Fraction:
+    """|<v|psi>|**2 for the product sign eigenstate v of the context.
+
+    sqrt(2)**n * v_b is the Gaussian unit prod over b_j = 1 of s_j c_j,
+    with c = 1 for x and i for y, so conj(v_b) is i**p_b with p_b summed
+    bit by bit: 0 for x, 3 for y (-i), plus 2 for a minus sign.
+    """
+    n = len(context)
+    steps = [
+        (3 if a == "y" else 0) + (2 if s < 0 else 0)
+        for a, s in zip(context, signs)
+    ]
+    re = im = 0
+    for b, z in enumerate(state.amplitudes):
+        power = sum(steps[j] for j in range(n) if b >> (n - 1 - j) & 1)
+        dre, dim = _times_i(z, power)
+        re += dre
+        im += dim
+    return Fraction(re * re + im * im, 2 ** (n + state.sqrt2_power))
 
 
 @lru_cache(maxsize=None)
-def outcome_probability(context: Context, signs: SignVector) -> float:
+def outcome_probability(context: Context, signs: SignVector) -> Fraction:
     """Born probability of the joint sign outcome under the axis context."""
-    if len(context) != 3 or any(a not in _PAULI for a in context):
+    if len(context) != _QUBITS or any(a not in AXES for a in context):
         raise ValueError(f"bad context: {context!r}")
-    if len(signs) != 3 or any(s not in SIGNS for s in signs):
+    if len(signs) != _QUBITS or any(s not in SIGNS for s in signs):
         raise ValueError(f"bad signs: {signs!r}")
-    v = _sign_eigenstate(context[0], signs[0])
-    for a, s in zip(context[1:], signs[1:]):
-        v = np.kron(v, _sign_eigenstate(a, s))
-    amp = complex(np.vdot(v, ghz_state()))
-    return float(abs(amp) ** 2)
+    return _born(context, signs, ghz_state())
 
 
-def context_distribution(context: Context) -> dict[SignVector, float]:
+def context_distribution(context: Context) -> dict[SignVector, Fraction]:
     """Probabilities of all eight joint outcomes of one context."""
     return {
         v.signs: outcome_probability(context, v.signs)
@@ -153,7 +209,7 @@ class Discrepancy:
 
     vector: GhzVector
     stipulated_consistent: bool
-    probability: float
+    probability: Fraction
     threshold_sensitive: bool
 
 
@@ -191,7 +247,7 @@ def compare_with_stipulation(threshold: float = 1e-9) -> DiscrepancyReport:
                         vector=v,
                         stipulated_consistent=stip,
                         probability=p,
-                        threshold_sensitive=EIGEN_TOLERANCE < p <= threshold,
+                        threshold_sensitive=0 < p <= threshold,
                     )
                 )
     return DiscrepancyReport(

@@ -7,22 +7,28 @@ points, the infima/suprema check scans every maximal chain instead
 of trusting finiteness, consistency scans every history with set
 operations instead of reading history bitmasks, and covers and density
 gaps test every candidate point in between, refutation survivors come
-from a scan of all 2^12 flag masks, and a refutation trace is replayed
-from the parity rule and the event labels alone.  Agreement with the
-fast implementations is what the tests assert.
+from a scan of all 2^12 flag masks, a refutation trace is replayed
+from the parity rule and the event labels alone, and the exact quantum
+oracle is checked against float Pauli matrices, Kronecker products and
+inner products (numpy; the tests that use it skip without it).
+Agreement with the fast implementations is what the tests assert.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator, NoReturn, Sequence
+from math import sqrt
+from typing import Any, Iterable, Iterator, NoReturn, Sequence
+
+import pytest
 
 from bstghz.common_cause import CandidateProfile, ReductioTrace
 from bstghz.events import Event, NSpread, Spread, is_consistent
 from bstghz.ghz import (
     Context,
     GhzVector,
+    SignVector,
     consistent_vectors,
     context_label,
     inconsistent_vectors,
@@ -440,3 +446,73 @@ def check_derivation(contexts: Sequence[Context], trace: ReductioTrace) -> int:
     if end != len(steps):
         fail(end, "a step follows the closed derivation")
     return closed
+
+
+def _numpy() -> Any:
+    return pytest.importorskip("numpy")
+
+
+def pauli_matrix(axes: Context) -> Any:
+    """The Kronecker product of one Pauli matrix per station."""
+    np = _numpy()
+    pauli = {
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    }
+    m = pauli[axes[0]]
+    for a in axes[1:]:
+        m = np.kron(m, pauli[a])
+    return m
+
+
+def float_ghz_state() -> Any:
+    """(|000> - |111>)/sqrt(2) as 8 complex floats."""
+    psi = _numpy().zeros(8, dtype=complex)
+    psi[0] = 1 / sqrt(2)
+    psi[7] = -1 / sqrt(2)
+    return psi
+
+
+def float_eigenvalue(m: Any, psi: Any) -> complex:
+    """<psi|m|psi>, after checking m psi is that multiple of psi."""
+    np = _numpy()
+    lam = complex(np.vdot(psi, m @ psi))
+    residual = float(np.linalg.norm(m @ psi - lam * psi))
+    if residual >= 1e-12:
+        raise AssertionError(f"not an eigenstate (residual {residual:.3e})")
+    return lam
+
+
+def float_product(contexts: Sequence[Context]) -> Any:
+    np = _numpy()
+    product = np.eye(8, dtype=complex)
+    for ctx in contexts:
+        product = product @ pauli_matrix(ctx)
+    return product
+
+
+def float_commute(a: Context, b: Context) -> bool:
+    np = _numpy()
+    ma, mb = pauli_matrix(a), pauli_matrix(b)
+    return bool(np.allclose(ma @ mb, mb @ ma, atol=1e-12))
+
+
+def float_probability(
+    context: Context, signs: SignVector, psi: Any = None
+) -> float:
+    """|<v|psi>|^2 with v the Kronecker product of sign eigenstates.
+
+    ``psi`` defaults to the GHZ state.
+    """
+    np = _numpy()
+    if psi is None:
+        psi = float_ghz_state()
+
+    def eigenstate(axis: str, sign: int) -> Any:
+        phase = 1 if axis == "x" else 1j
+        return np.array([1, sign * phase], dtype=complex) / sqrt(2)
+
+    v = eigenstate(context[0], signs[0])
+    for a, s in zip(context[1:], signs[1:]):
+        v = np.kron(v, eigenstate(a, s))
+    return float(abs(complex(np.vdot(v, psi))) ** 2)

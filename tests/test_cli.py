@@ -222,6 +222,33 @@ class TestGhzOracle:
         _, out2, _ = run(capsys, "--format", "json", "ghz", "oracle")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "context, probabilities",
+        [
+            ("xyx", {"xyx:+++": 0.125, "xyx:---": 0.125}),
+            (
+                "xyy",
+                {"xyy:+++": 0.25, "xyy:-++": 0.0, "xyy:--+": 0.25},
+            ),
+        ],
+    )
+    def test_json_values_are_exact(self, capsys, context, probabilities):
+        code, out, _ = run(
+            capsys, "--format", "json", "ghz", "oracle", "--context", context
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["eigenvalues"] == {
+            "xyy": 1.0, "yxy": 1.0, "yyx": 1.0, "xxx": -1.0,
+        }
+        assert payload["product"] == -1.0
+        assert len(payload["probabilities"]) == 8
+        for label, p in probabilities.items():
+            assert payload["probabilities"][label] == p
+        assert set(payload["probabilities"].values()) <= {0.0, 0.125, 0.25}
+        assert '"product": -1.0,' in out
+        assert "0.12499" not in out and "0.24999" not in out
+
     def test_bad_context(self, capsys):
         code, _, err = run(capsys, "ghz", "oracle", "--context", "qqq")
         assert code == 2

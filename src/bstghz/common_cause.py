@@ -55,6 +55,7 @@ from .events import (
     is_spacelike,
     validate_spread,
     _require_valid,
+    _strictly_below,
 )
 from .ghz import (
     ALL_CONTEXTS,
@@ -122,8 +123,11 @@ def _cc_conditions(
     vector: OutcomeVector,
 ) -> CommonCauseReport:
     cc1_witnesses: list[str] = []
+    before = model.mask(sigma.initial.members)
     for s in ns.spreads:
         for o in s.outcomes:
+            if not before & ~_strictly_below(model, o.members):
+                continue
             for pi in sorted(sigma.initial.members):
                 for po in sorted(o.members):
                     if not model.lt(pi, po):
@@ -197,8 +201,12 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
     One candidate per non-maximal point: the point as singleton initial,
     its covers as singleton outcomes.  Candidates failing the spread
     conditions (for instance when two covers share a history) are
-    dropped.
+    dropped.  The candidates depend on the model alone and are memoised
+    on it.
     """
+    memo = model.memo
+    if atomic_spreads in memo:
+        return memo[atomic_spreads]
     out: list[Spread] = []
     for p in model.points:
         cov = model.covers(p)
@@ -212,7 +220,8 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
         )
         if validate_spread(model, spread).ok:
             out.append(spread)
-    return tuple(out)
+    memo[atomic_spreads] = tuple(out)
+    return memo[atomic_spreads]
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,21 @@ lexicographically in declared order) are the joint results one can ask
 consistency questions about.  Consistency itself is existential: some
 history realizes everything at once.
 
-Queries are integer arithmetic on the model's per-point history
-bitmasks: an initial's mask is the AND of its members' masks (the
+Everything here is integer arithmetic on the model's bitsets.  Order
+questions read the model's point masks: an event is a chain when every
+member's ``up | down | self`` mask holds all the members, it is upper
+(lower) bounded when the AND of its members' ``up | self`` (``down |
+self``) masks is nonzero, and a spread's initial precedes an outcome
+when the initial's mask lies inside the AND of the outcome members'
+``down`` masks.  Consistency queries read the per-point history masks:
+an initial's history mask is the AND of its members' masks (the
 histories containing it in full), an outcome's the OR (the histories
-overlapping it), and a query is consistent when the AND of its events'
-masks is nonzero.  Each event's role check (chain, bounded) runs once
-per model and is memoised on the model with the event's mask; only
-passed checks are kept, so a misclassified event raises every time.
+overlapping it), a query is consistent when the AND of its events'
+masks is nonzero, and an event is stable when its AND equals its OR.
+Each event's role check runs once per model and is memoised on the
+model with the event's history mask; only passed checks are kept, so a
+misclassified event raises every time.  Violations are worded only
+after a mask test has failed.
 """
 
 from __future__ import annotations
@@ -36,7 +44,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidSpread, MisclassifiedEvent
-from .model import CausalModel, PointEventId, ValidationReport, is_chain
+from .model import (
+    CausalModel,
+    PointEventId,
+    ValidationReport,
+    bit_indices,
+    is_chain,
+)
 
 
 @dataclass(frozen=True)
@@ -130,30 +144,45 @@ class GradeReport:
 
 def classify_event(model: CausalModel, event: Event) -> EventClassification:
     """Classify an event as initial / outcome / stable in the model."""
-    model.require_points(event.members)
+    members = model.mask(event.members)
     chain = is_chain(model, event.members)
-    initial = chain and _upper_bounded(model, event.members)
-    outcome = chain and _lower_bounded(model, event.members)
-    stable = (
-        initial
-        and outcome
-        and all(
-            event.members <= h.members
-            for h in model.histories
-            if h.members & event.members
+    initial = chain and _upper_bounded(model, members)
+    outcome = chain and _lower_bounded(model, members)
+    stable = False
+    if initial and outcome:
+        bits = [model.history_bits[p] for p in event.members]
+        stable = functools.reduce(operator.and_, bits) == functools.reduce(
+            operator.or_, bits
         )
-    )
     return EventClassification(
         is_initial=initial, is_outcome=outcome, is_stable=stable
     )
 
 
-def _upper_bounded(model: CausalModel, members: frozenset[PointEventId]) -> bool:
-    return any(all(model.le(m, b) for m in members) for b in model.points)
+def _upper_bounded(model: CausalModel, members: int) -> bool:
+    """Some point lies at or above every member of the mask."""
+    common = -1
+    for i in bit_indices(members):
+        common &= model.up[i] | 1 << i
+    return common != 0
 
 
-def _lower_bounded(model: CausalModel, members: frozenset[PointEventId]) -> bool:
-    return any(all(model.le(b, m) for m in members) for b in model.points)
+def _lower_bounded(model: CausalModel, members: int) -> bool:
+    """Some point lies at or below every member of the mask."""
+    common = -1
+    for i in bit_indices(members):
+        common &= model.down[i] | 1 << i
+    return common != 0
+
+
+def _strictly_below(
+    model: CausalModel, members: frozenset[PointEventId]
+) -> int:
+    """The points strictly below every one of ``members``, as a mask."""
+    common = -1
+    for p in members:
+        common &= model.down[model.index[p]]
+    return common
 
 
 def _role_mask(model: CausalModel, event: Event, role: str) -> int:
@@ -166,12 +195,12 @@ def _role_mask(model: CausalModel, event: Event, role: str) -> int:
     event or an unknown point raises on every call.
     """
     key = (event.members, role)
-    memo = model.role_masks
+    memo = model.memo
     if key in memo:
         return memo[key]
-    model.require_points(event.members)
+    members = model.mask(event.members)
     bounded = _upper_bounded if role == "initial" else _lower_bounded
-    if not (is_chain(model, event.members) and bounded(model, event.members)):
+    if not (is_chain(model, event.members) and bounded(model, members)):
         raise MisclassifiedEvent(f"{event.name!r} is not an {role} event")
     combine = operator.and_ if role == "initial" else operator.or_
     mask = functools.reduce(
@@ -219,7 +248,10 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
             check=name, status="fail", violations=(str(exc),)
         )
 
+    before = model.mask(spread.initial.members)
     for o in spread.outcomes:
+        if not before & ~_strictly_below(model, o.members):
+            continue
         for pi in sorted(spread.initial.members):
             for po in sorted(o.members):
                 if not model.lt(pi, po):
@@ -316,12 +348,22 @@ def is_spacelike(model: CausalModel, ns: NSpread) -> bool:
     _require_valid(model, ns)
     if not is_consistent(model, ns.initials, ()):
         return False
-    for i, si in enumerate(ns.spreads):
-        for j, sj in enumerate(ns.spreads):
-            if i == j:
-                continue
-            for pi in si.initial.members:
-                for o in sj.outcomes:
-                    if any(model.lt(pi, po) for po in o.members):
-                        return False
-    return True
+    initials = [model.mask(s.initial.members) for s in ns.spreads]
+    # per spread, the points strictly below some point of some outcome
+    preceding = [
+        functools.reduce(
+            operator.or_,
+            (
+                model.down[model.index[p]]
+                for o in s.outcomes
+                for p in o.members
+            ),
+        )
+        for s in ns.spreads
+    ]
+    return not any(
+        ini & preceding[j]
+        for i, ini in enumerate(initials)
+        for j in range(len(preceding))
+        if i != j
+    )

@@ -2,19 +2,30 @@
 
 A model is a nonempty finite set of point events together with a strict
 (irreflexive, transitive) order.  Histories are the maximal directed
-subsets of the model: a set of points is directed when any two of its
-members have a common upper bound *within the set*.  In a finite model
-every maximal directed subset is automatically downward closed and is the
-down-closure of a unique maximal point, so ``compute_histories`` simply
-takes the principal down-set of each maximal point.  The test suite
-re-verifies that characterization against a brute-force enumeration of
-directed subsets.
+subsets: a set of points is directed when any two of its members have a
+common upper bound *within the set*.  In a finite model every maximal
+directed subset is automatically downward closed and is the down-closure
+of a unique maximal point, so ``compute_histories`` simply takes the
+principal down-set of each maximal point.  The test suite re-verifies
+that characterization against a brute-force enumeration of directed
+subsets.
+
+The order is held as integer bitsets over the sorted points: bit i of a
+mask stands for ``points[i]``.  ``up[i]`` and ``down[i]`` are the strict
+successors and predecessors of ``points[i]`` under the full transitive
+relation, and ``cover[i]`` its immediate successors.  ``build_model``
+computes them with one OR per supplied pair in each direction of a
+topological order.  A history is a mask too, and every order question
+(comparison, maxima, chains, choice points, prior choice, density) is
+answered by integer arithmetic on these masks.  Naming a mask's members
+walks its bits in index order, so names come out sorted.  The set views
+``below``, ``above`` and ``History.members`` are derived on first use.
 
 Consistency questions are answered from one cached bitmask per point,
 ``history_bits``: bit k is set when ``histories[k]`` contains the point.
-It is built once, lazily, like the histories.  ``role_masks`` is the
-event layer's memo of passed role checks, so it lives and dies with the
-model.
+It is built once, lazily, like the histories.  ``memo`` holds the
+derived results of the layers above (passed role checks, candidate
+spreads), so they live and die with the model.
 
 The postulate checks (`check_prior_choice`, `check_infima_suprema`,
 `check_density`) return reports instead of raising: a malformed *input*
@@ -26,21 +37,37 @@ in every nontrivial finite order and is reported as waived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import CycleDetected, EmptyModel, SameHistory, UnknownPoint
 
 PointEventId = str
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, in increasing order."""
+    if not mask & (mask - 1):
+        return [mask.bit_length() - 1] if mask else []
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
 @dataclass(frozen=True)
 class History:
-    """A maximal directed subset of a model, identified by its top point."""
+    """A maximal directed subset of a model, identified by its top point.
+
+    ``mask`` has bit i set for each member ``points[i]`` of the model;
+    ``members`` names them and is derived on first use.
+    """
 
     top: PointEventId
-    members: frozenset[PointEventId]
+    mask: int
+    points: tuple[PointEventId, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def members(self) -> frozenset[PointEventId]:
+        return frozenset(self.points[i] for i in bit_indices(self.mask))
 
 
 @dataclass(frozen=True)
@@ -65,57 +92,92 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class CausalModel:
-    """A finite strict partial order over named point events.
+    """A finite strict partial order over named point events, as bitsets.
 
-    ``points`` is sorted; ``below[p]`` is the set of strict predecessors of
-    ``p`` under the full transitive relation (not just the supplied pairs).
-    Instances are built through :func:`build_model` and treated as
-    immutable; identity comparison is intentional.
+    ``points`` is sorted and ``index`` maps a point to its position there.
+    ``up[i]``, ``down[i]`` and ``cover[i]`` are masks over those
+    positions: the points strictly above ``points[i]``, strictly below
+    it (both under the full transitive relation, not just the supplied
+    pairs), and immediately above it.  Instances are built through
+    :func:`build_model` and treated as immutable; identity comparison is
+    intentional.
     """
 
     points: tuple[PointEventId, ...]
-    below: Mapping[PointEventId, frozenset[PointEventId]]
-    above: Mapping[PointEventId, frozenset[PointEventId]]
+    index: Mapping[PointEventId, int]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    cover: tuple[int, ...]
+
+    # -- masks ------------------------------------------------------------
+
+    def mask(self, pts: Iterable[PointEventId]) -> int:
+        """The given points as a mask; raises :class:`UnknownPoint`."""
+        m = 0
+        for p in pts:
+            i = self.index.get(p)
+            if i is None:
+                raise UnknownPoint(f"unknown point id: {p!r}")
+            m |= 1 << i
+        return m
+
+    def names(self, mask: int) -> list[PointEventId]:
+        """The points of ``mask``, sorted."""
+        return [self.points[i] for i in bit_indices(mask)]
+
+    def maximal(self, mask: int) -> int:
+        """Members of ``mask`` with no strictly greater member in it."""
+        below = 0
+        for i in bit_indices(mask):
+            below |= self.down[i]
+        return mask & ~below
 
     # -- order primitives -------------------------------------------------
 
     def lt(self, a: PointEventId, b: PointEventId) -> bool:
         """Strictly below."""
-        return a in self.below[b]
+        return bool(self.down[self.index[b]] >> self.index[a] & 1)
 
     def le(self, a: PointEventId, b: PointEventId) -> bool:
-        return a == b or a in self.below[b]
+        return a == b or self.lt(a, b)
 
     def comparable(self, a: PointEventId, b: PointEventId) -> bool:
         return a == b or self.lt(a, b) or self.lt(b, a)
 
     def down_closure(self, p: PointEventId) -> frozenset[PointEventId]:
         """All points at or below ``p``."""
-        return self.below[p] | {p}
+        i = self.index[p]
+        return frozenset(self.names(self.down[i] | 1 << i))
 
     def require_points(self, pts: Iterable[PointEventId]) -> None:
-        for p in pts:
-            if p not in self.below:
-                raise UnknownPoint(f"unknown point id: {p!r}")
+        self.mask(pts)
 
     def covers(self, p: PointEventId) -> tuple[PointEventId, ...]:
-        """Immediate successors of ``p``: q > p with nothing in between.
-
-        Those are the points above ``p`` that lie above no other point
-        above ``p``.
-        """
-        ups = self.above[p]
-        out = set(ups)
-        for r in ups:
-            out -= self.above[r]
-        return tuple(sorted(out))
+        """Immediate successors of ``p``: q > p with nothing in between."""
+        return tuple(self.names(self.cover[self.index[p]]))
 
     def maximal_points(self) -> tuple[PointEventId, ...]:
-        return tuple(p for p in self.points if not self.above[p])
+        return tuple(p for p, u in zip(self.points, self.up) if not u)
 
     def maximal_in(self, subset: frozenset[PointEventId]) -> frozenset[PointEventId]:
         """Members of ``subset`` with no strictly greater member in it."""
-        return frozenset(p for p in subset if not (self.above[p] & subset))
+        return frozenset(self.names(self.maximal(self.mask(subset))))
+
+    # -- set views, derived on first use ----------------------------------
+
+    @cached_property
+    def below(self) -> Mapping[PointEventId, frozenset[PointEventId]]:
+        """Per point, its strict predecessors as a set."""
+        return {
+            p: frozenset(self.names(m)) for p, m in zip(self.points, self.down)
+        }
+
+    @cached_property
+    def above(self) -> Mapping[PointEventId, frozenset[PointEventId]]:
+        """Per point, its strict successors as a set."""
+        return {
+            p: frozenset(self.names(m)) for p, m in zip(self.points, self.up)
+        }
 
     # -- histories --------------------------------------------------------
 
@@ -123,8 +185,9 @@ class CausalModel:
     def histories(self) -> tuple[History, ...]:
         """Maximal directed subsets, as principal down-sets of maxima."""
         return tuple(
-            History(top=m, members=self.down_closure(m))
-            for m in self.maximal_points()
+            History(top=p, mask=self.down[i] | 1 << i, points=self.points)
+            for i, p in enumerate(self.points)
+            if not self.up[i]
         )
 
     @cached_property
@@ -134,25 +197,27 @@ class CausalModel:
         Bit k stands for ``histories[k]``.  Consistency queries are
         answered from these masks by integer arithmetic.
         """
-        bits = dict.fromkeys(self.points, 0)
+        bits = [0] * len(self.points)
         for k, h in enumerate(self.histories):
-            for p in h.members:
-                bits[p] |= 1 << k
-        return bits
+            for i in bit_indices(h.mask):
+                bits[i] |= 1 << k
+        return dict(zip(self.points, bits))
 
     @cached_property
-    def role_masks(self) -> dict[tuple[frozenset[PointEventId], str], int]:
-        """Memo of the event layer, filled by ``events``.
+    def memo(self) -> dict[Any, Any]:
+        """Memo of the layers above, filled by ``events`` and ``common_cause``.
 
-        Maps (event members, role) to the history mask of the event in
-        that role, for role checks that passed in this model.
+        Holds results that depend on this model alone, keyed by the
+        caller.  It is never shared across models.
         """
         return {}
 
     def order_pairs(self) -> tuple[tuple[PointEventId, PointEventId], ...]:
         """The full strict relation as sorted (lower, upper) pairs."""
         return tuple(
-            (a, b) for b in self.points for a in sorted(self.below[b])
+            (a, b)
+            for b, m in zip(self.points, self.down)
+            for a in self.names(m)
         )
 
 
@@ -163,9 +228,11 @@ def build_model(
     """Construct a model from point ids and generating order pairs.
 
     The supplied pairs may be any generating set; the transitive closure is
-    computed here.  Raises :class:`EmptyModel`, :class:`UnknownPoint` for a
-    pair mentioning an undeclared id, :class:`CycleDetected` when the
-    closure would put a point below itself, and ``ValueError`` for
+    computed here, as bitsets, in one pass over a topological order for
+    the predecessors and one pass back for the successors and covers.
+    Raises :class:`EmptyModel`, :class:`UnknownPoint` for a pair
+    mentioning an undeclared id, :class:`CycleDetected` naming the first
+    point, in input order, that lies on a cycle, and ``ValueError`` for
     duplicate or empty point labels.
     """
     pts = list(points)
@@ -179,50 +246,90 @@ def build_model(
             raise ValueError(f"duplicate point id: {p!r}")
         seen.add(p)
 
-    succ: dict[PointEventId, set[PointEventId]] = {p: set() for p in pts}
+    ordered = tuple(sorted(pts))
+    index = {p: i for i, p in enumerate(ordered)}
+    succ: list[set[int]] = [set() for _ in ordered]
     for a, b in order_pairs:
-        if a not in succ:
+        if a not in index:
             raise UnknownPoint(f"unknown point id in order pair: {a!r}")
-        if b not in succ:
+        if b not in index:
             raise UnknownPoint(f"unknown point id in order pair: {b!r}")
-        succ[a].add(b)
+        succ[index[a]].add(index[b])
 
-    above: dict[PointEventId, frozenset[PointEventId]] = {}
-    for p in pts:
-        reached: set[PointEventId] = set()
-        stack = list(succ[p])
-        while stack:
-            q = stack.pop()
-            if q in reached:
-                continue
-            reached.add(q)
-            stack.extend(succ[q])
-        if p in reached:
-            raise CycleDetected(f"ordering cycle through point {p!r}")
-        above[p] = frozenset(reached)
+    # Sources first (Kahn): a point's predecessors are final when its last
+    # incoming pair is taken, and it passes them on with itself.
+    n = len(ordered)
+    indegree = [0] * n
+    for s in succ:
+        for j in s:
+            indegree[j] += 1
+    down = [0] * n
+    topo = [i for i in range(n) if not indegree[i]]
+    for i in topo:
+        passed = down[i] | 1 << i
+        for j in succ[i]:
+            down[j] |= passed
+            indegree[j] -= 1
+            if not indegree[j]:
+                topo.append(j)
+    if len(topo) < n:
+        p = _first_on_cycle(pts, index, succ, set(range(n)) - set(topo))
+        raise CycleDetected(f"ordering cycle through point {p!r}")
 
-    below: dict[PointEventId, set[PointEventId]] = {p: set() for p in pts}
-    for p, ups in above.items():
-        for q in ups:
-            below[q].add(p)
+    up = [0] * n
+    cover = [0] * n
+    for i in reversed(topo):
+        direct = beyond = 0
+        for j in succ[i]:
+            direct |= 1 << j
+            beyond |= up[j]
+        up[i] = direct | beyond
+        cover[i] = direct & ~beyond
 
     return CausalModel(
-        points=tuple(sorted(pts)),
-        below={p: frozenset(s) for p, s in below.items()},
-        above=above,
+        points=ordered,
+        index=index,
+        up=tuple(up),
+        down=tuple(down),
+        cover=tuple(cover),
     )
+
+
+def _first_on_cycle(
+    pts: list[PointEventId],
+    index: Mapping[PointEventId, int],
+    succ: list[set[int]],
+    stuck: set[int],
+) -> PointEventId:
+    """The first point of ``pts`` that reaches itself.
+
+    Only points left out of the topological order (``stuck``) can lie on
+    a cycle, and a cycle runs through stuck points alone.
+    """
+    for p in pts:
+        start = index[p]
+        if start not in stuck:
+            continue
+        reached: set[int] = set()
+        stack = [j for j in succ[start] if j in stuck]
+        while stack:
+            q = stack.pop()
+            if q == start:
+                return p
+            if q not in reached:
+                reached.add(q)
+                stack.extend(j for j in succ[q] if j in stuck)
+    raise AssertionError("a topological sort stalled without a cycle")
 
 
 def is_chain(model: CausalModel, pts: Iterable[PointEventId]) -> bool:
     """True when the given nonempty points are pairwise comparable."""
-    members = list(dict.fromkeys(pts))
+    members = model.mask(pts)
     if not members:
         raise ValueError("a chain must be nonempty")
-    model.require_points(members)
     return all(
-        model.comparable(a, b)
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
+        not members & ~(model.up[i] | model.down[i] | 1 << i)
+        for i in bit_indices(members)
     )
 
 
@@ -247,9 +354,9 @@ def choice_points(
     """
     _require_history(model, h1)
     _require_history(model, h2)
-    if h1.members == h2.members:
+    if h1.mask == h2.mask:
         raise SameHistory(f"histories coincide at top {h1.top!r}")
-    return model.maximal_in(h1.members & h2.members)
+    return frozenset(model.names(model.maximal(h1.mask & h2.mask)))
 
 
 def check_prior_choice(model: CausalModel) -> ValidationReport:
@@ -259,20 +366,34 @@ def check_prior_choice(model: CausalModel) -> ValidationReport:
     h1 but not h2 there must be a choice point of the pair strictly below
     e.  Every finite chain in h1 - h2 has a minimum, so checking single
     points covers all chains.
+
+    The choice points of a pair are the maxima of ``I = h1 & h2``, and
+    the points they precede are the OR of their ``up`` masks; both depend
+    on ``I`` alone, so they are computed once per distinct intersection.
+    The points of h1 - h2 outside that OR are the violations, named in
+    sorted order straight from their mask.
     """
     violations: list[str] = []
     hs = model.histories
+    preceded: dict[int, int] = {}
     for h1 in hs:
         for h2 in hs:
-            if h1.members == h2.members:
+            if h1 is h2:
                 continue
-            cps = model.maximal_in(h1.members & h2.members)
-            for e in sorted(h1.members - h2.members):
-                if not any(model.lt(c, e) for c in cps):
-                    violations.append(
-                        f"no choice point below {e} for history pair "
-                        f"({h1.top}, {h2.top})"
-                    )
+            common = h1.mask & h2.mask
+            above = preceded.get(common)
+            if above is None:
+                above = 0
+                for c in bit_indices(model.maximal(common)):
+                    above |= model.up[c]
+                preceded[common] = above
+            bad = h1.mask & ~h2.mask & ~above
+            if bad:
+                violations.extend(
+                    f"no choice point below {e} for history pair "
+                    f"({h1.top}, {h2.top})"
+                    for e in model.names(bad)
+                )
     status = "fail" if violations else "pass"
     return ValidationReport(
         check="prior-choice",
@@ -313,21 +434,24 @@ def check_density(model: CausalModel) -> ValidationReport:
     No nontrivial finite order is dense, so any model with at least one
     ordered pair gets status ``"waived"`` together with a witness gap.  A
     model whose order relation is empty is vacuously dense and passes.
+    The gaps are the cover pairs; the least one is the lowest cover of
+    the first point that has one.
     """
-    gaps = [(a, b) for a in model.points for b in model.covers(a)]
+    gaps = sum(c.bit_count() for c in model.cover)
     if not gaps:
         return ValidationReport(
             check="density",
             status="pass",
             notes=("order relation is empty; density holds vacuously",),
         )
-    a, b = min(gaps)
+    i, c = next((i, c) for i, c in enumerate(model.cover) if c)
+    a, b = model.points[i], model.points[(c & -c).bit_length() - 1]
     return ValidationReport(
         check="density",
         status="waived",
         violations=(f"no point strictly between {a} and {b}",),
         notes=(
             f"finite models with a nonempty order are never dense; "
-            f"{len(gaps)} immediate gaps in total",
+            f"{gaps} immediate gaps in total",
         ),
     )

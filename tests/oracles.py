@@ -1,13 +1,16 @@
 """Independent brute-force reference computations for the test suite.
 
-Nothing here reuses the library's derived machinery: histories are found
-by enumerating *all* subsets and keeping the maximal directed ones, the
-branching-location check quantifies over all chains rather than single
-points, the infima/suprema check scans every maximal chain instead
-of trusting finiteness, consistency scans every history with set
-operations instead of reading history bitmasks, and covers and density
-gaps test every candidate point in between, refutation survivors come
-from a scan of all 2^12 flag masks, a refutation trace is replayed
+Nothing here reuses the library's derived machinery: the order is closed
+over Python sets by a depth-first search per point (``SetModel``, the
+set implementation the bitset model replaced, with its prior-choice
+report, covers, chain and boundedness tests and event classification),
+histories are found by enumerating *all* subsets and keeping the maximal
+directed ones, the branching-location check quantifies over all chains
+rather than single points, the infima/suprema check scans every maximal
+chain instead of trusting finiteness, consistency scans every history
+with set operations instead of reading history bitmasks, and covers and
+density gaps test every candidate point in between, refutation survivors
+come from a scan of all 2^12 flag masks, a refutation trace is replayed
 from the parity rule and the event labels alone, and the exact quantum
 oracle is checked against float Pauli matrices, Kronecker products and
 inner products (numpy; the tests that use it skip without it).
@@ -18,13 +21,21 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from math import sqrt
-from typing import Any, Iterable, Iterator, NoReturn, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import pytest
 
 from bstghz.common_cause import CandidateProfile, ReductioTrace
-from bstghz.events import Event, NSpread, Spread, is_consistent
+from bstghz.errors import CycleDetected, EmptyModel, UnknownPoint
+from bstghz.events import (
+    Event,
+    EventClassification,
+    NSpread,
+    Spread,
+    is_consistent,
+)
 from bstghz.ghz import (
     Context,
     GhzVector,
@@ -34,13 +45,13 @@ from bstghz.ghz import (
     inconsistent_vectors,
     parity_consistent,
 )
-from bstghz.model import CausalModel, build_model
+from bstghz.model import CausalModel, ValidationReport, build_model
 
 
-def seeded_model(
+def seeded_order(
     rng: random.Random, max_points: int = 10, edge_prob: float = 0.35
-) -> CausalModel:
-    """A reproducible random model: forward edges on a shuffled line."""
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """Reproducible random points and forward edges on a line."""
     n = rng.randint(1, max_points)
     names = [f"p{i:02d}" for i in range(n)]
     pairs = [
@@ -49,7 +60,216 @@ def seeded_model(
         for j in range(i + 1, n)
         if rng.random() < edge_prob
     ]
-    return build_model(names, pairs)
+    return names, pairs
+
+
+def seeded_model(
+    rng: random.Random, max_points: int = 10, edge_prob: float = 0.35
+) -> CausalModel:
+    """A reproducible random model: forward edges on a line."""
+    return build_model(*seeded_order(rng, max_points, edge_prob))
+
+
+# -- the order as Python sets ------------------------------------------------
+
+
+class SetHistory(NamedTuple):
+    top: str
+    members: frozenset[str]
+
+
+@dataclass(frozen=True)
+class SetModel:
+    """A finite strict order held as Python sets.
+
+    ``below[p]`` and ``above[p]`` are the strict predecessors and
+    successors of ``p`` under the full transitive relation.  Built by
+    :func:`set_model`; the methods are the set code the bitset model
+    replaced.
+    """
+
+    points: tuple[str, ...]
+    below: dict[str, frozenset[str]]
+    above: dict[str, frozenset[str]]
+
+    def lt(self, a: str, b: str) -> bool:
+        return a in self.below[b]
+
+    def le(self, a: str, b: str) -> bool:
+        return a == b or a in self.below[b]
+
+    def comparable(self, a: str, b: str) -> bool:
+        return a == b or self.lt(a, b) or self.lt(b, a)
+
+    def down_closure(self, p: str) -> frozenset[str]:
+        return self.below[p] | {p}
+
+    def require_points(self, pts: Iterable[str]) -> None:
+        for p in pts:
+            if p not in self.below:
+                raise UnknownPoint(f"unknown point id: {p!r}")
+
+    def covers(self, p: str) -> tuple[str, ...]:
+        """The points above ``p`` that lie above no other point above it."""
+        ups = self.above[p]
+        out = set(ups)
+        for r in ups:
+            out -= self.above[r]
+        return tuple(sorted(out))
+
+    def maximal_points(self) -> tuple[str, ...]:
+        return tuple(p for p in self.points if not self.above[p])
+
+    def maximal_in(self, subset: frozenset[str]) -> frozenset[str]:
+        return frozenset(p for p in subset if not (self.above[p] & subset))
+
+    @property
+    def histories(self) -> tuple[SetHistory, ...]:
+        return tuple(
+            SetHistory(top=m, members=self.down_closure(m))
+            for m in self.maximal_points()
+        )
+
+
+def set_model(
+    points: Iterable[str], order_pairs: Iterable[tuple[str, str]]
+) -> SetModel:
+    """The transitive closure by a depth-first search from every point.
+
+    Raises the library's errors with its messages; a cycle names the
+    first point, in input order, that reaches itself.
+    """
+    pts = list(points)
+    if not pts:
+        raise EmptyModel("a model needs at least one point event")
+    seen: set[str] = set()
+    for p in pts:
+        if not isinstance(p, str) or not p:
+            raise ValueError(f"point ids must be nonempty strings, got {p!r}")
+        if p in seen:
+            raise ValueError(f"duplicate point id: {p!r}")
+        seen.add(p)
+
+    succ: dict[str, set[str]] = {p: set() for p in pts}
+    for a, b in order_pairs:
+        if a not in succ:
+            raise UnknownPoint(f"unknown point id in order pair: {a!r}")
+        if b not in succ:
+            raise UnknownPoint(f"unknown point id in order pair: {b!r}")
+        succ[a].add(b)
+
+    above: dict[str, frozenset[str]] = {}
+    for p in pts:
+        reached: set[str] = set()
+        stack = list(succ[p])
+        while stack:
+            q = stack.pop()
+            if q in reached:
+                continue
+            reached.add(q)
+            stack.extend(succ[q])
+        if p in reached:
+            raise CycleDetected(f"ordering cycle through point {p!r}")
+        above[p] = frozenset(reached)
+
+    below: dict[str, set[str]] = {p: set() for p in pts}
+    for p, ups in above.items():
+        for q in ups:
+            below[q].add(p)
+
+    return SetModel(
+        points=tuple(sorted(pts)),
+        below={p: frozenset(s) for p, s in below.items()},
+        above=above,
+    )
+
+
+def set_is_chain(model: SetModel, pts: Iterable[str]) -> bool:
+    members = list(dict.fromkeys(pts))
+    if not members:
+        raise ValueError("a chain must be nonempty")
+    model.require_points(members)
+    return all(
+        model.comparable(a, b)
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+    )
+
+
+def set_upper_bounded(model: SetModel, members: frozenset[str]) -> bool:
+    return any(all(model.le(m, b) for m in members) for b in model.points)
+
+
+def set_lower_bounded(model: SetModel, members: frozenset[str]) -> bool:
+    return any(all(model.le(b, m) for m in members) for b in model.points)
+
+
+def set_classify_event(model: SetModel, event: Event) -> EventClassification:
+    """Roles by pairwise comparison and a scan of the histories."""
+    model.require_points(event.members)
+    chain = set_is_chain(model, event.members)
+    initial = chain and set_upper_bounded(model, event.members)
+    outcome = chain and set_lower_bounded(model, event.members)
+    stable = (
+        initial
+        and outcome
+        and all(
+            event.members <= h.members
+            for h in model.histories
+            if h.members & event.members
+        )
+    )
+    return EventClassification(
+        is_initial=initial, is_outcome=outcome, is_stable=stable
+    )
+
+
+def set_check_prior_choice(model: SetModel) -> ValidationReport:
+    """The prior-choice report, choice points rebuilt for every pair."""
+    violations: list[str] = []
+    hs = model.histories
+    for h1 in hs:
+        for h2 in hs:
+            if h1.members == h2.members:
+                continue
+            cps = model.maximal_in(h1.members & h2.members)
+            for e in sorted(h1.members - h2.members):
+                if not any(model.lt(c, e) for c in cps):
+                    violations.append(
+                        f"no choice point below {e} for history pair "
+                        f"({h1.top}, {h2.top})"
+                    )
+    status = "fail" if violations else "pass"
+    return ValidationReport(
+        check="prior-choice",
+        status=status,
+        violations=tuple(violations),
+        notes=(
+            "finite chains have minima, so single points stand in for all "
+            "chains in the difference of two histories",
+        ),
+    )
+
+
+def set_check_density(model: SetModel) -> ValidationReport:
+    """The density report, its gaps read off the set covers."""
+    gaps = [(a, b) for a in model.points for b in model.covers(a)]
+    if not gaps:
+        return ValidationReport(
+            check="density",
+            status="pass",
+            notes=("order relation is empty; density holds vacuously",),
+        )
+    a, b = min(gaps)
+    return ValidationReport(
+        check="density",
+        status="waived",
+        violations=(f"no point strictly between {a} and {b}",),
+        notes=(
+            f"finite models with a nonempty order are never dense; "
+            f"{len(gaps)} immediate gaps in total",
+        ),
+    )
 
 
 def brute_force_histories(model: CausalModel) -> set[frozenset[str]]:

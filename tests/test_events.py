@@ -26,7 +26,14 @@ from bstghz.events import (
 )
 from bstghz.model import build_model
 
-from .oracles import brute_force_is_consistent, random_chain, seeded_model
+from .oracles import (
+    brute_force_is_consistent,
+    random_chain,
+    seeded_model,
+    seeded_order,
+    set_classify_event,
+    set_model,
+)
 
 
 def ev(*names):
@@ -96,6 +103,24 @@ class TestClassifyEvent:
             m, Event(name="e", members=frozenset({"a", "b"}))
         )
         assert c.is_stable
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.05, 0.15, 0.35, 0.6]),
+    )
+    def test_agrees_with_the_set_classification(self, seed, edge_prob):
+        rng = random.Random(seed)
+        names, pairs = seeded_order(rng, max_points=12, edge_prob=edge_prob)
+        fast, slow = build_model(names, pairs), set_model(names, pairs)
+        for k in range(12):
+            if k % 2:
+                members = random_chain(fast, rng)
+            else:
+                size = rng.randint(1, min(3, len(names)))
+                members = frozenset(rng.sample(names, size))
+            e = Event(name="e", members=members)
+            assert classify_event(fast, e) == set_classify_event(slow, e)
 
 
 class TestIsConsistent:

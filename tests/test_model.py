@@ -1,5 +1,6 @@
 """Order construction, histories, and the three structural checks."""
 
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,14 @@ from .oracles import (
     brute_force_infima_suprema_ok,
     brute_force_prior_choice_ok,
     seeded_model,
+    seeded_order,
+    set_check_density,
+    set_check_prior_choice,
+    set_is_chain,
+    set_model,
 )
+
+EDGE_PROBS = st.sampled_from([0.05, 0.15, 0.35, 0.6])
 
 
 def fork():
@@ -63,6 +71,42 @@ class TestBuildModel:
             build_model(
                 ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]
             )
+
+    def test_two_cycle_message(self):
+        with pytest.raises(CycleDetected) as exc:
+            build_model(["a", "b"], [("a", "b"), ("b", "a")])
+        assert str(exc.value) == "ordering cycle through point 'a'"
+
+    def test_cycle_downstream_of_an_acyclic_prefix_message(self):
+        # x and y lie below the cycle a -> b -> c -> a but not on it; the
+        # message names the first point in input order that is on it
+        pairs = [("x", "y"), ("y", "a"), ("a", "b"), ("b", "c"), ("c", "a")]
+        with pytest.raises(CycleDetected) as exc:
+            build_model(["x", "y", "a", "b", "c"], pairs)
+        assert str(exc.value) == "ordering cycle through point 'a'"
+        with pytest.raises(CycleDetected) as exc:
+            build_model(["y", "x", "c", "b", "a"], pairs)
+        assert str(exc.value) == "ordering cycle through point 'c'"
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_cycle_messages_agree_with_the_set_closure(self, seed):
+        rng = random.Random(seed)
+        names, pairs = seeded_order(rng, max_points=9, edge_prob=0.3)
+        pairs += [
+            (names[j], names[i])
+            for i, j in itertools.combinations(range(len(names)), 2)
+            if rng.random() < 0.05
+        ]
+        order = rng.sample(names, len(names))
+        try:
+            set_model(order, pairs)
+        except CycleDetected as exc:
+            with pytest.raises(CycleDetected) as fast:
+                build_model(order, pairs)
+            assert str(fast.value) == str(exc)
+        else:
+            build_model(order, pairs)
 
     def test_closure_is_computed(self):
         m = build_model(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -165,7 +209,7 @@ class TestChoicePoints:
 
     def test_foreign_history_rejected(self):
         f = fork()
-        bogus = History(top="d", members=frozenset({"d"}))
+        bogus = History(top="d", mask=f.mask({"d"}), points=f.points)
         with pytest.raises(ValueError, match="not a history"):
             choice_points(f, bogus, f.histories[0])
 
@@ -281,3 +325,45 @@ class TestDensity:
         assert r.status == "waived"
         assert r.violations == (f"no point strictly between {a} and {b}",)
         assert f"; {len(gaps)} immediate gaps in total" in r.notes[0]
+
+
+class TestAgreesWithTheSetOrder:
+    """The bitset order against the set implementation it replaced."""
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), EDGE_PROBS)
+    def test_order_views_and_histories(self, seed, edge_prob):
+        rng = random.Random(seed)
+        names, pairs = seeded_order(rng, max_points=14, edge_prob=edge_prob)
+        fast, slow = build_model(names, pairs), set_model(names, pairs)
+        assert fast.points == slow.points
+        assert fast.below == slow.below
+        assert fast.above == slow.above
+        assert [(h.top, h.members) for h in fast.histories] == list(
+            slow.histories
+        )
+        for p in fast.points:
+            assert fast.covers(p) == slow.covers(p)
+        for _ in range(10):
+            subset = frozenset(rng.sample(names, rng.randint(1, len(names))))
+            assert is_chain(fast, subset) == set_is_chain(slow, subset)
+            assert fast.maximal_in(subset) == slow.maximal_in(subset)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), EDGE_PROBS)
+    def test_whole_reports(self, seed, edge_prob):
+        rng = random.Random(seed)
+        names, pairs = seeded_order(rng, max_points=14, edge_prob=edge_prob)
+        fast, slow = build_model(names, pairs), set_model(names, pairs)
+        assert check_prior_choice(fast) == set_check_prior_choice(slow)
+        assert check_density(fast) == set_check_density(slow)
+
+    def test_failing_prior_choice_reports(self):
+        # sparse orders leave disjoint histories, which fail prior choice
+        failing = 0
+        for seed in range(60):
+            names, pairs = seeded_order(random.Random(seed), 14, 0.1)
+            report = check_prior_choice(build_model(names, pairs))
+            assert report == set_check_prior_choice(set_model(names, pairs))
+            failing += report.status == "fail"
+        assert failing >= 30

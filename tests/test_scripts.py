@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,18 +11,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_refutation(*args):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_refutation.py"), *args],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_refutation(*args):
+    return run_script("run_refutation.py", *args)
 
 
 def test_run_refutation_walkthrough():
@@ -59,3 +64,14 @@ def test_run_refutation_rejects_a_bad_label(contexts, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: BadFlag: {message}")
     assert "Traceback" not in proc.stderr
+
+
+def test_scale_order_prints_one_json_line_per_size():
+    proc = run_script("scale_order.py", "16")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    row = json.loads(line)
+    assert (row["points"], row["histories"]) == (261, 16)
+    assert row["prior_choice"] == "pass"
+    for layer in ("build_model", "histories", "prior_choice", "density"):
+        assert row[f"{layer}_s"] >= 0

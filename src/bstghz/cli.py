@@ -314,9 +314,9 @@ def cmd_check_cc(args: argparse.Namespace) -> Report:
     resolved = _load(args.file)
     model = resolved.model
     if args.search:
-        if args.nspread is None:
+        ns_names = [n for n in (args.nspread or "").split(",") if n]
+        if not ns_names:
             raise BadFlag("--search needs --nspread with one or more names")
-        ns_names = [n for n in args.nspread.split(",") if n]
         ns_list = []
         vectors = []
         for name in ns_names:

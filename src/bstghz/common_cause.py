@@ -54,8 +54,8 @@ from .events import (
     is_consistent,
     is_spacelike,
     validate_spread,
-    _require_valid,
-    _strictly_below,
+    _not_below,
+    _one_consistent,
 )
 from .ghz import (
     ALL_CONTEXTS,
@@ -95,10 +95,10 @@ class CommonCauseReport:
 
 
 def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> None:
-    _require_valid(model, ns)
     if not is_spacelike(model, ns):
         raise PreconditionFailed("the n-spread is not space-like")
-    if not consistency_grade(model, ns).one_consistent:
+    # is_spacelike validated the spreads and found the initials consistent
+    if not _one_consistent(model, ns):
         raise PreconditionFailed("the n-spread is not 1-consistent")
 
 
@@ -122,19 +122,12 @@ def _cc_conditions(
     ns: NSpread,
     vector: OutcomeVector,
 ) -> CommonCauseReport:
-    cc1_witnesses: list[str] = []
-    before = model.mask(sigma.initial.members)
-    for s in ns.spreads:
-        for o in s.outcomes:
-            if not before & ~_strictly_below(model, o.members):
-                continue
-            for pi in sorted(sigma.initial.members):
-                for po in sorted(o.members):
-                    if not model.lt(pi, po):
-                        cc1_witnesses.append(
-                            f"{pi} is not strictly below {po} "
-                            f"(outcome {o.name})"
-                        )
+    cc1_witnesses = [
+        f"{p} is not strictly below {q} (outcome {o.name})"
+        for s in ns.spreads
+        for o in s.outcomes
+        for p, q in _not_below(model, sigma.initial, o)
+    ]
     cc2_witnesses = [
         f"{o.name} is not consistent with the initials"
         for o in sigma.outcomes
@@ -246,11 +239,7 @@ def search_common_causes(
     """
     if len(ns_list) != len(vectors):
         raise ValueError("ns_list and vectors must pair up one to one")
-    distinct: list[NSpread] = []
-    for ns in ns_list:
-        if not any(ns is seen or ns == seen for seen in distinct):
-            distinct.append(ns)
-    for ns in distinct:
+    for ns in dict.fromkeys(ns_list):
         _require_cc_preconditions(model, ns)
     for ns, v in zip(ns_list, vectors):
         _require_vector_of(ns, v)

@@ -18,21 +18,22 @@ lexicographically in declared order) are the joint results one can ask
 consistency questions about.  Consistency itself is existential: some
 history realizes everything at once.
 
-Everything here is integer arithmetic on the model's bitsets.  Order
-questions read the model's point masks: an event is a chain when every
-member's ``up | down | self`` mask holds all the members, it is upper
-(lower) bounded when the AND of its members' ``up | self`` (``down |
-self``) masks is nonzero, and a spread's initial precedes an outcome
-when the initial's mask lies inside the AND of the outcome members'
-``down`` masks.  Consistency queries read the per-point history masks:
-an initial's history mask is the AND of its members' masks (the
-histories containing it in full), an outcome's the OR (the histories
-overlapping it), a query is consistent when the AND of its events'
-masks is nonzero, and an event is stable when its AND equals its OR.
-Each event's role check runs once per model and is memoised on the
-model with the event's history mask; only passed checks are kept, so a
-misclassified event raises every time.  Violations are worded only
-after a mask test has failed.
+In a finite model every nonempty chain has a least and a greatest
+member, so it is lower bounded by the one and upper bounded by the other:
+an event is an initial, and an outcome, exactly when it is a chain.
+
+Everything here is integer arithmetic on the model's bitsets.  An event
+is a chain when every member's ``up | down | self`` mask holds all the
+members, and a point p fails to strictly precede the members of another
+event where that event's mask leaves ``up[p]``.  Consistency queries read
+the per-point history masks: the AND of an event's member masks holds the
+histories containing it in full, which realize it as an initial, and the
+OR the histories overlapping it, which realize it as an outcome.  A query
+is consistent when the AND of its events' masks is nonzero, and an event
+is stable when its AND equals its OR.  Each event's chain check runs once
+per model and is memoised on the model with both history masks; only
+passed checks are kept, so a misclassified event raises every time.
+Violations are worded only after a mask test has failed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvalidSpread, MisclassifiedEvent
 from .model import (
@@ -143,71 +144,56 @@ class GradeReport:
 
 
 def classify_event(model: CausalModel, event: Event) -> EventClassification:
-    """Classify an event as initial / outcome / stable in the model."""
-    members = model.mask(event.members)
-    chain = is_chain(model, event.members)
-    initial = chain and _upper_bounded(model, members)
-    outcome = chain and _lower_bounded(model, members)
-    stable = False
-    if initial and outcome:
-        bits = [model.history_bits[p] for p in event.members]
-        stable = functools.reduce(operator.and_, bits) == functools.reduce(
-            operator.or_, bits
-        )
-    return EventClassification(
-        is_initial=initial, is_outcome=outcome, is_stable=stable
-    )
+    """Classify an event as initial / outcome / stable in the model.
 
-
-def _upper_bounded(model: CausalModel, members: int) -> bool:
-    """Some point lies at or above every member of the mask."""
-    common = -1
-    for i in bit_indices(members):
-        common &= model.up[i] | 1 << i
-    return common != 0
-
-
-def _lower_bounded(model: CausalModel, members: int) -> bool:
-    """Some point lies at or below every member of the mask."""
-    common = -1
-    for i in bit_indices(members):
-        common &= model.down[i] | 1 << i
-    return common != 0
-
-
-def _strictly_below(
-    model: CausalModel, members: frozenset[PointEventId]
-) -> int:
-    """The points strictly below every one of ``members``, as a mask."""
-    common = -1
-    for p in members:
-        common &= model.down[model.index[p]]
-    return common
-
-
-def _role_mask(model: CausalModel, event: Event, role: str) -> int:
-    """The histories realizing ``event`` in ``role``, as a bitmask.
-
-    ``role`` is ``"initial"`` (histories containing every member) or
-    ``"outcome"`` (histories containing some member).  The role check
-    runs once per model: a mask is memoised on the model, keyed by the
-    members and the role, only after the check passed, so a misclassified
-    event or an unknown point raises on every call.
+    A finite chain is bounded above and below by its own greatest and
+    least members, so an event is an initial and an outcome exactly when
+    it is a chain; it is stable when, besides, every history overlapping
+    it contains it.
     """
-    key = (event.members, role)
-    memo = model.memo
-    if key in memo:
-        return memo[key]
-    members = model.mask(event.members)
-    bounded = _upper_bounded if role == "initial" else _lower_bounded
-    if not (is_chain(model, event.members) and bounded(model, members)):
-        raise MisclassifiedEvent(f"{event.name!r} is not an {role} event")
-    combine = operator.and_ if role == "initial" else operator.or_
-    mask = functools.reduce(
-        combine, (model.history_bits[p] for p in event.members)
+    try:
+        contain, overlap = _history_masks(model, event, "initial")
+    except MisclassifiedEvent:
+        return EventClassification(False, False, False)
+    return EventClassification(
+        is_initial=True, is_outcome=True, is_stable=contain == overlap
     )
-    memo[key] = mask
-    return mask
+
+
+def _history_masks(
+    model: CausalModel, event: Event, role: str
+) -> tuple[int, int]:
+    """The histories containing ``event`` and those overlapping it.
+
+    The first mask realizes the event as an initial, the second as an
+    outcome.  The chain check runs once per model: the masks are memoised
+    on the model, keyed by the members, only after the check passed, so a
+    misclassified event or an unknown point raises on every call.
+    ``role`` words the :class:`MisclassifiedEvent` message.
+    """
+    memo = model.memo
+    if event.members in memo:
+        return memo[event.members]
+    if not is_chain(model, event.members):
+        raise MisclassifiedEvent(f"{event.name!r} is not an {role} event")
+    bits = [model.history_bits[p] for p in event.members]
+    masks = (
+        functools.reduce(operator.and_, bits),
+        functools.reduce(operator.or_, bits),
+    )
+    memo[event.members] = masks
+    return masks
+
+
+def _not_below(
+    model: CausalModel, lower: Event, upper: Event
+) -> Iterator[tuple[PointEventId, PointEventId]]:
+    """The pairs (p, q) of a point p of ``lower`` not strictly below a
+    point q of ``upper``, by p and then q, both in sorted order."""
+    target = model.mask(upper.members)
+    for i in bit_indices(model.mask(lower.members)):
+        for j in bit_indices(target & ~model.up[i]):
+            yield model.points[i], model.points[j]
 
 
 def is_consistent(
@@ -223,9 +209,9 @@ def is_consistent(
     """
     acc = (1 << len(model.histories)) - 1
     for e in initials:
-        acc &= _role_mask(model, e, "initial")
+        acc &= _history_masks(model, e, "initial")[0]
     for e in outcomes:
-        acc &= _role_mask(model, e, "outcome")
+        acc &= _history_masks(model, e, "outcome")[1]
     return acc != 0
 
 
@@ -238,27 +224,22 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     are reported, not raised.
     """
     name = f"spread {spread.initial.name}"
-    violations: list[str] = []
-
     try:
-        initial = _role_mask(model, spread.initial, "initial")
-        masks = [_role_mask(model, o, "outcome") for o in spread.outcomes]
+        initial = _history_masks(model, spread.initial, "initial")[0]
+        masks = [
+            _history_masks(model, o, "outcome")[1] for o in spread.outcomes
+        ]
     except MisclassifiedEvent as exc:
         return ValidationReport(
             check=name, status="fail", violations=(str(exc),)
         )
 
-    before = model.mask(spread.initial.members)
-    for o in spread.outcomes:
-        if not before & ~_strictly_below(model, o.members):
-            continue
-        for pi in sorted(spread.initial.members):
-            for po in sorted(o.members):
-                if not model.lt(pi, po):
-                    violations.append(
-                        f"(i) initial point {pi} does not strictly precede "
-                        f"{po} of outcome {o.name}"
-                    )
+    violations = [
+        f"(i) initial point {p} does not strictly precede {q} of outcome "
+        f"{o.name}"
+        for o in spread.outcomes
+        for p, q in _not_below(model, spread.initial, o)
+    ]
     # histories overlapping some outcome, and overlapping two or more
     some = twice = 0
     for m in masks:
@@ -303,6 +284,15 @@ def enumerate_outcome_vectors(ns: NSpread) -> tuple[OutcomeVector, ...]:
     )
 
 
+def _one_consistent(model: CausalModel, ns: NSpread) -> bool:
+    """Each outcome of each spread is consistent with all the initials."""
+    return all(
+        is_consistent(model, ns.initials, (o,))
+        for s in ns.spreads
+        for o in s.outcomes
+    )
+
+
 def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     """Grade an n-spread: minimal, 1-consistent, maximally consistent.
 
@@ -312,13 +302,8 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     ``RuntimeError``, also under ``python -O``.
     """
     _require_valid(model, ns)
-    initials = list(ns.initials)
-    minimal = is_consistent(model, initials, ())
-    one = minimal and all(
-        is_consistent(model, initials, (o,))
-        for s in ns.spreads
-        for o in s.outcomes
-    )
+    minimal = is_consistent(model, ns.initials, ())
+    one = minimal and _one_consistent(model, ns)
     vectors = enumerate_outcome_vectors(ns)
     inconsistent = tuple(
         v for v in vectors if not is_consistent(model, (), v.terms)

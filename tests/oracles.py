@@ -8,7 +8,9 @@ histories are found by enumerating *all* subsets and keeping the maximal
 directed ones, the branching-location check quantifies over all chains
 rather than single points, the infima/suprema check scans every maximal
 chain instead of trusting finiteness, consistency scans every history
-with set operations instead of reading history bitmasks, and covers and
+with set operations instead of reading history bitmasks, spread
+validation and the screening conditions compare every pair of points
+with ``lt`` and scan every history, covers and
 density gaps test every candidate point in between, refutation survivors
 come from a scan of all 2^12 flag masks, a refutation trace is replayed
 from the parity rule and the event labels alone, and the exact quantum
@@ -27,12 +29,18 @@ from typing import Any, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import pytest
 
-from bstghz.common_cause import CandidateProfile, ReductioTrace
+from bstghz.common_cause import (
+    CandidateProfile,
+    CommonCauseReport,
+    ConditionResult,
+    ReductioTrace,
+)
 from bstghz.errors import CycleDetected, EmptyModel, UnknownPoint
 from bstghz.events import (
     Event,
     EventClassification,
     NSpread,
+    OutcomeVector,
     Spread,
     is_consistent,
 )
@@ -379,6 +387,27 @@ def random_chain(model: CausalModel, rng: random.Random) -> frozenset[str]:
     return frozenset(chain)
 
 
+def random_spread(
+    model: CausalModel, rng: random.Random, chain_share: float = 0.8
+) -> Spread:
+    """A spread of one to three outcomes, seldom a valid one.
+
+    Each event is a random chain with probability ``chain_share``, else
+    up to three arbitrary points, which need not form a chain.
+    """
+
+    def event(name: str) -> Event:
+        if rng.random() < chain_share:
+            return Event(name=name, members=random_chain(model, rng))
+        size = rng.randint(1, min(3, len(model.points)))
+        return Event(name=name, members=frozenset(rng.sample(model.points, size)))
+
+    return Spread(
+        initial=event("I"),
+        outcomes=tuple(event(f"O{k}") for k in range(rng.randint(1, 3))),
+    )
+
+
 def _maximal_chains(model: CausalModel) -> Iterator[tuple[str, ...]]:
     """All maximal chains, as cover paths from minimal to maximal points."""
     minimal = [p for p in model.points if not model.below[p]]
@@ -427,6 +456,101 @@ def brute_force_infima_suprema_ok(model: CausalModel) -> bool:
                     if sorted(least) != [hi]:
                         return False
     return True
+
+
+def _not_below_pairs(
+    model: CausalModel, lower: Event, upper: Event
+) -> list[tuple[str, str]]:
+    """(p, q) with p in ``lower`` not strictly below q in ``upper``, by
+    ``lt`` over every pair of sorted members."""
+    return [
+        (p, q)
+        for p in sorted(lower.members)
+        for q in sorted(upper.members)
+        if not model.lt(p, q)
+    ]
+
+
+def reference_spread_report(
+    model: CausalModel, spread: Spread
+) -> ValidationReport:
+    """``validate_spread`` by pairwise comparison and a history scan.
+
+    Roles are chain tests over every pair of members (a finite chain is
+    bounded by its own extremes), condition (i) compares every initial
+    point with every outcome point, and (ii) and (iii) test each history's
+    member set.
+    """
+    name = f"spread {spread.initial.name}"
+    roles = [(spread.initial, "initial")]
+    roles += [(o, "outcome") for o in spread.outcomes]
+    for event, role in roles:
+        members = sorted(event.members)
+        if not all(model.comparable(a, b) for a in members for b in members):
+            return ValidationReport(
+                check=name,
+                status="fail",
+                violations=(f"{event.name!r} is not an {role} event",),
+            )
+    violations = [
+        f"(i) initial point {p} does not strictly precede {q} of outcome "
+        f"{o.name}"
+        for o in spread.outcomes
+        for p, q in _not_below_pairs(model, spread.initial, o)
+    ]
+    for h in model.histories:
+        hit = [o.name for o in spread.outcomes if o.members & h.members]
+        if spread.initial.members <= h.members and not hit:
+            violations.append(
+                f"(ii) history {h.top} contains the initial but "
+                f"overlaps no outcome"
+            )
+        if len(hit) > 1:
+            violations.append(
+                f"(iii) history {h.top} overlaps outcomes {', '.join(hit)}"
+            )
+    return ValidationReport(
+        check=name,
+        status="fail" if violations else "pass",
+        violations=tuple(violations),
+    )
+
+
+def reference_cc_conditions(
+    model: CausalModel, sigma: Spread, ns: NSpread, vector: OutcomeVector
+) -> CommonCauseReport:
+    """cc1 to cc3 by ``lt`` over every pair of points and a history scan;
+    the events must be chains.  No precondition is checked."""
+    cc1 = [
+        f"{p} is not strictly below {q} (outcome {o.name})"
+        for s in ns.spreads
+        for o in s.outcomes
+        for p, q in _not_below_pairs(model, sigma.initial, o)
+    ]
+    cc2 = [
+        f"{o.name} is not consistent with the initials"
+        for o in sigma.outcomes
+        if not brute_force_is_consistent(model, ns.initials, (o,))
+    ]
+    cc3: list[str] = []
+    unscreened = False
+    for o in sigma.outcomes:
+        screens = [
+            t.name
+            for t in vector.terms
+            if not brute_force_is_consistent(model, (), (o, t))
+        ]
+        if screens:
+            cc3.append(f"{o.name} is inconsistent with {screens[0]}")
+        else:
+            unscreened = True
+            cc3.append(f"{o.name} is consistent with every term of the vector")
+    return CommonCauseReport(
+        vector=vector.names,
+        cc1=ConditionResult(not cc1, tuple(cc1)),
+        cc2=ConditionResult(not cc2, tuple(cc2)),
+        cc3=ConditionResult(not unscreened, tuple(cc3)),
+    )
 
 
 def atomic_candidate_events(model: CausalModel) -> list[Event]:

@@ -336,6 +336,16 @@ class TestCheckCc:
         assert code == 2
         assert "error: BadFlag" in err
 
+    @pytest.mark.parametrize("names", [",", ""])
+    def test_search_rejects_an_empty_nspread_list(self, docs, capsys, names):
+        code, out, err = run(
+            capsys, "check-cc", docs["toy"], "--search", "--nspread", names
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: BadFlag: --search needs --nspread with one or more names\n"
+        )
+
 
 class TestParsing:
     def test_no_arguments(self, capsys):

@@ -2,8 +2,10 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bstghz.common_cause import (
     CandidateProfile,
@@ -13,6 +15,7 @@ from bstghz.common_cause import (
     _close,
     _compile,
     _Fact,
+    _cc_conditions,
     atomic_spreads,
     check_common_cause,
     classify_determinism,
@@ -40,6 +43,9 @@ from .oracles import (
     check_derivation,
     family_groups,
     profile_satisfies_constraints,
+    random_spread,
+    reference_cc_conditions,
+    seeded_model,
 )
 
 EVERY_FAMILY = [
@@ -167,6 +173,29 @@ class TestChecker:
                 toy.station_nspread,
                 not_an_outcome,
             )
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.15, 0.35, 0.6]),
+    )
+    def test_conditions_agree_with_the_reference(self, seed, edge_prob):
+        rng = random.Random(seed)
+        m = seeded_model(rng, max_points=12, edge_prob=edge_prob)
+        for _ in range(5):
+            sigma = random_spread(m, rng, chain_share=1.0)
+            ns = NSpread(
+                spreads=tuple(
+                    random_spread(m, rng, chain_share=1.0)
+                    for _ in range(rng.randint(1, 3))
+                )
+            )
+            vector = OutcomeVector(
+                terms=tuple(rng.choice(s.outcomes) for s in ns.spreads)
+            )
+            assert _cc_conditions(
+                m, sigma, ns, vector
+            ) == reference_cc_conditions(m, sigma, ns, vector)
 
 
 class TestAtomicSpreads:

@@ -29,6 +29,8 @@ from bstghz.model import build_model
 from .oracles import (
     brute_force_is_consistent,
     random_chain,
+    random_spread,
+    reference_spread_report,
     seeded_model,
     seeded_order,
     set_classify_event,
@@ -237,6 +239,20 @@ class TestValidateSpread:
         r = validate_spread(f, Spread(initial=bad, outcomes=(dm,)))
         assert r.status == "fail"
         assert "not an initial event" in r.violations[0]
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.15, 0.35, 0.6]),
+    )
+    def test_agrees_with_the_reference_report(self, seed, edge_prob):
+        rng = random.Random(seed)
+        m = seeded_model(rng, max_points=12, edge_prob=edge_prob)
+        for _ in range(10):
+            spread = random_spread(m, rng)
+            assert validate_spread(m, spread) == reference_spread_report(
+                m, spread
+            )
 
 
 class TestGrading:

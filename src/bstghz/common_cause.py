@@ -11,6 +11,15 @@ vector c of a space-like, 1-consistent n-spread:
 * cc3 (screening): each outcome of sigma is inconsistent with at least
   one single term of c.
 
+Each condition's verdict is one mask test on the model's bitsets, shared
+by the checker and the search: cc1 asks whether the outcome points of
+the n-spread lie inside the points above sigma's initial, cc2 and cc3
+AND history masks.  Witness lines are worded only for a report: cc1 and
+cc2 when the condition fails, cc3 per outcome of sigma.  The search
+(``search_common_causes``) reads the verdicts alone, on masks memoised
+per model for the atomic candidates and per n-spread once its
+preconditions pass.
+
 Passing all three does not *establish* a common cause, which is why the
 interesting direction is the refutation.  ``refute_joint_common_cause``
 works over candidate profiles: a profile assigns to each of the twelve
@@ -40,6 +49,8 @@ xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -54,6 +65,7 @@ from .events import (
     is_consistent,
     is_spacelike,
     validate_spread,
+    _history_masks,
     _not_below,
     _one_consistent,
 )
@@ -71,7 +83,7 @@ from .ghz import (
     outcome_name,
     stable_name,
 )
-from .model import CausalModel, build_model
+from .model import CausalModel, bit_indices, build_model
 
 
 @dataclass(frozen=True)
@@ -94,12 +106,37 @@ class CommonCauseReport:
         return self.cc1.passed and self.cc2.passed and self.cc3.passed
 
 
-def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> None:
-    if not is_spacelike(model, ns):
-        raise PreconditionFailed("the n-spread is not space-like")
-    # is_spacelike validated the spreads and found the initials consistent
-    if not _one_consistent(model, ns):
-        raise PreconditionFailed("the n-spread is not 1-consistent")
+def _nspread_masks(model: CausalModel, ns: NSpread) -> tuple[int, int]:
+    """The points of every outcome of ``ns``, and the histories that
+    contain all of its initials."""
+    pts = model.mask(
+        p for s in ns.spreads for o in s.outcomes for p in o.members
+    )
+    hist = functools.reduce(
+        operator.and_,
+        (_history_masks(model, e, "initial")[0] for e in ns.initials),
+    )
+    return pts, hist
+
+
+def _require_cc_preconditions(
+    model: CausalModel, ns: NSpread
+) -> tuple[int, int]:
+    """Check that ``ns`` is space-like and 1-consistent; return its masks.
+
+    A pass is memoised on the model, keyed by the n-spread, as
+    :func:`_nspread_masks`; a failing n-spread raises on every call.
+    """
+    key = (_require_cc_preconditions, ns)
+    masks = model.memo.get(key)
+    if masks is None:
+        if not is_spacelike(model, ns):
+            raise PreconditionFailed("the n-spread is not space-like")
+        # is_spacelike validated the spreads and found the initials consistent
+        if not _one_consistent(model, ns):
+            raise PreconditionFailed("the n-spread is not 1-consistent")
+        masks = model.memo[key] = _nspread_masks(model, ns)
+    return masks
 
 
 def _require_vector_of(ns: NSpread, vector: OutcomeVector) -> None:
@@ -116,46 +153,78 @@ def _require_vector_of(ns: NSpread, vector: OutcomeVector) -> None:
             )
 
 
+def _above(model: CausalModel, event: Event) -> int:
+    """The points strictly above every point of ``event``."""
+    return functools.reduce(
+        operator.and_,
+        (model.up[i] for i in bit_indices(model.mask(event.members))),
+    )
+
+
+def _overlaps(
+    model: CausalModel, events: Iterable[Event]
+) -> tuple[int, ...]:
+    """Per event, the histories overlapping it."""
+    return tuple(_history_masks(model, e, "outcome")[1] for e in events)
+
+
+# The three screening conditions as mask tests.  ``above`` and ``outs`` are
+# the candidate's (``_above``, ``_overlaps`` of its outcomes), ``pts`` and
+# ``hist`` the n-spread's (``_nspread_masks``), ``terms`` the vector's
+# ``_overlaps``.
+
+
+def _cc1(above: int, pts: int) -> bool:
+    return pts & ~above == 0
+
+
+def _cc2(hist: int, outs: tuple[int, ...]) -> bool:
+    return all(hist & m for m in outs)
+
+
+def _cc3(outs: tuple[int, ...], terms: tuple[int, ...]) -> bool:
+    return all(any(not m & t for t in terms) for m in outs)
+
+
 def _cc_conditions(
     model: CausalModel,
     sigma: Spread,
     ns: NSpread,
     vector: OutcomeVector,
 ) -> CommonCauseReport:
-    cc1_witnesses = [
+    """The report of cc1..cc3: verdicts from the mask tests, cc1 and cc2
+    witnesses worded only on a failure, a cc3 line per candidate outcome."""
+    pts, hist = _nspread_masks(model, ns)
+    outs = _overlaps(model, sigma.outcomes)
+    terms = _overlaps(model, vector.terms)
+    cc1_ok = _cc1(_above(model, sigma.initial), pts)
+    cc1_witnesses = () if cc1_ok else tuple(
         f"{p} is not strictly below {q} (outcome {o.name})"
         for s in ns.spreads
         for o in s.outcomes
         for p, q in _not_below(model, sigma.initial, o)
-    ]
-    cc2_witnesses = [
+    )
+    cc2_ok = _cc2(hist, outs)
+    cc2_witnesses = () if cc2_ok else tuple(
         f"{o.name} is not consistent with the initials"
-        for o in sigma.outcomes
-        if not is_consistent(model, ns.initials, (o,))
-    ]
-    cc3_witnesses: list[str] = []
-    cc3_ok = True
-    for o in sigma.outcomes:
+        for o, m in zip(sigma.outcomes, outs)
+        if not hist & m
+    )
+    cc3_witnesses = []
+    for o, m in zip(sigma.outcomes, outs):
         screen = next(
-            (
-                t
-                for t in vector.terms
-                if not is_consistent(model, (), (o, t))
-            ),
-            None,
+            (t for t, tm in zip(vector.terms, terms) if not m & tm), None
         )
-        if screen is None:
-            cc3_ok = False
-            cc3_witnesses.append(
-                f"{o.name} is consistent with every term of the vector"
-            )
-        else:
-            cc3_witnesses.append(f"{o.name} is inconsistent with {screen.name}")
+        cc3_witnesses.append(
+            f"{o.name} is consistent with every term of the vector"
+            if screen is None
+            else f"{o.name} is inconsistent with {screen.name}"
+        )
     return CommonCauseReport(
         vector=vector.names,
-        cc1=ConditionResult(not cc1_witnesses, tuple(cc1_witnesses)),
-        cc2=ConditionResult(not cc2_witnesses, tuple(cc2_witnesses)),
-        cc3=ConditionResult(cc3_ok, tuple(cc3_witnesses)),
+        cc1=ConditionResult(cc1_ok, cc1_witnesses),
+        cc2=ConditionResult(cc2_ok, cc2_witnesses),
+        cc3=ConditionResult(_cc3(outs, terms), tuple(cc3_witnesses)),
     )
 
 
@@ -225,6 +294,20 @@ class CommonCauseSearch:
     notes: tuple[str, ...] = ()
 
 
+def _candidate_masks(
+    model: CausalModel,
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per atomic candidate, ``_above`` of its initial and ``_overlaps`` of
+    its outcomes; memoised on the model like the candidates."""
+    memo = model.memo
+    if _candidate_masks not in memo:
+        memo[_candidate_masks] = tuple(
+            (_above(model, s.initial), _overlaps(model, s.outcomes))
+            for s in atomic_spreads(model)
+        )
+    return memo[_candidate_masks]
+
+
 def search_common_causes(
     model: CausalModel,
     ns_list: Sequence[NSpread],
@@ -236,26 +319,35 @@ def search_common_causes(
     ``ns_list[k]``; a candidate passes only if it meets all three
     conditions for every listed pair.  An empty target list makes the
     search vacuous, which the result flags.
+
+    The verdicts are the mask tests ``_cc1``, ``_cc2`` and ``_cc3`` that
+    ``check_common_cause`` reports from, on the masks of each distinct
+    n-spread (told apart by identity) and each distinct vector; no
+    witness is worded.  A candidate stops at its first failing test.
     """
     if len(ns_list) != len(vectors):
         raise ValueError("ns_list and vectors must pair up one to one")
-    for ns in dict.fromkeys(ns_list):
-        _require_cc_preconditions(model, ns)
+    distinct = {id(ns): ns for ns in ns_list}
+    masks = [_require_cc_preconditions(model, ns) for ns in distinct.values()]
+    targets = set()
     for ns, v in zip(ns_list, vectors):
         _require_vector_of(ns, v)
-        if is_consistent(model, (), v.terms):
+        terms = _overlaps(model, v.terms)
+        if functools.reduce(operator.and_, terms):
             raise PreconditionFailed(
                 f"vector {v.label()} is consistent; only inconsistent "
                 "vectors call for a common cause"
             )
+        targets.add(terms)
+    pts = functools.reduce(operator.or_, (p for p, _ in masks), 0)
+    hists = {h for _, h in masks}
     candidates = atomic_spreads(model)
     passing = tuple(
         cand
-        for cand in candidates
-        if all(
-            _cc_conditions(model, cand, ns, v).passed
-            for ns, v in zip(ns_list, vectors)
-        )
+        for cand, (above, outs) in zip(candidates, _candidate_masks(model))
+        if _cc1(above, pts)
+        and all(_cc2(h, outs) for h in hists)
+        and all(_cc3(outs, terms) for terms in targets)
     )
     vacuous = not ns_list
     notes = (

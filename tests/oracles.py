@@ -10,7 +10,8 @@ rather than single points, the infima/suprema check scans every maximal
 chain instead of trusting finiteness, consistency scans every history
 with set operations instead of reading history bitmasks, spread
 validation and the screening conditions compare every pair of points
-with ``lt`` and scan every history, covers and
+with ``lt`` and scan every history, the common-cause search builds every
+candidate's full report for every target, covers and
 density gaps test every candidate point in between, refutation survivors
 come from a scan of all 2^12 flag masks, a refutation trace is replayed
 from the parity rule and the event labels alone, and the exact quantum
@@ -32,10 +33,17 @@ import pytest
 from bstghz.common_cause import (
     CandidateProfile,
     CommonCauseReport,
+    CommonCauseSearch,
     ConditionResult,
     ReductioTrace,
 )
-from bstghz.errors import CycleDetected, EmptyModel, UnknownPoint
+from bstghz.errors import (
+    CycleDetected,
+    EmptyModel,
+    InvalidSpread,
+    PreconditionFailed,
+    UnknownPoint,
+)
 from bstghz.events import (
     Event,
     EventClassification,
@@ -76,6 +84,69 @@ def seeded_model(
 ) -> CausalModel:
     """A reproducible random model: forward edges on a line."""
     return build_model(*seeded_order(rng, max_points, edge_prob))
+
+
+def seeded_station_model(
+    rng: random.Random,
+) -> tuple[CausalModel, list[Spread]]:
+    """A reproducible random hidden-variable model and its station spreads.
+
+    A source ``c`` branches to two or three values ``c0``, ``c1``, ...; two
+    or three stations ``s0``, ``s1``, ... each branch to two or three
+    outcomes, and each outcome lies above one value (in some models, an
+    outcome lies above none).  A maximal point joins a value with one
+    outcome per station that lies above no other value, or is a dead end of
+    a value.  Joints are kept at random, and every outcome that fits some
+    joint is kept in one, so station outcome vectors are often
+    inconsistent, and ``c`` screens them in some models and fails one of
+    cc1 to cc3 in others.  Plain ``seeded_model`` draws almost never have
+    an inconsistent outcome vector.
+    """
+    values = [f"c{k}" for k in range(rng.randint(2, 3))]
+    stations = {
+        f"s{i}": tuple(f"s{i}{k}" for k in range(rng.randint(2, 3)))
+        for i in range(rng.randint(2, 3))
+    }
+    pairs = [("c", v) for v in values]
+    pairs += [(s, o) for s, outs in stations.items() for o in outs]
+    share = rng.choice([0.6, 1.0])
+    value_of = {
+        o: rng.choice(values)
+        for outs in stations.values()
+        for o in outs
+        if rng.random() < share
+    }
+    pairs += [(v, o) for o, v in value_of.items()]
+    fitting = [
+        (v,) + joint
+        for v in values
+        for joint in itertools.product(
+            *(
+                [o for o in outs if value_of.get(o, v) == v]
+                for outs in stations.values()
+            )
+        )
+    ]
+    joints = [j for j in fitting if rng.random() < 0.5]
+    for o in sorted(o for outs in stations.values() for o in outs):
+        options = [j for j in fitting if o in j]
+        if options and not any(o in j for j in joints):
+            joints.append(rng.choice(options))
+    joints += [(v,) for v in values if rng.random() < 0.2]
+    points = ["c", *values, *stations]
+    points += [o for outs in stations.values() for o in outs]
+    for n, joint in enumerate(joints):
+        points.append(f"t{n}")
+        pairs += [(o, f"t{n}") for o in joint]
+
+    def event(name: str) -> Event:
+        return Event(name=name, members=frozenset({name}))
+
+    spreads = [
+        Spread(initial=event(s), outcomes=tuple(event(o) for o in outs))
+        for s, outs in stations.items()
+    ]
+    return build_model(points, pairs), spreads
 
 
 # -- the order as Python sets ------------------------------------------------
@@ -550,6 +621,85 @@ def reference_cc_conditions(
         cc1=ConditionResult(not cc1, tuple(cc1)),
         cc2=ConditionResult(not cc2, tuple(cc2)),
         cc3=ConditionResult(not unscreened, tuple(cc3)),
+    )
+
+
+def reference_cc_preconditions(model: CausalModel, ns: NSpread) -> None:
+    """Valid spreads, space-like and 1-consistent, by ``lt`` over pairs of
+    points and history scans; raises what ``check_common_cause`` raises."""
+    for s in ns.spreads:
+        if not reference_spread_report(model, s).ok:
+            raise InvalidSpread(f"spread at {s.initial.name!r} is invalid")
+    crossing = any(
+        model.lt(p, q)
+        for i, s in enumerate(ns.spreads)
+        for j, other in enumerate(ns.spreads)
+        if i != j
+        for p in s.initial.members
+        for o in other.outcomes
+        for q in o.members
+    )
+    if crossing or not brute_force_is_consistent(model, ns.initials):
+        raise PreconditionFailed("the n-spread is not space-like")
+    if not all(
+        brute_force_is_consistent(model, ns.initials, (o,))
+        for s in ns.spreads
+        for o in s.outcomes
+    ):
+        raise PreconditionFailed("the n-spread is not 1-consistent")
+
+
+def reference_atomic_spreads(model: CausalModel) -> list[Spread]:
+    """Per point with covers, in sorted order, the point branching to its
+    covers, kept when ``reference_spread_report`` passes it."""
+    out = []
+    for p in sorted(model.points):
+        cov = brute_force_covers(model, p)
+        if not cov:
+            continue
+        spread = Spread(
+            initial=Event(name=p, members=frozenset({p})),
+            outcomes=tuple(
+                Event(name=q, members=frozenset({q})) for q in cov
+            ),
+        )
+        if reference_spread_report(model, spread).ok:
+            out.append(spread)
+    return out
+
+
+def reference_search_common_causes(
+    model: CausalModel,
+    ns_list: Sequence[NSpread],
+    vectors: Sequence[OutcomeVector],
+) -> CommonCauseSearch:
+    """The search as a candidate x target loop that builds every
+    ``reference_cc_conditions`` report and reads ``passed``.  Every pair
+    is checked: the preconditions of its n-spread, the vector's shape,
+    and that the vector is inconsistent.  ``notes`` stays empty."""
+    if len(ns_list) != len(vectors):
+        raise ValueError("ns_list and vectors must pair up one to one")
+    for ns in ns_list:
+        reference_cc_preconditions(model, ns)
+    for ns, v in zip(ns_list, vectors):
+        if len(v.terms) != len(ns.spreads) or any(
+            t not in s.outcomes for t, s in zip(v.terms, ns.spreads)
+        ):
+            raise ValueError(f"{v.label()} is not a vector of the n-spread")
+        if brute_force_is_consistent(model, (), v.terms):
+            raise PreconditionFailed(f"vector {v.label()} is consistent")
+    candidates = reference_atomic_spreads(model)
+    return CommonCauseSearch(
+        candidates_considered=len(candidates),
+        passing=tuple(
+            cand
+            for cand in candidates
+            if all(
+                reference_cc_conditions(model, cand, ns, v).passed
+                for ns, v in zip(ns_list, vectors)
+            )
+        ),
+        vacuous=not ns_list,
     )
 
 

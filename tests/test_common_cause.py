@@ -23,11 +23,19 @@ from bstghz.common_cause import (
     search_common_causes,
 )
 from bstghz.errors import (
+    BstError,
     InvalidSpread,
     NotInconsistencyType,
     PreconditionFailed,
 )
-from bstghz.events import Event, NSpread, OutcomeVector, Spread
+from bstghz.events import (
+    Event,
+    NSpread,
+    OutcomeVector,
+    Spread,
+    consistency_grade,
+    enumerate_outcome_vectors,
+)
 from bstghz.ghz import (
     ALL_CONTEXTS,
     OMEGA_CONSTRAINTS,
@@ -39,13 +47,17 @@ from bstghz.ghz import (
 from bstghz.model import build_model
 
 from .oracles import (
+    brute_force_is_consistent,
     brute_force_survivors,
     check_derivation,
     family_groups,
     profile_satisfies_constraints,
     random_spread,
+    reference_atomic_spreads,
     reference_cc_conditions,
+    reference_search_common_causes,
     seeded_model,
+    seeded_station_model,
 )
 
 EVERY_FAMILY = [
@@ -86,6 +98,56 @@ def half_consistent_pair():
         )
     )
     return model, events, ns
+
+
+def search_draw(rng):
+    """A model and target pairs: one or two n-spreads of one to three
+    spreads, each listed with its inconsistent vectors.
+
+    Most models are ``seeded_station_model``s and their n-spreads take
+    their stations; the rest are ``seeded_model``s with atomic spreads.
+    One spread in ten is a random chain spread, one vector in fifty a
+    consistent one, so that some draws fail a precondition.
+    """
+    if rng.random() < 0.8:
+        model, pool = seeded_station_model(rng)
+    else:
+        model = seeded_model(rng, max_points=12)
+        pool = list(atomic_spreads(model)) or [random_spread(model, rng)]
+    ns_list, vectors = [], []
+    for _ in range(rng.randint(1, 2)):
+        k = min(3, len(pool) if rng.random() < 0.8 else rng.randint(1, 3))
+        spreads = rng.sample(pool, min(k, len(pool)))
+        if rng.random() < 0.1:
+            spreads[0] = random_spread(model, rng, chain_share=1.0)
+        ns = NSpread(spreads=tuple(spreads))
+        for v in enumerate_outcome_vectors(ns):
+            if rng.random() < 0.02 or not brute_force_is_consistent(
+                model, (), v.terms
+            ):
+                ns_list.append(ns)
+                vectors.append(v)
+    return model, ns_list, vectors
+
+
+def search_agrees(model, ns_list, vectors):
+    """Assert that the search agrees with the reference loop: the same
+    exception type, or the same candidates and passing tuple.  Returns
+    the reference result, None when both raised."""
+    try:
+        expected = reference_search_common_causes(model, ns_list, vectors)
+    except (BstError, ValueError) as exc:
+        with pytest.raises((BstError, ValueError)) as info:
+            search_common_causes(model, ns_list, vectors)
+        assert type(info.value) is type(exc)
+        return None
+    got = search_common_causes(model, ns_list, vectors)
+    assert (got.candidates_considered, got.passing, got.vacuous) == (
+        expected.candidates_considered,
+        expected.passing,
+        expected.vacuous,
+    )
+    return expected
 
 
 class TestChecker:
@@ -258,6 +320,68 @@ class TestSearch:
             search_common_causes(
                 toy.model, [toy.station_nspread], [ok]
             )
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_search_agrees_with_the_reference(self, seed):
+        search_agrees(*search_draw(random.Random(seed)))
+
+    def test_reference_draws_cover_every_verdict(self):
+        # across fixed draws: a raise, a passing candidate, and candidates
+        # failing cc1, cc2 or cc3 alone, so no one mask test can be dropped
+        # without a draw telling
+        seen = {"raised": 0, "pass": 0, "cc1": 0, "cc2": 0, "cc3": 0}
+        for seed in range(300):
+            model, ns_list, vectors = search_draw(random.Random(seed))
+            if search_agrees(model, ns_list, vectors) is None:
+                seen["raised"] += 1
+                continue
+            for cand in reference_atomic_spreads(model) if vectors else ():
+                reports = [
+                    reference_cc_conditions(model, cand, ns, v)
+                    for ns, v in zip(ns_list, vectors)
+                ]
+                failed = [
+                    c
+                    for c in ("cc1", "cc2", "cc3")
+                    if not all(getattr(r, c).passed for r in reports)
+                ]
+                if len(failed) < 2:
+                    seen[failed[0] if failed else "pass"] += 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("fixture", ["toy", "ghz"])
+    def test_targets_are_deduplicated_without_changing_the_result(
+        self, fixture, toy, ghz_model, ghz_structure
+    ):
+        if fixture == "toy":
+            model, nspreads = toy.model, [toy.station_nspread]
+        else:
+            model = ghz_model
+            nspreads = [
+                ghz_structure.context_nspread(c)
+                for c in (("x", "x", "y"), ("y", "x", "x"))
+            ]
+        pairs = [
+            (ns, v)
+            for ns in nspreads
+            for v in consistency_grade(model, ns).inconsistent_vectors
+        ]
+        expected = search_common_causes(model, *zip(*pairs))
+        rng = random.Random(7)
+        shuffled = rng.sample(pairs, len(pairs))
+        repeated = pairs + rng.choices(pairs, k=len(pairs))
+        # equal n-spreads as distinct objects, the vectors' too
+        copies = [
+            (NSpread(spreads=ns.spreads), OutcomeVector(terms=v.terms))
+            for ns, v in pairs
+        ]
+        for variant in shuffled, repeated, copies:
+            got = search_common_causes(model, *zip(*variant))
+            assert got == expected
+        assert expected.candidates_considered == len(atomic_spreads(model))
+        if fixture == "toy":
+            assert [s.initial.name for s in expected.passing] == ["d"]
 
 
 class TestProfiles:

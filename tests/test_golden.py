@@ -3,10 +3,15 @@
 ``tests/golden/cli.json`` holds argv, exit code, stdout and stderr of
 each command, recorded by ``scripts/write_fixtures.py`` from the
 repository root.  A refactor that keeps behaviour keeps this file as it
-is; an intended change to the output regenerates it.
+is; an intended change to the output regenerates it.  The ``check-cc``
+search on both fixtures and a failing single-vector check are replayed
+under ``python -O`` as well.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +36,45 @@ def test_cli_matches_the_transcript(entry, monkeypatch, capsys):
         entry["stdout"],
         entry["stderr"],
     )
+
+
+OPTIMIZED_CHECK_CC = [
+    ["check-cc", "fixtures/toy_decay.json", "--search", "--nspread", "Sigma_ab"],
+    [
+        "check-cc",
+        "fixtures/ghz_model.json",
+        "--search",
+        "--nspread",
+        "Sigma_xxx,Sigma_xxy",
+    ],
+    [
+        "check-cc",
+        "fixtures/ghz_model.json",
+        "--spread",
+        "sigma_1",
+        "--nspread",
+        "Sigma_xxy",
+        "--vector",
+        "x+1,x+2,y-3",
+    ],
+]
+
+
+@pytest.mark.parametrize("argv", OPTIMIZED_CHECK_CC, ids=" ".join)
+def test_check_cc_matches_the_transcript_under_optimize(argv):
+    # with asserts stripped, the search and the check must still report
+    # as recorded
+    entry = next(e for e in TRANSCRIPT if e["argv"] == argv)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "bstghz", *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+        timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (entry["code"], entry["stdout"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from bstghz.common_cause import classify_determinism, refute_joint_common_cause
+from bstghz.common_cause import classify_determinism
 from bstghz.errors import BadFlag
 from bstghz.events import consistency_grade, is_spacelike
 from bstghz.ghz import (
@@ -18,6 +18,7 @@ from bstghz.ghz import (
     build_concrete_model,
     context_label,
     parse_context,
+    refute_joint_common_cause,
 )
 from bstghz.model import check_density, check_infima_suprema, check_prior_choice
 from bstghz.quantum import compare_with_stipulation, omega_eigencheck

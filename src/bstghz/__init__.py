@@ -1,9 +1,14 @@
 """Finite branching space-time models and the GHZ no-common-cause result.
 
-The package splits into a generic layer (causal models, histories,
-events, spreads, consistency grading) and a scenario layer (the
-three-station parity setup, its 53-point realization, the common-cause
-checker and the exhaustive refutation, and an exact quantum cross-check).
+The package splits into a generic layer and a scenario layer.  The
+generic layer holds causal models and histories (``model``), events,
+spreads and consistency grading (``events``), the model document
+(``document``), and the screening common-cause checker, its search and
+the determinism levels (``common_cause``); it imports no scenario.  The
+scenario layer is ``ghz``, the three-station parity setup with its
+53-point realization and its three no-go results (value assignments,
+contextual assignments and the exhaustive common-cause refutation), and
+``quantum``, an exact quantum cross-check of the parity rule.
 """
 
 from .errors import (
@@ -47,30 +52,30 @@ from .events import (
     is_spacelike,
     validate_spread,
 )
+from .common_cause import (
+    CommonCauseReport,
+    LevelReport,
+    atomic_spreads,
+    build_toy_decay,
+    check_common_cause,
+    classify_determinism,
+    search_common_causes,
+    toy_decay_document,
+)
 from .ghz import (
     THEOREM_CONTEXTS,
+    CandidateProfile,
     GhzStructure,
     GhzVector,
+    ReductioTrace,
+    RefutationResult,
     build_abstract_structure,
     build_concrete_model,
     contextual_assignment_search,
     ghz_document,
     parity_consistent,
-    value_assignment_search,
-)
-from .common_cause import (
-    CandidateProfile,
-    CommonCauseReport,
-    LevelReport,
-    ReductioTrace,
-    RefutationResult,
-    atomic_spreads,
-    build_toy_decay,
-    check_common_cause,
-    classify_determinism,
     refute_joint_common_cause,
-    search_common_causes,
-    toy_decay_document,
+    value_assignment_search,
 )
 from .quantum import (
     DiscrepancyReport,

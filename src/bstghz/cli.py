@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .common_cause import (
-    check_common_cause,
-    refute_joint_common_cause,
-    search_common_causes,
-)
+from .common_cause import check_common_cause, search_common_causes
 from .document import (
     ResolvedModel,
     dump_document,
@@ -38,6 +34,7 @@ from .ghz import (
     value_assignment_search,
     contextual_assignment_search,
     ghz_document,
+    refute_joint_common_cause,
 )
 from .model import check_density, check_infima_suprema, check_prior_choice
 from .quantum import (
@@ -295,7 +292,8 @@ def cmd_ghz_oracle(args: argparse.Namespace) -> Report:
             },
             "product": float(eig.product_eigenvalue),
             "commuting": eig.pairwise_commuting,
-            "threshold": report.threshold,
+            # kept for the report's bytes; the exact oracle has no threshold
+            "threshold": 1e-09,
             "probabilities": probabilities,
             "disagreements": {
                 context_label(c): report.count_for(c) for c in contexts

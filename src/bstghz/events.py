@@ -266,12 +266,14 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     )
 
 
-def _require_valid(model: CausalModel, ns: NSpread) -> None:
-    for s in ns.spreads:
+def _require_valid(
+    model: CausalModel, spreads: Iterable[Spread], noun: str = "spread"
+) -> None:
+    for s in spreads:
         report = validate_spread(model, s)
         if not report.ok:
             raise InvalidSpread(
-                f"spread at {s.initial.name!r} is invalid: "
+                f"{noun} at {s.initial.name!r} is invalid: "
                 + "; ".join(report.violations)
             )
 
@@ -301,7 +303,7 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     is checked on every grading; a break is a bug and raises
     ``RuntimeError``, also under ``python -O``.
     """
-    _require_valid(model, ns)
+    _require_valid(model, ns.spreads)
     minimal = is_consistent(model, ns.initials, ())
     one = minimal and _one_consistent(model, ns)
     vectors = enumerate_outcome_vectors(ns)
@@ -330,7 +332,7 @@ def is_spacelike(model: CausalModel, ns: NSpread) -> bool:
     precedes any point of any outcome of a *different* spread of the
     n-spread.
     """
-    _require_valid(model, ns)
+    _require_valid(model, ns.spreads)
     if not is_consistent(model, ns.initials, ()):
         return False
     initials = [model.mask(s.initial.members) for s in ns.spreads]

@@ -15,18 +15,44 @@ causal model whose histories are in bijection with the 32 parity
 consistent joint outcomes, so the abstract stipulation and history-based
 consistency can be checked against each other.
 
-The two brute-force searches at the bottom mechanize the obstruction to
-pre-assigned values: no global assignment of signs to the six
-station/axis pairs satisfies the four product constraints at once, while
-per-context assignments (nothing shared between contexts) satisfy them
-comfortably.
+Three no-go results follow.  Two brute-force searches mechanize the
+obstruction to pre-assigned values: no global assignment of signs to the
+six station/axis pairs satisfies the four product constraints at once,
+while per-context assignments (nothing shared between contexts) satisfy
+them comfortably.
+
+The third refutes a joint screening common cause, in the sense of the
+conditions cc1..cc3 of ``bstghz.common_cause``.
+``refute_joint_common_cause`` works over candidate profiles: a profile
+assigns to each of the twelve outcome events a flag saying whether some
+hypothetical common cause outcome is consistent with it.  Condition cc2
+(plus the equivalences relating spread initials to their outcomes)
+forces, per measurement context, some parity consistent vector whose
+three terms are all flagged consistent; condition cc3 forbids any parity
+inconsistent vector from being fully flagged.  cc1 is deliberately
+unused: the refutation does not need causal priority.
+
+One propagation engine over the twelve flags (unit propagation with
+case splits, after Davis, Logemann and Loveland) finds the survivors
+and, when there are none, derives the contradiction.
+Its contradictions, on a full profile exactly the survival conditions,
+are an inconsistent vector with every term flagged consistent (cc3) and
+a measured station/axis with both outcomes flagged inconsistent (cc2
+through its stable initial); its forced steps are screening and
+settling (see ``_close``).  Branching on the lowest open flag,
+"inconsistent" first, lists the survivors in lexicographic order.  A
+refuted family gets a derivation from the same search: it starts from a
+consistent vector of the first listed context, records one
+justification per derived fact, and prints the facts each contradiction
+rests on.  The paper's start x+1, x-2, x+3 is preferred, so the
+xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .document import ModelDocument, model_document
 from .events import Event, NSpread, Spread
@@ -363,4 +389,313 @@ def contextual_assignment_search(
         total=len(triples) ** len(constraints),
         satisfying=count,
         witness=witness,
+    )
+
+
+# -- exhaustive profile refutation ----------------------------------------
+
+
+@dataclass(frozen=True)
+class CandidateProfile:
+    """Flags, per GHZ outcome event, of consistency with a hypothetical
+    common cause outcome; aligned with ``OUTCOME_EVENT_ORDER``."""
+
+    flags: tuple[bool, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.flags) != len(OUTCOME_EVENT_ORDER):
+            raise ValueError(
+                f"profile needs {len(OUTCOME_EVENT_ORDER)} flags"
+            )
+
+    def as_dict(self) -> dict[str, bool]:
+        return dict(zip(OUTCOME_EVENT_ORDER, self.flags))
+
+    def consistent_events(self) -> tuple[str, ...]:
+        return tuple(
+            n for n, f in zip(OUTCOME_EVENT_ORDER, self.flags) if f
+        )
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    # "cc2-existence" | "cc3-screening" | "case-split" | "contradiction"
+    rule: str
+    context: str
+    detail: str
+    conclusion: str
+
+
+@dataclass(frozen=True)
+class ReductioTrace:
+    """The derivation of the contradiction.  A ``case-split`` step opens a
+    branch that runs to its own ``contradiction``; the other case of the
+    same flag follows it."""
+
+    steps: tuple[TraceStep, ...]
+    complete: bool
+
+
+@dataclass(frozen=True, eq=False)
+class _Fact:
+    """A trace step and the facts it was derived from."""
+
+    step: TraceStep
+    premises: tuple[_Fact, ...] = ()
+
+
+# The paper's start, x+1, x-2, x+3: preferred whenever it is a candidate.
+_PREFERRED_START = GhzVector(context=("x", "x", "x"), signs=(1, -1, 1))
+_BIT = {n: 1 << k for k, n in enumerate(OUTCOME_EVENT_ORDER)}
+_ALL_FLAGS = (1 << len(OUTCOME_EVENT_ORDER)) - 1
+_IS = "the candidate outcome is "
+# Compiled rules: a screen per inconsistent vector of a listed context,
+# (context, detail, term mask); a stable per measured station/axis in order
+# of first appearance, (first context measuring it, its name, minus bit,
+# plus bit).
+_Screen = tuple[str, str, int]
+_Stable = tuple[str, str, int, int]
+
+
+def _name(bit: int) -> str:
+    return OUTCOME_EVENT_ORDER[bit.bit_length() - 1]
+
+
+def _fact(
+    why: dict[int, _Fact], mask: int, rule: str, ctx: str, *text: str
+) -> _Fact:
+    """A step whose premises are the facts of the flags in ``mask``."""
+    premises = tuple(why[b] for b in _BIT.values() if mask & b)
+    return _Fact(TraceStep(rule, ctx, *text), premises)
+
+
+def _compile(
+    contexts: Sequence[Context],
+) -> tuple[list[_Screen], list[_Stable]]:
+    screens = [
+        (
+            context_label(ctx),
+            f"inconsistent vector {v.label()}",
+            sum(_BIT[n] for n in v.outcome_names),
+        )
+        for ctx in contexts
+        for v in inconsistent_vectors(ctx)
+    ]
+    stables: dict[str, _Stable] = {}
+    for ctx in contexts:
+        for i, a in zip(STATIONS, ctx):
+            name = stable_name(i, a)
+            lo, hi = (_BIT[outcome_name(i, a, s)] for s in SIGNS)
+            stables.setdefault(name, (context_label(ctx), name, lo, hi))
+    return screens, list(stables.values())
+
+
+def _close(
+    screens: list[_Screen],
+    stables: list[_Stable],
+    t: int,
+    f: int,
+    why: dict[int, _Fact] | None = None,
+) -> tuple[int, int, _Fact | bool]:
+    """Saturate t (flagged consistent) and f (flagged inconsistent).
+
+    Contradictions are checked first.  Otherwise one forced step is taken
+    and the scan restarts: screening (an inconsistent vector with all
+    terms but one in t puts the last in f), else settling (a station/axis
+    with one outcome in f puts the other in t).  Returns the flags and the
+    contradiction, False if none; with ``why``, each derived flag's fact
+    is recorded there and the contradiction comes back as a fact.
+    """
+    while True:
+        for ctx, detail, m in screens:
+            if t & m == m:
+                return t, f, why is None or _fact(
+                    why, m, "contradiction", ctx, detail,
+                    "every term of an inconsistent vector came out "
+                    "consistent",
+                )
+        for ctx, stable, lo, hi in stables:
+            if f & lo and f & hi:
+                return t, f, why is None or _fact(
+                    why, lo | hi, "contradiction", ctx,
+                    f"stable event {stable}",
+                    f"{_IS}inconsistent with both {_name(lo)} and "
+                    f"{_name(hi)}, although consistency with {stable} "
+                    "requires one of them",
+                )
+        for ctx, detail, m in screens:
+            rest = m & ~t
+            if rest & (rest - 1) == 0 and not rest & f:
+                f |= rest
+                if why is not None:
+                    why[rest] = _fact(
+                        why, m & ~rest, "cc3-screening", ctx, detail,
+                        f"{_IS}inconsistent with {_name(rest)}",
+                    )
+                break
+        else:
+            for ctx, stable, lo, hi in stables:
+                settled = (lo | hi) & ~f
+                if settled != lo | hi and not t & settled:
+                    t |= settled
+                    if why is not None:
+                        why[settled] = _fact(
+                            why, (lo | hi) & f, "cc2-existence", ctx,
+                            f"stable initial {stable} branches to {_name(lo)} "
+                            f"or {_name(hi)}",
+                            f"{_IS}consistent with {_name(settled)}",
+                        )
+                    break
+            else:
+                return t, f, False
+
+
+def _survivors(
+    screens: list[_Screen], stables: list[_Stable], t: int = 0, f: int = 0
+) -> Iterator[int]:
+    """The surviving full masks t in lexicographic order (False before
+    True, first event most significant): branch on the lowest open flag,
+    "inconsistent" first."""
+    t, f, clash = _close(screens, stables, t, f)
+    if clash:
+        return
+    open_ = _ALL_FLAGS & ~(t | f)
+    if not open_:
+        yield t
+        return
+    bit = open_ & -open_
+    yield from _survivors(screens, stables, t, f | bit)
+    yield from _survivors(screens, stables, t | bit, f)
+
+
+def _derive(
+    screens: list[_Screen],
+    stables: list[_Stable],
+    t: int,
+    f: int,
+    why: dict[int, _Fact],
+) -> _Fact | tuple:
+    """A closed proof: the contradiction, or, when saturation stalls, the
+    (case, proof) pairs of a split on the lowest open measured flag,
+    "inconsistent" first.  On a refuted family every branch closes."""
+    t, f, clash = _close(screens, stables, t, f, why)
+    if clash:
+        return clash
+    open_ = sum(lo | hi for *_, lo, hi in stables) & ~(t | f)
+    bit = open_ & -open_
+    ctx = next(ctx for ctx, _, lo, hi in stables if (lo | hi) & bit)
+    cases = []
+    for kind, t_bit, f_bit in ("inconsistent", 0, bit), ("consistent", bit, 0):
+        case = _fact(
+            why, 0, "case-split", ctx, f"case split on {_name(bit)}",
+            f"suppose {_IS}{kind} with {_name(bit)}",
+        )
+        sub = {**why, bit: case}
+        proof = _derive(screens, stables, t | t_bit, f | f_bit, sub)
+        cases.append((case, proof))
+    return tuple(cases)
+
+
+def _render(proof: _Fact | tuple, shown: set[_Fact]) -> list[_Fact]:
+    """Lay a proof out as the facts not yet shown that it rests on, each
+    after its premises, premises visited last first; a split lays out each
+    case and then its branch."""
+    if isinstance(proof, tuple):
+        return [
+            fact
+            for case, branch in proof
+            for fact in [case] + _render(branch, shown | {case})
+        ]
+    out: list[_Fact] = []
+
+    def visit(fact: _Fact) -> None:
+        if fact not in shown and fact not in out:
+            for premise in reversed(fact.premises):
+                visit(premise)
+            out.append(fact)
+
+    visit(proof)
+    return out
+
+
+def _derivation(
+    contexts: Sequence[Context], screens: list[_Screen], stables: list[_Stable]
+) -> ReductioTrace:
+    """Derive the contradiction from a consistent vector of the first
+    listed context, the paper's start when it is one."""
+    candidates = consistent_vectors(contexts[0])
+    preferred = _PREFERRED_START in candidates
+    start = _PREFERRED_START if preferred else candidates[0]
+    fact = _fact(
+        {}, 0, "cc2-existence", context_label(start.context),
+        f"consistent vector {start.label()}",
+        f"{_IS}consistent with each of " + ", ".join(start.outcome_names),
+    )
+    why = {_BIT[n]: fact for n in start.outcome_names}
+    proof = _derive(screens, stables, sum(why), 0, why)
+    steps = [fact] + _render(proof, {fact})
+    return ReductioTrace(steps=tuple(n.step for n in steps), complete=True)
+
+
+@dataclass(frozen=True)
+class RefutationResult:
+    contexts: tuple[Context, ...]
+    profile_count: int
+    survivors: tuple[CandidateProfile, ...]
+    witness: CandidateProfile | None
+    trace: ReductioTrace | None
+    notes: tuple[str, ...] = ()
+
+
+def refute_joint_common_cause(
+    structure: GhzStructure, contexts: Iterable[Context]
+) -> RefutationResult:
+    """Exhaust all candidate profiles against the listed contexts.
+
+    Zero survivors means no assignment of consistency flags to the twelve
+    outcome events respects both the existence of a fully consistent
+    parity vector per context (from cc2) and the screening of every
+    inconsistent vector (from cc3); causal priority (cc1) is never used.
+    A nonzero count is *not* evidence for a common cause, since only
+    necessary conditions are encoded; the result says so.
+    """
+    ctx_list: list[Context] = []
+    for ctx in contexts:
+        if ctx not in ALL_CONTEXTS:
+            raise ValueError(f"unknown context: {ctx!r}")
+        if ctx not in ctx_list:
+            ctx_list.append(ctx)
+    for name in OUTCOME_EVENT_ORDER:
+        if name not in structure.events:
+            raise ValueError(f"structure lacks outcome event {name!r}")
+
+    screens, stables = _compile(ctx_list)
+    survivors = tuple(
+        CandidateProfile(
+            flags=tuple(bool(t & b) for b in _BIT.values())
+        )
+        for t in _survivors(screens, stables)
+    )
+
+    notes: list[str] = []
+    trace: ReductioTrace | None = None
+    if not ctx_list:
+        notes.append("no contexts listed; every profile survives vacuously")
+    if survivors:
+        notes.append(
+            "surviving profiles satisfy necessary conditions only; they do "
+            "not establish that a common cause exists"
+        )
+    else:
+        trace = _derivation(ctx_list, screens, stables)
+        notes.append(
+            "every profile violates the existence or screening constraints"
+        )
+    return RefutationResult(
+        contexts=tuple(ctx_list),
+        profile_count=2 ** len(OUTCOME_EVENT_ORDER),
+        survivors=survivors,
+        witness=survivors[0] if survivors else None,
+        trace=trace,
+        notes=tuple(notes),
     )

@@ -200,22 +200,15 @@ def context_distribution(context: Context) -> dict[SignVector, Fraction]:
 
 @dataclass(frozen=True)
 class Discrepancy:
-    """One joint outcome where rule and state disagree about possibility.
-
-    ``threshold_sensitive`` marks entries whose probability is positive,
-    merely below the threshold: those flip back to possible if the
-    threshold is lowered, unlike true probability-zero outcomes.
-    """
+    """One joint outcome where rule and state disagree about possibility."""
 
     vector: GhzVector
     stipulated_consistent: bool
     probability: Fraction
-    threshold_sensitive: bool
 
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    threshold: float
     disagreements: tuple[Discrepancy, ...]
 
     def count_for(self, context: Context) -> int:
@@ -224,32 +217,25 @@ class DiscrepancyReport:
         )
 
 
-def compare_with_stipulation(threshold: float = 1e-9) -> DiscrepancyReport:
-    """Compare parity consistency with probability-above-threshold.
+def compare_with_stipulation() -> DiscrepancyReport:
+    """Compare parity consistency with positive probability.
 
     A disagreement is a joint outcome the rule calls consistent but the
-    state gives probability <= threshold, or vice versa.  The four
-    product-constrained contexts agree exactly; the other four contexts
-    each disagree on four outcomes of probability 1/8, which is the
-    price of stipulating one parity rule across all contexts.
+    state gives probability 0, or vice versa.  The probabilities are
+    exact, so no threshold enters.  The four product-constrained
+    contexts agree exactly; the other four contexts each disagree on
+    four outcomes of probability 1/8, which is the price of stipulating
+    one parity rule across all contexts.
     """
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
     disagreements: list[Discrepancy] = []
     for ctx in ALL_CONTEXTS:
         for v in context_vectors(ctx):
             p = outcome_probability(ctx, v.signs)
-            possible = p > threshold
             stip = parity_consistent(v)
-            if stip != possible:
+            if stip != (p > 0):
                 disagreements.append(
                     Discrepancy(
-                        vector=v,
-                        stipulated_consistent=stip,
-                        probability=p,
-                        threshold_sensitive=0 < p <= threshold,
+                        vector=v, stipulated_consistent=stip, probability=p
                     )
                 )
-    return DiscrepancyReport(
-        threshold=threshold, disagreements=tuple(disagreements)
-    )
+    return DiscrepancyReport(disagreements=tuple(disagreements))

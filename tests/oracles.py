@@ -31,11 +31,9 @@ from typing import Any, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 import pytest
 
 from bstghz.common_cause import (
-    CandidateProfile,
     CommonCauseReport,
     CommonCauseSearch,
     ConditionResult,
-    ReductioTrace,
 )
 from bstghz.errors import (
     CycleDetected,
@@ -53,8 +51,10 @@ from bstghz.events import (
     is_consistent,
 )
 from bstghz.ghz import (
+    CandidateProfile,
     Context,
     GhzVector,
+    ReductioTrace,
     SignVector,
     consistent_vectors,
     context_label,

@@ -14,7 +14,6 @@ from bstghz.cli import main
 from bstghz.common_cause import (
     atomic_spreads,
     check_common_cause,
-    refute_joint_common_cause,
     search_common_causes,
 )
 from bstghz.events import (
@@ -32,6 +31,7 @@ from bstghz.ghz import (
     context_vectors,
     contextual_assignment_search,
     parity_consistent,
+    refute_joint_common_cause,
     value_assignment_search,
 )
 from bstghz.model import (

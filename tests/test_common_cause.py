@@ -8,18 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bstghz.common_cause import (
-    CandidateProfile,
-    ReductioTrace,
-    TraceStep,
-    _BIT,
-    _close,
-    _compile,
-    _Fact,
     _cc_conditions,
     atomic_spreads,
     check_common_cause,
     classify_determinism,
-    refute_joint_common_cause,
     search_common_causes,
 )
 from bstghz.errors import (
@@ -41,8 +33,16 @@ from bstghz.ghz import (
     OMEGA_CONSTRAINTS,
     OUTCOME_EVENT_ORDER,
     THEOREM_CONTEXTS,
+    CandidateProfile,
+    ReductioTrace,
+    TraceStep,
+    _BIT,
+    _close,
+    _compile,
+    _Fact,
     build_abstract_structure,
     inconsistent_vectors,
+    refute_joint_common_cause,
 )
 from bstghz.model import build_model
 

@@ -1,9 +1,11 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, in two layers.
 
 numpy is a test extra (the float cross-check in ``tests/oracles.py``);
-nothing a user runs may import it.
+nothing a user runs may import it.  The generic layer imports neither
+the GHZ scenario, the quantum oracle nor the command line.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -16,6 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "bstghz"
 NUMPY_IMPORT = re.compile(r"^\s*(import|from)\s+numpy\b", re.MULTILINE)
 IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s+(\S+)$")
+GENERIC = ("model", "events", "document", "errors", "common_cause")
+SCENARIO = {"ghz", "quantum", "cli"}
 
 
 def python(*args):
@@ -47,6 +51,48 @@ def test_source_has_no_numpy_import():
         if NUMPY_IMPORT.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def package_imports(source):
+    """The ``bstghz`` modules that ``source`` imports, relative or
+    absolute: ``ghz`` for ``from .ghz import x``, ``from . import ghz``,
+    ``from bstghz import ghz`` and ``import bstghz.ghz`` alike."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "bstghz" if node.level else ""
+            module = ".".join(filter(None, [prefix, node.module]))
+            names = [module, *(f"{module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "bstghz" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
+def test_generic_layer_imports_no_scenario():
+    probe = (
+        "import bstghz.ghz\n"
+        "from bstghz import quantum\n"
+        "from bstghz.cli import main\n"
+        "from . import events\n"
+        "from .model import build_model\n"
+        "from typing import Iterable\n"
+    )
+    assert package_imports(probe) == {
+        "ghz", "quantum", "cli", "events", "model",
+    }
+    offenders = {}
+    for module in GENERIC:
+        source = (SOURCE / f"{module}.py").read_text(encoding="utf-8")
+        found = package_imports(source) & SCENARIO
+        if found:
+            offenders[module] = found
+    assert offenders == {}
 
 
 def test_import_leaves_numpy_unloaded():

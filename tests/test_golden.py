@@ -4,8 +4,9 @@
 each command, recorded by ``scripts/write_fixtures.py`` from the
 repository root.  A refactor that keeps behaviour keeps this file as it
 is; an intended change to the output regenerates it.  The ``check-cc``
-search on both fixtures and a failing single-vector check are replayed
-under ``python -O`` as well.
+search on both fixtures, a failing single-vector check, the traced
+refutations and the JSON oracle report are replayed under ``python -O``
+as well.
 """
 
 import json
@@ -38,7 +39,7 @@ def test_cli_matches_the_transcript(entry, monkeypatch, capsys):
     )
 
 
-OPTIMIZED_CHECK_CC = [
+OPTIMIZED = [
     ["check-cc", "fixtures/toy_decay.json", "--search", "--nspread", "Sigma_ab"],
     [
         "check-cc",
@@ -57,13 +58,16 @@ OPTIMIZED_CHECK_CC = [
         "--vector",
         "x+1,x+2,y-3",
     ],
+    ["ghz", "refute", "--contexts", "xxx,xxy,xyy,xyx", "--trace"],
+    ["ghz", "refute", "--contexts", "xyy,yxy,yyx,xxx", "--trace"],
+    ["ghz", "refute", "--contexts", "xxx,yyy", "--trace"],
+    ["--format", "json", "ghz", "oracle"],
 ]
 
 
-@pytest.mark.parametrize("argv", OPTIMIZED_CHECK_CC, ids=" ".join)
-def test_check_cc_matches_the_transcript_under_optimize(argv):
-    # with asserts stripped, the search and the check must still report
-    # as recorded
+@pytest.mark.parametrize("argv", OPTIMIZED, ids=" ".join)
+def test_cli_matches_the_transcript_under_optimize(argv):
+    # with asserts stripped, the engines must still report as recorded
     entry = next(e for e in TRANSCRIPT if e["argv"] == argv)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -4,13 +4,13 @@ import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
-from bstghz.common_cause import (
-    atomic_spreads,
-    classify_determinism,
+from bstghz.common_cause import atomic_spreads, classify_determinism
+from bstghz.events import NSpread, consistency_grade, is_consistent
+from bstghz.ghz import (
+    ALL_CONTEXTS,
+    build_abstract_structure,
     refute_joint_common_cause,
 )
-from bstghz.events import NSpread, consistency_grade, is_consistent
-from bstghz.ghz import ALL_CONTEXTS, build_abstract_structure
 from bstghz.model import build_model, check_prior_choice, choice_points
 
 from .conftest import causal_models

@@ -235,7 +235,7 @@ class TestMatrixOracle:
 
 
 class TestStipulationComparison:
-    def test_default_threshold_disagreement_layout(self):
+    def test_disagreement_layout(self):
         rep = compare_with_stipulation()
         assert len(rep.disagreements) == 16
         for ctx in OMEGA_CONTEXTS:
@@ -248,15 +248,3 @@ class TestStipulationComparison:
         for d in rep.disagreements:
             assert d.stipulated_consistent is False
             assert d.probability == Fraction(1, 8)
-            assert not d.threshold_sensitive
-
-    def test_high_threshold_flags_sensitivity(self):
-        rep = compare_with_stipulation(threshold=0.5)
-        assert len(rep.disagreements) == 32
-        assert all(d.threshold_sensitive for d in rep.disagreements)
-        assert all(d.stipulated_consistent for d in rep.disagreements)
-
-    def test_threshold_out_of_range_rejected(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                compare_with_stipulation(threshold=bad)

@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Time the GHZ profile refutation by the number of contexts in a family.
+
+Usage, from the root of a checkout with ``src`` on ``PYTHONPATH``:
+
+    python3 scripts/scale_refute.py         # every family timed 5 times
+    python3 scripts/scale_refute.py 20      # every family timed 20 times
+
+Every nonempty family of the eight contexts (255 of them) is refuted
+once untimed, which also pays any per-process set-up, and then
+``repeats`` times, each call timed with ``time.perf_counter``.  For each
+family size from 1 to 8 the script prints one JSON line: the number of
+families, how many of them are refuted (no surviving profile), and the
+median milliseconds per call over the refuted and over the surviving
+families of that size (``null`` when there are none).
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import statistics
+import sys
+import time
+
+from bstghz.ghz import (
+    ALL_CONTEXTS,
+    build_abstract_structure,
+    refute_joint_common_cause,
+)
+
+REPEATS = 5
+
+
+def measure(repeats: int) -> list[dict]:
+    structure = build_abstract_structure()
+    rows = []
+    for size in range(1, len(ALL_CONTEXTS) + 1):
+        times: dict[bool, list[float]] = {True: [], False: []}
+        families = list(itertools.combinations(ALL_CONTEXTS, size))
+        refuted = 0
+        for fam in families:
+            dead = not refute_joint_common_cause(structure, fam).survivors
+            refuted += dead
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                refute_joint_common_cause(structure, fam)
+                times[dead].append(time.perf_counter() - t0)
+        rows.append(
+            {
+                "contexts": size,
+                "families": len(families),
+                "refuted": refuted,
+                **{
+                    f"{kind}_ms": (
+                        statistics.median(times[dead]) * 1000
+                        if times[dead]
+                        else None
+                    )
+                    for kind, dead in (("refuted", True), ("surviving", False))
+                },
+            }
+        )
+    return rows
+
+
+def main(argv: list[str]) -> int:
+    repeats = int(argv[0]) if argv else REPEATS
+    for row in measure(repeats):
+        print(json.dumps(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -127,6 +127,12 @@ GOLDEN_COMMANDS: list[list[str]] = [
     ["ghz", "refute", "--contexts", _THEOREM, "--trace"],
     ["ghz", "refute", "--contexts", "xyy,yxy,yyx,xxx", "--trace"],
     *_both_formats("ghz", "refute", "--contexts", "xxx,yyy", "--trace"),
+    *_both_formats("ghz", "refute", "--contexts", "xxx"),
+    ["ghz", "refute", "--contexts", "yyy,xxx,yyy"],
+    [
+        "--format", "json", "ghz", "refute", "--contexts",
+        "xxx,xxy,xyx,xyy,yxx,yxy,yyx,yyy", "--trace",
+    ],
     *_both_formats("ghz", "values"),
     *_both_formats("ghz", "contextual"),
     *_both_formats("ghz", "oracle"),

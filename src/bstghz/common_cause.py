@@ -159,10 +159,12 @@ def _cc_conditions(
     sigma: Spread,
     ns: NSpread,
     vector: OutcomeVector,
+    masks: tuple[int, int],
 ) -> CommonCauseReport:
     """The report of cc1..cc3: verdicts from the mask tests, cc1 and cc2
-    witnesses worded only on a failure, a cc3 line per candidate outcome."""
-    pts, hist = _nspread_masks(model, ns)
+    witnesses worded only on a failure, a cc3 line per candidate outcome.
+    ``masks`` are the n-spread's ``_nspread_masks``."""
+    pts, hist = masks
     outs = _overlaps(model, sigma.outcomes)
     terms = _overlaps(model, vector.terms)
     cc1_ok = _cc1(_above(model, sigma.initial), pts)
@@ -210,14 +212,14 @@ def check_common_cause(
     consistent (nothing then calls for a common cause).
     """
     _require_valid(model, (sigma,), "candidate spread")
-    _require_cc_preconditions(model, ns)
+    masks = _require_cc_preconditions(model, ns)
     _require_vector_of(ns, vector)
     if is_consistent(model, (), vector.terms):
         raise NotInconsistencyType(
             f"vector {vector.label()} is consistent; the screening "
             "conditions apply to inconsistent vectors only"
         )
-    return _cc_conditions(model, sigma, ns, vector)
+    return _cc_conditions(model, sigma, ns, vector, masks)
 
 
 def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:

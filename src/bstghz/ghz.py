@@ -39,8 +39,14 @@ Its contradictions, on a full profile exactly the survival conditions,
 are an inconsistent vector with every term flagged consistent (cc3) and
 a measured station/axis with both outcomes flagged inconsistent (cc2
 through its stable initial); its forced steps are screening and
-settling (see ``_close``).  Branching on the lowest open flag,
-"inconsistent" first, lists the survivors in lexicographic order.  A
+settling (see ``_close``).  Each contradiction rule belongs to one
+context, and a station/axis measured in two contexts gives the same rule
+in both, so a profile survives a family exactly when it survives each of
+its contexts.  The engine therefore runs once per context, branching
+only on the six flags the context measures; its survivors, crossed with
+every setting of the six flags it leaves free, are the context's
+survivor set.  A family's survivors are the intersection of its
+contexts' sets, listed in lexicographic order.  A
 refuted family gets a derivation from the same search: it starts from a
 consistent vector of the first listed context, records one
 justification per derived fact, and prints the facts each contradiction
@@ -50,6 +56,7 @@ xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -469,24 +476,40 @@ def _fact(
     return _Fact(TraceStep(rule, ctx, *text), premises)
 
 
-def _compile(
-    contexts: Sequence[Context],
-) -> tuple[list[_Screen], list[_Stable]]:
-    screens = [
+@functools.cache
+def _context_rules(
+    ctx: Context,
+) -> tuple[tuple[_Screen, ...], tuple[_Stable, ...]]:
+    """One context's rules: a screen per inconsistent vector, a stable per
+    measured station/axis."""
+    label = context_label(ctx)
+    screens = tuple(
         (
-            context_label(ctx),
+            label,
             f"inconsistent vector {v.label()}",
             sum(_BIT[n] for n in v.outcome_names),
         )
-        for ctx in contexts
         for v in inconsistent_vectors(ctx)
-    ]
+    )
+    stables = []
+    for i, a in zip(STATIONS, ctx):
+        lo, hi = (_BIT[outcome_name(i, a, s)] for s in SIGNS)
+        stables.append((label, stable_name(i, a), lo, hi))
+    return screens, tuple(stables)
+
+
+def _compile(
+    contexts: Sequence[Context],
+) -> tuple[list[_Screen], list[_Stable]]:
+    """The family's rules: every context's screens, and each stable as
+    first listed."""
+    screens: list[_Screen] = []
     stables: dict[str, _Stable] = {}
     for ctx in contexts:
-        for i, a in zip(STATIONS, ctx):
-            name = stable_name(i, a)
-            lo, hi = (_BIT[outcome_name(i, a, s)] for s in SIGNS)
-            stables.setdefault(name, (context_label(ctx), name, lo, hi))
+        ctx_screens, ctx_stables = _context_rules(ctx)
+        screens += ctx_screens
+        for stable in ctx_stables:
+            stables.setdefault(stable[1], stable)
     return screens, list(stables.values())
 
 
@@ -550,22 +573,52 @@ def _close(
                 return t, f, False
 
 
+def _measured(stables: list[_Stable]) -> int:
+    return sum(lo | hi for *_, lo, hi in stables)
+
+
 def _survivors(
     screens: list[_Screen], stables: list[_Stable], t: int = 0, f: int = 0
 ) -> Iterator[int]:
-    """The surviving full masks t in lexicographic order (False before
-    True, first event most significant): branch on the lowest open flag,
-    "inconsistent" first."""
+    """The surviving masks t, over the measured flags only: branch on the
+    lowest open measured flag, "inconsistent" first."""
     t, f, clash = _close(screens, stables, t, f)
     if clash:
         return
-    open_ = _ALL_FLAGS & ~(t | f)
+    open_ = _measured(stables) & ~(t | f)
     if not open_:
         yield t
         return
     bit = open_ & -open_
     yield from _survivors(screens, stables, t, f | bit)
     yield from _survivors(screens, stables, t | bit, f)
+
+
+@functools.cache
+def _context_survivors(ctx: Context) -> frozenset[int]:
+    """The full masks surviving one context: its survivors over the flags
+    it measures, each crossed with every submask of the flags it leaves
+    free."""
+    screens, stables = _compile([ctx])
+    free = _ALL_FLAGS & ~_measured(stables)
+    subs = [free]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & free)
+    return frozenset(
+        t | sub for t in _survivors(screens, stables) for sub in subs
+    )
+
+
+@functools.cache
+def _lex_key(t: int) -> int:
+    """Lexicographic order on masks: False before True, first event (the
+    lowest bit) most significant; ``t`` with its bits reversed."""
+    return int(format(t, f"0{len(_BIT)}b")[::-1], 2)
+
+
+@functools.cache
+def _profile(t: int) -> CandidateProfile:
+    return CandidateProfile(flags=tuple(bool(t & b) for b in _BIT.values()))
 
 
 def _derive(
@@ -581,7 +634,7 @@ def _derive(
     t, f, clash = _close(screens, stables, t, f, why)
     if clash:
         return clash
-    open_ = sum(lo | hi for *_, lo, hi in stables) & ~(t | f)
+    open_ = _measured(stables) & ~(t | f)
     bit = open_ & -open_
     ctx = next(ctx for ctx, _, lo, hi in stables if (lo | hi) & bit)
     cases = []
@@ -618,14 +671,22 @@ def _render(proof: _Fact | tuple, shown: set[_Fact]) -> list[_Fact]:
     return out
 
 
+@functools.cache
+def _start(ctx: Context) -> GhzVector:
+    """The start of a derivation from ``ctx``: the paper's when it is a
+    consistent vector of ``ctx``, else the first one."""
+    candidates = consistent_vectors(ctx)
+    if _PREFERRED_START in candidates:
+        return _PREFERRED_START
+    return candidates[0]
+
+
 def _derivation(
     contexts: Sequence[Context], screens: list[_Screen], stables: list[_Stable]
 ) -> ReductioTrace:
     """Derive the contradiction from a consistent vector of the first
     listed context, the paper's start when it is one."""
-    candidates = consistent_vectors(contexts[0])
-    preferred = _PREFERRED_START in candidates
-    start = _PREFERRED_START if preferred else candidates[0]
+    start = _start(contexts[0])
     fact = _fact(
         {}, 0, "cc2-existence", context_label(start.context),
         f"consistent vector {start.label()}",
@@ -669,13 +730,14 @@ def refute_joint_common_cause(
         if name not in structure.events:
             raise ValueError(f"structure lacks outcome event {name!r}")
 
-    screens, stables = _compile(ctx_list)
-    survivors = tuple(
-        CandidateProfile(
-            flags=tuple(bool(t & b) for b in _BIT.values())
-        )
-        for t in _survivors(screens, stables)
-    )
+    # a profile survives the family exactly when it survives each context
+    sets = map(_context_survivors, ctx_list)
+    masks = next(sets, range(_ALL_FLAGS + 1))
+    for ctx_masks in sets:
+        if not masks:
+            break
+        masks = masks & ctx_masks
+    survivors = tuple(map(_profile, sorted(masks, key=_lex_key)))
 
     notes: list[str] = []
     trace: ReductioTrace | None = None
@@ -687,7 +749,7 @@ def refute_joint_common_cause(
             "not establish that a common cause exists"
         )
     else:
-        trace = _derivation(ctx_list, screens, stables)
+        trace = _derivation(ctx_list, *_compile(ctx_list))
         notes.append(
             "every profile violates the existence or screening constraints"
         )

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bstghz.common_cause import (
     _cc_conditions,
+    _nspread_masks,
     atomic_spreads,
     check_common_cause,
     classify_determinism,
@@ -39,7 +40,12 @@ from bstghz.ghz import (
     _BIT,
     _close,
     _compile,
+    _context_rules,
+    _context_survivors,
     _Fact,
+    _lex_key,
+    _profile,
+    _start,
     build_abstract_structure,
     inconsistent_vectors,
     refute_joint_common_cause,
@@ -256,7 +262,7 @@ class TestChecker:
                 terms=tuple(rng.choice(s.outcomes) for s in ns.spreads)
             )
             assert _cc_conditions(
-                m, sigma, ns, vector
+                m, sigma, ns, vector, _nspread_masks(m, ns)
             ) == reference_cc_conditions(m, sigma, ns, vector)
 
 
@@ -445,6 +451,53 @@ class TestProfiles:
             )
             assert [p.flags for p in result.survivors] == oracle, fam
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.sampled_from(ALL_CONTEXTS), min_size=1, max_size=10))
+    def test_any_order_with_repeats_matches_brute_force(self, contexts):
+        result = refute_joint_common_cause(
+            build_abstract_structure(), contexts
+        )
+        family = list(dict.fromkeys(contexts))
+        assert result.contexts == tuple(family)
+        assert [p.flags for p in result.survivors] == brute_force_survivors(
+            OUTCOME_EVENT_ORDER, family_groups(family)
+        )
+
+    def test_survivors_are_the_sorted_intersection_of_singletons(self):
+        alone = {
+            ctx: set(
+                brute_force_survivors(
+                    OUTCOME_EVENT_ORDER, family_groups([ctx])
+                )
+            )
+            for ctx in ALL_CONTEXTS
+        }
+        structure = build_abstract_structure()
+        for fam in EVERY_FAMILY[1:]:
+            result = refute_joint_common_cause(structure, fam)
+            expected = sorted(set.intersection(*(alone[c] for c in fam)))
+            assert [p.flags for p in result.survivors] == expected, fam
+
+    def test_family_result_does_not_depend_on_what_ran_before(self):
+        # the per-context caches fill in whatever order families arrive
+        caches = (
+            _context_rules, _context_survivors, _lex_key, _profile, _start
+        )
+        structure = build_abstract_structure()
+
+        def cold(fam):
+            for cache in caches:
+                cache.cache_clear()
+            return refute_joint_common_cause(structure, fam)
+
+        expected = {fam: cold(fam) for fam in EVERY_FAMILY}
+        for cache in caches:
+            cache.cache_clear()
+        # every family before its member contexts, then after them
+        for fam in [*EVERY_FAMILY[::-1], *EVERY_FAMILY]:
+            got = refute_joint_common_cause(structure, fam)
+            assert got == expected[fam], fam
+
     def test_adding_contexts_only_removes_survivors(self):
         structure = build_abstract_structure()
         base = {
@@ -541,6 +594,11 @@ class TestRefutation:
         result = refute_joint_common_cause(build_abstract_structure(), [])
         assert len(result.survivors) == 4096
         assert any("vacuously" in n for n in result.notes)
+        # every profile, in lexicographic order
+        flags = [p.flags for p in result.survivors]
+        assert flags == list(itertools.product((False, True), repeat=12))
+        assert result.witness.consistent_events() == ()
+        assert result.trace is None
 
     def test_survivor_note_disclaims_existence(self):
         result = refute_joint_common_cause(

@@ -75,3 +75,19 @@ def test_scale_order_prints_one_json_line_per_size():
     assert row["prior_choice"] == "pass"
     for layer in ("build_model", "histories", "prior_choice", "density"):
         assert row[f"{layer}_s"] >= 0
+
+
+def test_scale_refute_prints_one_json_line_per_family_size():
+    proc = run_script("scale_refute.py", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [row["contexts"] for row in rows] == list(range(1, 9))
+    assert [row["families"] for row in rows] == [8, 28, 56, 70, 56, 28, 8, 1]
+    assert [row["refuted"] for row in rows] == [0, 0, 0, 8, 32, 24, 8, 1]
+    for row in rows:
+        for kind, present in (
+            ("refuted", row["refuted"] > 0),
+            ("surviving", row["refuted"] < row["families"]),
+        ):
+            ms = row[f"{kind}_ms"]
+            assert (ms >= 0) if present else (ms is None)

@@ -7,12 +7,14 @@ Usage, from the root of a checkout with ``src`` on ``PYTHONPATH``:
     python3 scripts/scale_refute.py 20      # every family timed 20 times
 
 Every nonempty family of the eight contexts (255 of them) is refuted
-once untimed, which also pays any per-process set-up, and then
-``repeats`` times, each call timed with ``time.perf_counter``.  For each
-family size from 1 to 8 the script prints one JSON line: the number of
-families, how many of them are refuted (no surviving profile), and the
-median milliseconds per call over the refuted and over the surviving
-families of that size (``null`` when there are none).
+once, cold, and then ``repeats`` times, each call timed with
+``time.perf_counter``.  The first call pays whatever per-context set-up
+the process has not cached yet, so that cost shows in the size-1 row.
+For each family size from 1 to 8 the script prints one JSON line: the
+number of families, how many of them are refuted (no surviving profile),
+the median milliseconds per call over the refuted and over the surviving
+families of that size (``null`` when there are none), and the median
+milliseconds of the first calls (``first_ms``).
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ def measure(repeats: int) -> list[dict]:
         times: dict[bool, list[float]] = {True: [], False: []}
         families = list(itertools.combinations(ALL_CONTEXTS, size))
         refuted = 0
+        first = []
         for fam in families:
+            t0 = time.perf_counter()
             dead = not refute_joint_common_cause(structure, fam).survivors
+            first.append(time.perf_counter() - t0)
             refuted += dead
             for _ in range(repeats):
                 t0 = time.perf_counter()
@@ -59,6 +64,7 @@ def measure(repeats: int) -> list[dict]:
                     )
                     for kind, dead in (("refuted", True), ("surviving", False))
                 },
+                "first_ms": statistics.median(first) * 1000,
             }
         )
     return rows

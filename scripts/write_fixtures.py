@@ -126,6 +126,10 @@ GOLDEN_COMMANDS: list[list[str]] = [
     *_both_formats("ghz", "refute", "--contexts", _THEOREM),
     ["ghz", "refute", "--contexts", _THEOREM, "--trace"],
     ["ghz", "refute", "--contexts", "xyy,yxy,yyx,xxx", "--trace"],
+    [
+        "--format", "json", "ghz", "refute", "--contexts", "xxy,xyx,yxx,yyy",
+        "--trace",
+    ],
     *_both_formats("ghz", "refute", "--contexts", "xxx,yyy", "--trace"),
     *_both_formats("ghz", "refute", "--contexts", "xxx"),
     ["ghz", "refute", "--contexts", "yyy,xxx,yyy"],

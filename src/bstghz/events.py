@@ -31,9 +31,10 @@ histories containing it in full, which realize it as an initial, and the
 OR the histories overlapping it, which realize it as an outcome.  A query
 is consistent when the AND of its events' masks is nonzero, and an event
 is stable when its AND equals its OR.  Each event's chain check runs once
-per model and is memoised on the model with both history masks; only
-passed checks are kept, so a misclassified event raises every time.
-Violations are worded only after a mask test has failed.
+per model and is memoised on the model with both history masks, and so
+is each spread's validation; only passes are kept, so a misclassified
+event or an invalid spread raises every time.  Violations are worded
+only after a mask test has failed.
 """
 
 from __future__ import annotations
@@ -269,13 +270,18 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
 def _require_valid(
     model: CausalModel, spreads: Iterable[Spread], noun: str = "spread"
 ) -> None:
+    """Raise :class:`InvalidSpread` at the first invalid spread; a pass
+    is memoised on the model, keyed by the spread."""
     for s in spreads:
+        if (_require_valid, s) in model.memo:
+            continue
         report = validate_spread(model, s)
         if not report.ok:
             raise InvalidSpread(
                 f"{noun} at {s.initial.name!r} is invalid: "
                 + "; ".join(report.violations)
             )
+        model.memo[_require_valid, s] = True
 
 
 def enumerate_outcome_vectors(ns: NSpread) -> tuple[OutcomeVector, ...]:

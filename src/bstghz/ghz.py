@@ -32,26 +32,29 @@ three terms are all flagged consistent; condition cc3 forbids any parity
 inconsistent vector from being fully flagged.  cc1 is deliberately
 unused: the refutation does not need causal priority.
 
-One propagation engine over the twelve flags (unit propagation with
-case splits, after Davis, Logemann and Loveland) finds the survivors
-and, when there are none, derives the contradiction.
-Its contradictions, on a full profile exactly the survival conditions,
-are an inconsistent vector with every term flagged consistent (cc3) and
-a measured station/axis with both outcomes flagged inconsistent (cc2
-through its stable initial); its forced steps are screening and
-settling (see ``_close``).  Each contradiction rule belongs to one
-context, and a station/axis measured in two contexts gives the same rule
-in both, so a profile survives a family exactly when it survives each of
-its contexts.  The engine therefore runs once per context, branching
-only on the six flags the context measures; its survivors, crossed with
-every setting of the six flags it leaves free, are the context's
-survivor set.  A family's survivors are the intersection of its
-contexts' sets, listed in lexicographic order.  A
-refuted family gets a derivation from the same search: it starts from a
-consistent vector of the first listed context, records one
-justification per derived fact, and prints the facts each contradiction
-rests on.  The paper's start x+1, x-2, x+3 is preferred, so the
-xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
+A profile survives a context when it meets the context's survival
+conditions: each station/axis measured has an outcome flagged consistent
+(cc2 through its stable initial), and no inconsistent vector has every
+term flagged consistent (cc3).  A station/axis measured in two contexts
+gives the same condition in both, so a profile survives a family exactly
+when it survives each of its contexts: a family's survivors are the
+intersection of per-context sets, each read off the conditions over the
+six flags the context measures and crossed with every setting of the six
+it leaves free.  Masks give the first outcome event the most significant
+bit, so they sort in the lexicographic order of their profiles.
+
+Only a refuted family's derivation searches.  One propagation engine
+over the twelve flags (unit propagation with case splits, after Davis,
+Logemann and Loveland) derives the contradiction.  Its contradictions,
+on a full profile exactly the violated survival conditions, are a fully
+flagged inconsistent vector and a measured station/axis with both
+outcomes flagged inconsistent; its forced steps are screening and
+settling (see ``_close``).  The derivation starts from a consistent
+vector of the first listed context, records one justification per
+derived fact, splits on the first open measured event when saturation
+stalls, and prints the facts each contradiction rests on.  The paper's
+start x+1, x-2, x+3 is preferred, so the xxx/xxy/xyy/xyx family replays
+Mermin's derivation step for step.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .document import ModelDocument, model_document
 from .events import Event, NSpread, Spread
@@ -453,7 +456,12 @@ class _Fact:
 
 # The paper's start, x+1, x-2, x+3: preferred whenever it is a candidate.
 _PREFERRED_START = GhzVector(context=("x", "x", "x"), signs=(1, -1, 1))
-_BIT = {n: 1 << k for k, n in enumerate(OUTCOME_EVENT_ORDER)}
+# The first event gets the most significant bit, so integer order on masks
+# is the lexicographic order on profiles, False before True.
+_BIT = {
+    n: 1 << len(OUTCOME_EVENT_ORDER) - 1 - k
+    for k, n in enumerate(OUTCOME_EVENT_ORDER)
+}
 _ALL_FLAGS = (1 << len(OUTCOME_EVENT_ORDER)) - 1
 _IS = "the candidate outcome is "
 # Compiled rules: a screen per inconsistent vector of a listed context,
@@ -465,7 +473,7 @@ _Stable = tuple[str, str, int, int]
 
 
 def _name(bit: int) -> str:
-    return OUTCOME_EVENT_ORDER[bit.bit_length() - 1]
+    return OUTCOME_EVENT_ORDER[-bit.bit_length()]
 
 
 def _fact(
@@ -518,28 +526,28 @@ def _close(
     stables: list[_Stable],
     t: int,
     f: int,
-    why: dict[int, _Fact] | None = None,
+    why: dict[int, _Fact],
 ) -> tuple[int, int, _Fact | bool]:
     """Saturate t (flagged consistent) and f (flagged inconsistent).
 
     Contradictions are checked first.  Otherwise one forced step is taken
     and the scan restarts: screening (an inconsistent vector with all
     terms but one in t puts the last in f), else settling (a station/axis
-    with one outcome in f puts the other in t).  Returns the flags and the
-    contradiction, False if none; with ``why``, each derived flag's fact
-    is recorded there and the contradiction comes back as a fact.
+    with one outcome in f puts the other in t).  Each derived flag's fact
+    is recorded in ``why``.  Returns the flags and the contradiction's
+    fact, False if none.
     """
     while True:
         for ctx, detail, m in screens:
             if t & m == m:
-                return t, f, why is None or _fact(
+                return t, f, _fact(
                     why, m, "contradiction", ctx, detail,
                     "every term of an inconsistent vector came out "
                     "consistent",
                 )
         for ctx, stable, lo, hi in stables:
             if f & lo and f & hi:
-                return t, f, why is None or _fact(
+                return t, f, _fact(
                     why, lo | hi, "contradiction", ctx,
                     f"stable event {stable}",
                     f"{_IS}inconsistent with both {_name(lo)} and "
@@ -550,70 +558,51 @@ def _close(
             rest = m & ~t
             if rest & (rest - 1) == 0 and not rest & f:
                 f |= rest
-                if why is not None:
-                    why[rest] = _fact(
-                        why, m & ~rest, "cc3-screening", ctx, detail,
-                        f"{_IS}inconsistent with {_name(rest)}",
-                    )
+                why[rest] = _fact(
+                    why, m & ~rest, "cc3-screening", ctx, detail,
+                    f"{_IS}inconsistent with {_name(rest)}",
+                )
                 break
         else:
             for ctx, stable, lo, hi in stables:
                 settled = (lo | hi) & ~f
                 if settled != lo | hi and not t & settled:
                     t |= settled
-                    if why is not None:
-                        why[settled] = _fact(
-                            why, (lo | hi) & f, "cc2-existence", ctx,
-                            f"stable initial {stable} branches to {_name(lo)} "
-                            f"or {_name(hi)}",
-                            f"{_IS}consistent with {_name(settled)}",
-                        )
+                    why[settled] = _fact(
+                        why, (lo | hi) & f, "cc2-existence", ctx,
+                        f"stable initial {stable} branches to {_name(lo)} "
+                        f"or {_name(hi)}",
+                        f"{_IS}consistent with {_name(settled)}",
+                    )
                     break
             else:
                 return t, f, False
 
 
-def _measured(stables: list[_Stable]) -> int:
+def _measured(stables: Iterable[_Stable]) -> int:
     return sum(lo | hi for *_, lo, hi in stables)
-
-
-def _survivors(
-    screens: list[_Screen], stables: list[_Stable], t: int = 0, f: int = 0
-) -> Iterator[int]:
-    """The surviving masks t, over the measured flags only: branch on the
-    lowest open measured flag, "inconsistent" first."""
-    t, f, clash = _close(screens, stables, t, f)
-    if clash:
-        return
-    open_ = _measured(stables) & ~(t | f)
-    if not open_:
-        yield t
-        return
-    bit = open_ & -open_
-    yield from _survivors(screens, stables, t, f | bit)
-    yield from _survivors(screens, stables, t | bit, f)
 
 
 @functools.cache
 def _context_survivors(ctx: Context) -> frozenset[int]:
-    """The full masks surviving one context: its survivors over the flags
-    it measures, each crossed with every submask of the flags it leaves
-    free."""
-    screens, stables = _compile([ctx])
+    """The full masks surviving one context, read off the survival
+    conditions: every stable has an outcome flagged consistent, and no
+    screen has all its terms flagged.  Each setting of the measured flags
+    that meets both is crossed with every setting of the free flags."""
+    screens, stables = _context_rules(ctx)
     free = _ALL_FLAGS & ~_measured(stables)
     subs = [free]
     while subs[-1]:
         subs.append((subs[-1] - 1) & free)
+    # a stable's flagged outcomes: the minus one, the plus one, or both;
+    # both fail a parity screen, but not in a context with no screens
+    flagged = itertools.product(*((lo, hi, lo | hi) for *_, lo, hi in stables))
     return frozenset(
-        t | sub for t in _survivors(screens, stables) for sub in subs
+        t | sub
+        for t in map(sum, flagged)
+        if not any(t & m == m for *_, m in screens)
+        for sub in subs
     )
-
-
-@functools.cache
-def _lex_key(t: int) -> int:
-    """Lexicographic order on masks: False before True, first event (the
-    lowest bit) most significant; ``t`` with its bits reversed."""
-    return int(format(t, f"0{len(_BIT)}b")[::-1], 2)
 
 
 @functools.cache
@@ -629,13 +618,13 @@ def _derive(
     why: dict[int, _Fact],
 ) -> _Fact | tuple:
     """A closed proof: the contradiction, or, when saturation stalls, the
-    (case, proof) pairs of a split on the lowest open measured flag,
+    (case, proof) pairs of a split on the first open measured event,
     "inconsistent" first.  On a refuted family every branch closes."""
     t, f, clash = _close(screens, stables, t, f, why)
     if clash:
         return clash
     open_ = _measured(stables) & ~(t | f)
-    bit = open_ & -open_
+    bit = 1 << open_.bit_length() - 1
     ctx = next(ctx for ctx, _, lo, hi in stables if (lo | hi) & bit)
     cases = []
     for kind, t_bit, f_bit in ("inconsistent", 0, bit), ("consistent", bit, 0):
@@ -737,7 +726,7 @@ def refute_joint_common_cause(
         if not masks:
             break
         masks = masks & ctx_masks
-    survivors = tuple(map(_profile, sorted(masks, key=_lex_key)))
+    survivors = tuple(map(_profile, sorted(masks)))
 
     notes: list[str] = []
     trace: ReductioTrace | None = None

@@ -1,12 +1,15 @@
 """Screening conditions, the profile refutation, and determinism levels."""
 
+import collections
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bstghz import events
 from bstghz.common_cause import (
     _cc_conditions,
     _nspread_masks,
@@ -28,7 +31,9 @@ from bstghz.events import (
     Spread,
     consistency_grade,
     enumerate_outcome_vectors,
+    validate_spread,
 )
+from bstghz.document import load_document, resolve_document
 from bstghz.ghz import (
     ALL_CONTEXTS,
     OMEGA_CONSTRAINTS,
@@ -43,10 +48,10 @@ from bstghz.ghz import (
     _context_rules,
     _context_survivors,
     _Fact,
-    _lex_key,
     _profile,
     _start,
     build_abstract_structure,
+    build_concrete_model,
     inconsistent_vectors,
     refute_joint_common_cause,
 )
@@ -224,6 +229,44 @@ class TestChecker:
             check_common_cause(
                 toy.model, partial, toy.station_nspread, toy.inconsistent[0]
             )
+
+    def test_each_spread_is_validated_once_per_model(self, monkeypatch):
+        model, structure = build_concrete_model()
+        ns = structure.context_nspread(("x", "x", "y"))
+        sigma = structure.spreads["sigma_1"]
+        vector = OutcomeVector(
+            terms=tuple(structure.events[n] for n in ("x+1", "x+2", "y-3"))
+        )
+        calls = collections.Counter()
+
+        def counting(model, spread):
+            calls[spread] += 1
+            return validate_spread(model, spread)
+
+        monkeypatch.setattr(events, "validate_spread", counting)
+        for _ in range(3):
+            consistency_grade(model, ns)
+        for _ in range(2):
+            check_common_cause(model, sigma, ns, vector)
+        assert calls == dict.fromkeys([*ns.spreads, sigma], 1)
+
+    def test_an_invalid_candidate_raises_alike_every_time(self):
+        resolved = resolve_document(
+            load_document(Path(__file__).parent / "golden" / "spreads.json")
+        )
+        ns = resolved.nspreads["Sigma_ab"]
+        vector = OutcomeVector(
+            terms=(resolved.events["Am"], resolved.events["Bm"])
+        )
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidSpread) as raised:
+                check_common_cause(
+                    resolved.model, resolved.spreads["bad_i"], ns, vector
+                )
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("candidate spread at 'A' is invalid")
 
     def test_foreign_vector_rejected(self, toy):
         wrong_len = OutcomeVector(terms=(toy.events["a-"],))
@@ -403,6 +446,13 @@ class TestProfiles:
         assert list(d) == list(OUTCOME_EVENT_ORDER)
         assert d["x+1"] and d["y-3"] and not d["x-1"]
 
+    @given(
+        st.integers(min_value=0, max_value=4095),
+        st.integers(min_value=0, max_value=4095),
+    )
+    def test_integer_order_is_lexicographic_order(self, a, b):
+        assert (a < b) == (_profile(a).flags < _profile(b).flags)
+
     def test_surviving_profiles_tiny_case(self):
         out = brute_force_survivors(
             ["e1", "e2"], [([("e1",)], [("e2",)])]
@@ -480,9 +530,7 @@ class TestProfiles:
 
     def test_family_result_does_not_depend_on_what_ran_before(self):
         # the per-context caches fill in whatever order families arrive
-        caches = (
-            _context_rules, _context_survivors, _lex_key, _profile, _start
-        )
+        caches = (_context_rules, _context_survivors, _profile, _start)
         structure = build_abstract_structure()
 
         def cold(fam):
@@ -611,6 +659,12 @@ def flagged(*names):
     return sum(_BIT[n] for n in names)
 
 
+def given_facts(*names):
+    """A ``why`` holding a given fact for each starting flag."""
+    fact = _Fact(TraceStep("cc2-existence", "xxx", "given", "given"))
+    return {_BIT[n]: fact for n in names}
+
+
 class TestPropagation:
     """The closure on states the refutation itself never builds: screening
     fires before a vector can fill up, so the cc3 contradiction is only
@@ -619,9 +673,7 @@ class TestPropagation:
     def test_a_fully_consistent_inconsistent_vector_is_a_contradiction(self):
         screens, stables = _compile([("x", "x", "x")])
         t = flagged("x-1", "x-2", "x+3")
-        assert _close(screens, stables, t, 0)[2] is True
-        given = _Fact(TraceStep("cc2-existence", "xxx", "given", "given"))
-        why = {_BIT[n]: given for n in ("x-1", "x-2", "x+3")}
+        why = given_facts("x-1", "x-2", "x+3")
         clash = _close(screens, stables, t, 0, why)[2]
         assert clash.step == TraceStep(
             "contradiction",
@@ -629,16 +681,18 @@ class TestPropagation:
             "inconsistent vector xxx:--+",
             "every term of an inconsistent vector came out consistent",
         )
-        assert clash.premises == (given,) * 3
+        assert clash.premises == (why[_BIT["x-1"]],) * 3
 
     def test_settling_and_screening_are_forced_steps(self):
         screens, stables = _compile([("x", "x", "y")])
-        assert _close(screens, stables, 0, flagged("x-1")) == (
+        why = given_facts("x-1")
+        assert _close(screens, stables, 0, flagged("x-1"), why) == (
             flagged("x+1"), flagged("x-1"), False
         )
         # xxy:++- screens y-3 and y+3 settles; then xxy:+-+ and xxy:-++
         # screen x-2 and x-1
-        assert _close(screens, stables, flagged("x+1", "x+2"), 0) == (
+        why = given_facts("x+1", "x+2")
+        assert _close(screens, stables, flagged("x+1", "x+2"), 0, why) == (
             flagged("x+1", "x+2", "y+3"), flagged("y-3", "x-2", "x-1"), False
         )
 

@@ -5,8 +5,8 @@ each command, recorded by ``scripts/write_fixtures.py`` from the
 repository root.  A refactor that keeps behaviour keeps this file as it
 is; an intended change to the output regenerates it.  The ``check-cc``
 search on both fixtures, a failing single-vector check, the traced
-refutations (the eight-context family in JSON) and the JSON oracle
-report are replayed under ``python -O`` as well.
+refutations (the eight-context family and xxy,xyx,yxx,yyy in JSON) and
+the JSON oracle report are replayed under ``python -O`` as well.
 """
 
 import json
@@ -60,6 +60,15 @@ OPTIMIZED = [
     ],
     ["ghz", "refute", "--contexts", "xxx,xxy,xyy,xyx", "--trace"],
     ["ghz", "refute", "--contexts", "xyy,yxy,yyx,xxx", "--trace"],
+    [
+        "--format",
+        "json",
+        "ghz",
+        "refute",
+        "--contexts",
+        "xxy,xyx,yxx,yyy",
+        "--trace",
+    ],
     ["ghz", "refute", "--contexts", "xxx,yyy", "--trace"],
     [
         "--format",

@@ -91,3 +91,4 @@ def test_scale_refute_prints_one_json_line_per_family_size():
         ):
             ms = row[f"{kind}_ms"]
             assert (ms >= 0) if present else (ms is None)
+        assert row["first_ms"] >= 0

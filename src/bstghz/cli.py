@@ -26,7 +26,6 @@ from .errors import BadFlag, BstError, UnknownReference
 from .events import OutcomeVector, consistency_grade, validate_spread
 from .ghz import (
     ALL_CONTEXTS,
-    OMEGA_CONSTRAINTS,
     build_abstract_structure,
     context_label,
     parse_context,

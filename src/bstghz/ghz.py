@@ -52,9 +52,9 @@ outcomes flagged inconsistent; its forced steps are screening and
 settling (see ``_close``).  The derivation starts from a consistent
 vector of the first listed context, records one justification per
 derived fact, splits on the first open measured event when saturation
-stalls, and prints the facts each contradiction rests on.  The paper's
-start x+1, x-2, x+3 is preferred, so the xxx/xxy/xyy/xyx family replays
-Mermin's derivation step for step.
+stalls, and lays out the facts each contradiction rests on as it is
+reached.  The paper's start x+1, x-2, x+3 is preferred, so the
+xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
 """
 
 from __future__ import annotations
@@ -272,28 +272,24 @@ def terminal_name(vector: GhzVector) -> str:
 def build_concrete_model() -> tuple[CausalModel, GhzStructure]:
     """An explicit 53-point model realizing the parity rule.
 
-    Per station: an initial point below two axis points, each below its
-    two sign points (7 points, 21 total).  On top, one terminal point per
-    parity consistent joint outcome (32 more), above exactly the three
-    matching sign points.  Histories are then exactly the down-closures of
-    the terminals, so history-based consistency of joint outcomes agrees
-    with :func:`parity_consistent` by construction.
+    Its first 21 points are the members of the abstract structure's
+    events, each spread's initial below each of its outcomes: per station,
+    an initial point below two axis points, each below its two sign points
+    (the star spreads' pairs follow by transitivity).  On top, one terminal
+    point per parity consistent joint outcome (32 more), above exactly the
+    three matching sign points.  Histories are then exactly the
+    down-closures of the terminals, so history-based consistency of joint
+    outcomes agrees with :func:`parity_consistent` by construction.
     """
     structure = build_abstract_structure()
-    points: list[str] = []
-    pairs: list[tuple[str, str]] = []
-
-    for i in STATIONS:
-        ini = initial_name(i)
-        points.append(ini)
-        for a in AXES:
-            ax = stable_name(i, a)
-            points.append(ax)
-            pairs.append((ini, ax))
-            for s in SIGNS:
-                out = outcome_name(i, a, s)
-                points.append(out)
-                pairs.append((ax, out))
+    points = [p for ev in structure.events.values() for p in ev.members]
+    pairs = [
+        (p, q)
+        for spread in structure.spreads.values()
+        for out in spread.outcomes
+        for p in spread.initial.members
+        for q in out.members
+    ]
 
     for ctx in ALL_CONTEXTS:
         for v in consistent_vectors(ctx):
@@ -616,48 +612,41 @@ def _derive(
     t: int,
     f: int,
     why: dict[int, _Fact],
-) -> _Fact | tuple:
-    """A closed proof: the contradiction, or, when saturation stalls, the
-    (case, proof) pairs of a split on the first open measured event,
-    "inconsistent" first.  On a refuted family every branch closes."""
+    shown: frozenset[_Fact],
+) -> list[_Fact]:
+    """The steps of a closed derivation, leaving out the facts in ``shown``.
+
+    On a contradiction: the facts it rests on, each after its premises,
+    premises visited last first.  When saturation stalls: a split on the
+    first open measured event, each case ("inconsistent" first) followed
+    by the steps of its branch.  On a refuted family every branch closes.
+    """
     t, f, clash = _close(screens, stables, t, f, why)
+    steps: list[_Fact] = []
     if clash:
-        return clash
+
+        def visit(fact: _Fact) -> None:
+            if fact not in shown and fact not in steps:
+                for premise in reversed(fact.premises):
+                    visit(premise)
+                steps.append(fact)
+
+        visit(clash)
+        return steps
     open_ = _measured(stables) & ~(t | f)
     bit = 1 << open_.bit_length() - 1
     ctx = next(ctx for ctx, _, lo, hi in stables if (lo | hi) & bit)
-    cases = []
     for kind, t_bit, f_bit in ("inconsistent", 0, bit), ("consistent", bit, 0):
         case = _fact(
             why, 0, "case-split", ctx, f"case split on {_name(bit)}",
             f"suppose {_IS}{kind} with {_name(bit)}",
         )
-        sub = {**why, bit: case}
-        proof = _derive(screens, stables, t | t_bit, f | f_bit, sub)
-        cases.append((case, proof))
-    return tuple(cases)
-
-
-def _render(proof: _Fact | tuple, shown: set[_Fact]) -> list[_Fact]:
-    """Lay a proof out as the facts not yet shown that it rests on, each
-    after its premises, premises visited last first; a split lays out each
-    case and then its branch."""
-    if isinstance(proof, tuple):
-        return [
-            fact
-            for case, branch in proof
-            for fact in [case] + _render(branch, shown | {case})
-        ]
-    out: list[_Fact] = []
-
-    def visit(fact: _Fact) -> None:
-        if fact not in shown and fact not in out:
-            for premise in reversed(fact.premises):
-                visit(premise)
-            out.append(fact)
-
-    visit(proof)
-    return out
+        steps.append(case)
+        steps += _derive(
+            screens, stables, t | t_bit, f | f_bit, {**why, bit: case},
+            shown | {case},
+        )
+    return steps
 
 
 @functools.cache
@@ -682,8 +671,9 @@ def _derivation(
         f"{_IS}consistent with each of " + ", ".join(start.outcome_names),
     )
     why = {_BIT[n]: fact for n in start.outcome_names}
-    proof = _derive(screens, stables, sum(why), 0, why)
-    steps = [fact] + _render(proof, {fact})
+    steps = [fact] + _derive(
+        screens, stables, sum(why), 0, why, frozenset({fact})
+    )
     return ReductioTrace(steps=tuple(n.step for n in steps), complete=True)
 
 

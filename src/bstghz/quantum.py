@@ -30,7 +30,6 @@ from .ghz import (
     ALL_CONTEXTS,
     AXES,
     OMEGA_CONSTRAINTS,
-    SIGNS,
     STATIONS,
     Context,
     GhzVector,
@@ -183,10 +182,7 @@ def _born(context: Context, signs: SignVector, state: QubitState) -> Fraction:
 @lru_cache(maxsize=None)
 def outcome_probability(context: Context, signs: SignVector) -> Fraction:
     """Born probability of the joint sign outcome under the axis context."""
-    if len(context) != _QUBITS or any(a not in AXES for a in context):
-        raise ValueError(f"bad context: {context!r}")
-    if len(signs) != _QUBITS or any(s not in SIGNS for s in signs):
-        raise ValueError(f"bad signs: {signs!r}")
+    GhzVector(context, signs)  # raises "bad context" or "bad signs"
     return _born(context, signs, ghz_state())
 
 

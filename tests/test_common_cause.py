@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -52,8 +53,10 @@ from bstghz.ghz import (
     _start,
     build_abstract_structure,
     build_concrete_model,
+    consistent_vectors,
     inconsistent_vectors,
     refute_joint_common_cause,
+    value_assignment_search,
 )
 from bstghz.model import build_model
 
@@ -616,13 +619,32 @@ class TestRefutation:
         structure = build_abstract_structure()
         refuted = 0
         for fam in EVERY_FAMILY[1:]:
+            for listing in (fam, fam[::-1]):
+                result = refute_joint_common_cause(structure, listing)
+                if result.survivors:
+                    assert result.trace is None
+                    continue
+                refuted += 1
+                assert result.trace.complete
+                assert check_derivation(listing, result.trace) >= 1, listing
+        assert refuted == 2 * 73
+
+    def test_refuted_exactly_when_no_values_can_be_preassigned(self):
+        # the lemma behind a certificate: a family refutes a joint common
+        # cause exactly when its parity products admit no value assignment
+        structure = build_abstract_structure()
+        refuted = 0
+        for fam in EVERY_FAMILY[1:]:
+            constraints = []
+            for ctx in fam:
+                vectors = consistent_vectors(ctx)
+                products = {math.prod(v.signs) for v in vectors}
+                assert len(products) == 1, ctx
+                constraints.append((ctx, products.pop()))
+            unassignable = value_assignment_search(constraints).satisfying == 0
             result = refute_joint_common_cause(structure, fam)
-            if result.survivors:
-                assert result.trace is None
-                continue
-            refuted += 1
-            assert result.trace.complete
-            assert check_derivation(fam, result.trace) >= 1, fam
+            assert (result.survivors == ()) == unassignable, fam
+            refuted += unassignable
         assert refuted == 73
 
     def test_duplicate_contexts_are_collapsed(self):

@@ -95,6 +95,27 @@ def test_generic_layer_imports_no_scenario():
     assert offenders == {}
 
 
+def test_source_imports_only_names_it_uses():
+    """Each name a module imports is read there, as a name or as the base
+    of an attribute; ``__init__`` imports only to re-export."""
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(f"{path.name}: {bound}")
+    assert unused == []
+
+
 def test_import_leaves_numpy_unloaded():
     proc = python(
         "-c", "import sys, bstghz; print('numpy' in sys.modules)"

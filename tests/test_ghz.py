@@ -63,9 +63,9 @@ class TestLabels:
                 parse_context(bad)
 
     def test_vector_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad context"):
             GhzVector(context=("x", "x", "z"), signs=(1, 1, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad signs"):
             GhzVector(context=("x", "x", "x"), signs=(1, 0, 1))
 
     def test_all_contexts_enumeration(self):

@@ -179,9 +179,9 @@ class TestProbabilities:
             assert sum(context_distribution(ctx).values()) == Fraction(1)
 
     def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad context"):
             outcome_probability(("x", "z", "x"), (1, 1, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad signs"):
             outcome_probability(("x", "x", "x"), (1, 0, 1))
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from .common_cause import check_common_cause, search_common_causes
 from .document import (
@@ -162,22 +162,12 @@ def cmd_ghz_refute(args: argparse.Namespace) -> Report:
         events = ",".join(result.witness.consistent_events())
         findings.append(f"witness: {events or '(all flags false)'}")
     findings.extend(f"note: {n}" for n in result.notes)
-    trace_payload = []
-    if args.trace and result.trace is not None:
-        for i, step in enumerate(result.trace.steps, start=1):
-            findings.append(
-                f"trace {i}: [{step.rule} {step.context}] {step.conclusion}"
-            )
-    if result.trace is not None:
-        trace_payload = [
-            {
-                "rule": s.rule,
-                "context": s.context,
-                "detail": s.detail,
-                "conclusion": s.conclusion,
-            }
-            for s in result.trace.steps
-        ]
+    steps = result.trace.steps if result.trace else ()
+    if args.trace:
+        findings.extend(
+            f"trace {i}: [{s.rule} {s.context}] {s.conclusion}"
+            for i, s in enumerate(steps, start=1)
+        )
     return Report(
         command="ghz refute",
         status="pass" if not result.survivors else "fail",
@@ -189,7 +179,7 @@ def cmd_ghz_refute(args: argparse.Namespace) -> Report:
             "witness": (
                 result.witness.as_dict() if result.witness else None
             ),
-            "trace": trace_payload,
+            "trace": [asdict(s) for s in steps],
             "trace_complete": (
                 result.trace.complete if result.trace else None
             ),
@@ -301,7 +291,7 @@ def cmd_ghz_oracle(args: argparse.Namespace) -> Report:
     )
 
 
-def _lookup(mapping: dict[str, Any], name: str, kind: str) -> Any:
+def _lookup(mapping: Mapping[str, Any], name: str, kind: str) -> Any:
     if name not in mapping:
         raise UnknownReference(f"document declares no {kind} named {name!r}")
     return mapping[name]
@@ -317,7 +307,7 @@ def cmd_check_cc(args: argparse.Namespace) -> Report:
         ns_list = []
         vectors = []
         for name in ns_names:
-            ns = _lookup(dict(resolved.nspreads), name, "nspread")
+            ns = _lookup(resolved.nspreads, name, "nspread")
             for v in consistency_grade(model, ns).inconsistent_vectors:
                 ns_list.append(ns)
                 vectors.append(v)
@@ -346,12 +336,10 @@ def cmd_check_cc(args: argparse.Namespace) -> Report:
 
     if args.spread is None or args.nspread is None or args.vector is None:
         raise BadFlag("check-cc needs --spread, --nspread and --vector")
-    sigma = _lookup(dict(resolved.spreads), args.spread, "spread")
-    ns = _lookup(dict(resolved.nspreads), args.nspread, "nspread")
+    sigma = _lookup(resolved.spreads, args.spread, "spread")
+    ns = _lookup(resolved.nspreads, args.nspread, "nspread")
     term_names = [n for n in args.vector.split(",") if n]
-    terms = tuple(
-        _lookup(dict(resolved.events), n, "event") for n in term_names
-    )
+    terms = tuple(_lookup(resolved.events, n, "event") for n in term_names)
     report = check_common_cause(model, sigma, ns, OutcomeVector(terms=terms))
     findings = [f"vector: {','.join(report.vector)}"]
     for label, cond in (

@@ -6,6 +6,9 @@ pairs, lower first), ``events`` (name to member points), ``spreads``
 ``nspreads`` (name to ordered spread names), plus a ``version`` tag.
 Dumps are canonical (sorted keys, two-space indent, trailing newline) so
 identical documents serialize to identical bytes.
+
+Parsing and resolving check the document in document order and report
+the first offender; each check words its message only when it fails.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import ParseError, UnknownReference
 from .events import Event, NSpread, Spread
@@ -46,89 +49,86 @@ class ResolvedModel:
     nspreads: Mapping[str, NSpread]
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParseError(message)
-
-
-def _string_list(raw: Any, where: str) -> tuple[str, ...]:
-    _expect(isinstance(raw, list), f"{where} must be a list")
-    for item in raw:
-        _expect(isinstance(item, str), f"{where} must contain strings")
+def _string_list(raw: Any, where: str, *names: str) -> tuple[str, ...]:
+    """``raw`` as strings; the error names it ``where.format(*names)``."""
+    if not isinstance(raw, list):
+        raise ParseError(f"{where.format(*names)} must be a list")
+    if not all(isinstance(item, str) for item in raw):
+        raise ParseError(f"{where.format(*names)} must contain strings")
     return tuple(raw)
 
 
+def _object(raw: Any, where: str, *names: str) -> dict[str, Any]:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where.format(*names)} must be an object")
+    return raw
+
+
+def _first_repeat(items: Iterable[str]) -> str:
+    seen: set[str] = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    raise AssertionError("no repeated item")
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    obj: dict[str, Any] = {}
-    for key, value in pairs:
-        _expect(key not in obj, f"duplicate key: {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeat = _first_repeat(key for key, _ in pairs)
+        raise ParseError(f"duplicate key: {repeat!r}")
     return obj
 
 
 def parse_document(text: str) -> ModelDocument:
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    _expect(isinstance(raw, dict), "document must be a JSON object")
+    if not isinstance(raw, dict):
+        raise ParseError("document must be a JSON object")
     for key in ("version", "points", "order", "events", "spreads", "nspreads"):
-        _expect(key in raw, f"missing field: {key}")
+        if key not in raw:
+            raise ParseError(f"missing field: {key}")
     version = raw["version"]
-    _expect(
-        type(version) is int and version == SCHEMA_VERSION,
-        "unsupported document version",
-    )
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ParseError("unsupported document version")
 
     points = _string_list(raw["points"], "points")
 
-    _expect(isinstance(raw["order"], list), "order must be a list")
+    if not isinstance(raw["order"], list):
+        raise ParseError("order must be a list")
     order = []
     for pair in raw["order"]:
-        _expect(
-            isinstance(pair, list) and len(pair) == 2,
-            "order entries must be [lower, upper] pairs",
-        )
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError("order entries must be [lower, upper] pairs")
         a, b = pair
-        _expect(
-            isinstance(a, str) and isinstance(b, str),
-            "order entries must name points",
-        )
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ParseError("order entries must name points")
         order.append((a, b))
 
-    _expect(isinstance(raw["events"], dict), "events must be an object")
     events: dict[str, tuple[str, ...]] = {}
-    for name, members in raw["events"].items():
-        listed = _string_list(members, f"event {name!r}")
-        seen: set[str] = set()
-        for p in listed:
-            _expect(p not in seen, f"event {name!r} lists {p!r} twice")
-            seen.add(p)
+    for name, members in _object(raw["events"], "events").items():
+        listed = _string_list(members, "event {!r}", name)
+        if len(set(listed)) < len(listed):
+            repeat = _first_repeat(listed)
+            raise ParseError(f"event {name!r} lists {repeat!r} twice")
         events[name] = listed
 
-    _expect(isinstance(raw["spreads"], dict), "spreads must be an object")
     spreads = {}
-    for name, body in raw["spreads"].items():
-        _expect(isinstance(body, dict), f"spread {name!r} must be an object")
-        _expect(
-            "initial" in body and "outcomes" in body,
-            f"spread {name!r} needs initial and outcomes",
-        )
-        _expect(
-            isinstance(body["initial"], str),
-            f"spread {name!r}: initial must name an event",
-        )
-        spreads[name] = SpreadDoc(
-            initial=body["initial"],
-            outcomes=_string_list(
-                body["outcomes"], f"spread {name!r} outcomes"
-            ),
-        )
+    for name, body in _object(raw["spreads"], "spreads").items():
+        _object(body, "spread {!r}", name)
+        if "initial" not in body or "outcomes" not in body:
+            raise ParseError(f"spread {name!r} needs initial and outcomes")
+        if not isinstance(body["initial"], str):
+            raise ParseError(f"spread {name!r}: initial must name an event")
+        outcomes = _string_list(body["outcomes"], "spread {!r} outcomes", name)
+        spreads[name] = SpreadDoc(initial=body["initial"], outcomes=outcomes)
 
-    _expect(isinstance(raw["nspreads"], dict), "nspreads must be an object")
     nspreads = {
-        name: _string_list(body, f"nspread {name!r}")
-        for name, body in raw["nspreads"].items()
+        name: _string_list(body, "nspread {!r}", name)
+        for name, body in _object(raw["nspreads"], "nspreads").items()
     }
 
     return ModelDocument(
@@ -159,6 +159,20 @@ def dump_document(doc: ModelDocument) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _check_references(
+    names: Iterable[str],
+    table: Mapping[str, Any],
+    owner: str,
+    name: str,
+    kind: str,
+) -> None:
+    for n in names:
+        if n not in table:
+            raise UnknownReference(
+                f"{owner} {name!r} references undeclared {kind} {n!r}"
+            )
+
+
 def resolve_document(doc: ModelDocument) -> ResolvedModel:
     """Build the model and look up every cross reference.
 
@@ -167,44 +181,24 @@ def resolve_document(doc: ModelDocument) -> ResolvedModel:
     spread; model construction errors propagate as themselves.
     """
     model = build_model(doc.points, doc.order)
-    declared = set(doc.points)
     events: dict[str, Event] = {}
     for name, members in doc.events.items():
-        for p in members:
-            if p not in declared:
-                raise UnknownReference(
-                    f"event {name!r} references undeclared point {p!r}"
-                )
+        _check_references(members, model.index, "event", name, "point")
         events[name] = Event(name=name, members=frozenset(members))
 
     spreads: dict[str, Spread] = {}
     for name, body in doc.spreads.items():
-        if body.initial not in events:
-            raise UnknownReference(
-                f"spread {name!r} references undeclared event "
-                f"{body.initial!r}"
-            )
-        outcome_events = []
-        for o in body.outcomes:
-            if o not in events:
-                raise UnknownReference(
-                    f"spread {name!r} references undeclared event {o!r}"
-                )
-            outcome_events.append(events[o])
+        _check_references((body.initial,), events, "spread", name, "event")
+        _check_references(body.outcomes, events, "spread", name, "event")
         spreads[name] = Spread(
-            initial=events[body.initial], outcomes=tuple(outcome_events)
+            initial=events[body.initial],
+            outcomes=tuple(map(events.__getitem__, body.outcomes)),
         )
 
     nspreads: dict[str, NSpread] = {}
     for name, members in doc.nspreads.items():
-        parts = []
-        for s in members:
-            if s not in spreads:
-                raise UnknownReference(
-                    f"nspread {name!r} references undeclared spread {s!r}"
-                )
-            parts.append(spreads[s])
-        nspreads[name] = NSpread(spreads=tuple(parts))
+        _check_references(members, spreads, "nspread", name, "spread")
+        nspreads[name] = NSpread(tuple(map(spreads.__getitem__, members)))
 
     return ResolvedModel(
         model=model, events=events, spreads=spreads, nspreads=nspreads

@@ -87,6 +87,16 @@ class TestValidate:
         assert out == ""
         assert "error: ParseError" in err
 
+    def test_nesting_past_the_decoder_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 1000, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(deep))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError: not valid JSON:")
+
     def test_missing_file_is_a_usage_error(self, docs, capsys):
         code, _, err = run(capsys, "validate", docs["toy"] + ".nope")
         assert code == 2

@@ -13,8 +13,11 @@ the process has not cached yet, so that cost shows in the size-1 row.
 For each family size from 1 to 8 the script prints one JSON line: the
 number of families, how many of them are refuted (no surviving profile),
 the median milliseconds per call over the refuted and over the surviving
-families of that size (``null`` when there are none), and the median
-milliseconds of the first calls (``first_ms``).
+families of that size (``null`` when there are none), the median
+milliseconds of the first calls (``first_ms``), and the median
+milliseconds of the derivation alone over the refuted families
+(``derivation_ms``, ``null`` when none is refuted), which separates the
+survivor intersection from the trace.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import time
 
 from bstghz.ghz import (
     ALL_CONTEXTS,
+    _compile,
+    _derivation,
     build_abstract_structure,
     refute_joint_common_cause,
 )
@@ -42,6 +47,7 @@ def measure(repeats: int) -> list[dict]:
         families = list(itertools.combinations(ALL_CONTEXTS, size))
         refuted = 0
         first = []
+        derivation = []
         for fam in families:
             t0 = time.perf_counter()
             dead = not refute_joint_common_cause(structure, fam).survivors
@@ -51,6 +57,12 @@ def measure(repeats: int) -> list[dict]:
                 t0 = time.perf_counter()
                 refute_joint_common_cause(structure, fam)
                 times[dead].append(time.perf_counter() - t0)
+            if dead:
+                rules = _compile(fam)
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    _derivation(fam, *rules)
+                    derivation.append(time.perf_counter() - t0)
         rows.append(
             {
                 "contexts": size,
@@ -65,6 +77,11 @@ def measure(repeats: int) -> list[dict]:
                     for kind, dead in (("refuted", True), ("surviving", False))
                 },
                 "first_ms": statistics.median(first) * 1000,
+                "derivation_ms": (
+                    statistics.median(derivation) * 1000
+                    if derivation
+                    else None
+                ),
             }
         )
     return rows

@@ -49,12 +49,16 @@ Logemann and Loveland) derives the contradiction.  Its contradictions,
 on a full profile exactly the violated survival conditions, are a fully
 flagged inconsistent vector and a measured station/axis with both
 outcomes flagged inconsistent; its forced steps are screening and
-settling (see ``_close``).  The derivation starts from a consistent
-vector of the first listed context, records one justification per
-derived fact, splits on the first open measured event when saturation
-stalls, and lays out the facts each contradiction rests on as it is
-reached.  The paper's start x+1, x-2, x+3 is preferred, so the
-xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
+settling (see ``_close``).  Each context's rules carry the finished trace
+steps they can produce, built once per context, so a derivation formats
+no text; a closure looks for contradictions among every rule once, on
+entry, and after that only among the rules the last step touched.  The
+derivation starts from a consistent vector of the first listed context,
+records one justification per derived fact, splits on the first open
+measured event when saturation stalls, and lays out the facts each
+contradiction rests on as it is reached.  The paper's start x+1, x-2,
+x+3 is preferred, so the xxx/xxy/xyy/xyx family replays Mermin's
+derivation step for step.
 """
 
 from __future__ import annotations
@@ -442,12 +446,15 @@ class ReductioTrace:
     complete: bool
 
 
-@dataclass(frozen=True, eq=False)
 class _Fact:
-    """A trace step and the facts it was derived from."""
+    """A trace step and the facts it was derived from, compared by
+    identity."""
 
-    step: TraceStep
-    premises: tuple[_Fact, ...] = ()
+    __slots__ = ("step", "premises")
+
+    def __init__(self, step: TraceStep, premises: tuple[_Fact, ...] = ()):
+        self.step = step
+        self.premises = premises
 
 
 # The paper's start, x+1, x-2, x+3: preferred whenever it is a candidate.
@@ -460,123 +467,171 @@ _BIT = {
 }
 _ALL_FLAGS = (1 << len(OUTCOME_EVENT_ORDER)) - 1
 _IS = "the candidate outcome is "
-# Compiled rules: a screen per inconsistent vector of a listed context,
-# (context, detail, term mask); a stable per measured station/axis in order
-# of first appearance, (first context measuring it, its name, minus bit,
-# plus bit).
-_Screen = tuple[str, str, int]
-_Stable = tuple[str, str, int, int]
+# Compiled rules, each with the finished trace steps it can produce.  A
+# screen per inconsistent vector of a listed context: (term mask, its
+# contradiction step, per term bit its cc3-screening step and the mask of
+# that term's station/axis).  A stable per measured station/axis: (minus
+# bit, plus bit, context label, its contradiction step, per outcome bit
+# the cc2-existence step settling that outcome).  A family keeps each
+# stable as first listed, keyed by its outcome mask.
+_Screen = tuple[int, TraceStep, dict[int, tuple[TraceStep, int]]]
+_Stable = tuple[int, int, str, TraceStep, dict[int, TraceStep]]
 
 
 def _name(bit: int) -> str:
     return OUTCOME_EVENT_ORDER[-bit.bit_length()]
 
 
-def _fact(
-    why: dict[int, _Fact], mask: int, rule: str, ctx: str, *text: str
-) -> _Fact:
-    """A step whose premises are the facts of the flags in ``mask``."""
-    premises = tuple(why[b] for b in _BIT.values() if mask & b)
-    return _Fact(TraceStep(rule, ctx, *text), premises)
+def _fact(why: dict[int, _Fact], mask: int, step: TraceStep) -> _Fact:
+    """``step`` resting on the facts of the flags in ``mask``, most
+    significant first."""
+    premises = []
+    while mask:
+        bit = 1 << mask.bit_length() - 1
+        premises.append(why[bit])
+        mask ^= bit
+    return _Fact(step, tuple(premises))
 
 
 @functools.cache
 def _context_rules(
     ctx: Context,
 ) -> tuple[tuple[_Screen, ...], tuple[_Stable, ...]]:
-    """One context's rules: a screen per inconsistent vector, a stable per
-    measured station/axis."""
+    """One context's rules and their trace steps: a screen per parity
+    inconsistent vector, a stable per measured station/axis."""
     label = context_label(ctx)
-    screens = tuple(
-        (
-            label,
-            f"inconsistent vector {v.label()}",
-            sum(_BIT[n] for n in v.outcome_names),
-        )
-        for v in inconsistent_vectors(ctx)
-    )
     stables = []
+    screening = []  # per station, per sign: (bit, conclusion, station mask)
     for i, a in zip(STATIONS, ctx):
-        lo, hi = (_BIT[outcome_name(i, a, s)] for s in SIGNS)
-        stables.append((label, stable_name(i, a), lo, hi))
-    return screens, tuple(stables)
+        stable = stable_name(i, a)
+        lo, hi = (outcome_name(i, a, s) for s in SIGNS)
+        lo_bit, hi_bit = _BIT[lo], _BIT[hi]
+        detail = f"stable initial {stable} branches to {lo} or {hi}"
+        stables.append(
+            (
+                lo_bit,
+                hi_bit,
+                label,
+                TraceStep(
+                    "contradiction", label, f"stable event {stable}",
+                    f"{_IS}inconsistent with both {lo} and {hi}, although "
+                    f"consistency with {stable} requires one of them",
+                ),
+                {
+                    lo_bit: TraceStep(
+                        "cc2-existence", label, detail,
+                        f"{_IS}consistent with {lo}",
+                    ),
+                    hi_bit: TraceStep(
+                        "cc2-existence", label, detail,
+                        f"{_IS}consistent with {hi}",
+                    ),
+                },
+            )
+        )
+        pair = lo_bit | hi_bit
+        screening.append(
+            {
+                -1: (lo_bit, f"{_IS}inconsistent with {lo}", pair),
+                1: (hi_bit, f"{_IS}inconsistent with {hi}", pair),
+            }
+        )
+    mixed = len(set(ctx)) > 1
+    screens = []
+    for signs in itertools.product(SIGNS, repeat=3):
+        if signs.count(-1) % 2 != mixed:
+            continue  # parity consistent (see parity_consistent)
+        detail = f"inconsistent vector {label}:{signs_label(signs)}"
+        screened = {}
+        for station, s in zip(screening, signs):
+            bit, conclusion, pair = station[s]
+            screened[bit] = (
+                TraceStep("cc3-screening", label, detail, conclusion),
+                pair,
+            )
+        screens.append(
+            (
+                sum(screened),
+                TraceStep(
+                    "contradiction", label, detail,
+                    "every term of an inconsistent vector came out "
+                    "consistent",
+                ),
+                screened,
+            )
+        )
+    return tuple(screens), tuple(stables)
 
 
 def _compile(
     contexts: Sequence[Context],
-) -> tuple[list[_Screen], list[_Stable]]:
+) -> tuple[list[_Screen], dict[int, _Stable]]:
     """The family's rules: every context's screens, and each stable as
-    first listed."""
+    first listed, keyed by its outcome mask."""
     screens: list[_Screen] = []
-    stables: dict[str, _Stable] = {}
+    stables: dict[int, _Stable] = {}
     for ctx in contexts:
         ctx_screens, ctx_stables = _context_rules(ctx)
         screens += ctx_screens
         for stable in ctx_stables:
-            stables.setdefault(stable[1], stable)
-    return screens, list(stables.values())
+            stables.setdefault(stable[0] | stable[1], stable)
+    return screens, stables
 
 
 def _close(
     screens: list[_Screen],
-    stables: list[_Stable],
+    stables: dict[int, _Stable],
     t: int,
     f: int,
     why: dict[int, _Fact],
 ) -> tuple[int, int, _Fact | bool]:
-    """Saturate t (flagged consistent) and f (flagged inconsistent).
+    """Saturate t (flagged consistent) and f (flagged inconsistent),
+    given disjoint.
 
-    Contradictions are checked first.  Otherwise one forced step is taken
-    and the scan restarts: screening (an inconsistent vector with all
-    terms but one in t puts the last in f), else settling (a station/axis
-    with one outcome in f puts the other in t).  Each derived flag's fact
-    is recorded in ``why``.  Returns the flags and the contradiction's
-    fact, False if none.
+    Contradictions are looked for among every rule once, on entry, and
+    after that only where the last step can make one.  Each pass takes
+    the first forced step in rule order, as a full rescan after every
+    step would: screening (an inconsistent vector with all terms but one
+    in t puts the last in f), else settling (a station/axis with one
+    outcome in f puts the other in t).  Only screening can then make a
+    contradiction, at the stable holding its flag: a screen lacking just
+    a settled flag would have screened that flag first.  Each derived
+    flag's fact, its step built once per context, is recorded in
+    ``why``.  Returns the flags and the contradiction's fact, False if
+    none.
     """
+    for m, clash, _ in screens:
+        if t & m == m:
+            return t, f, _fact(why, m, clash)
+    for lo, hi, _, clash, _ in stables.values():
+        if f & lo and f & hi:
+            return t, f, _fact(why, lo | hi, clash)
     while True:
-        for ctx, detail, m in screens:
-            if t & m == m:
-                return t, f, _fact(
-                    why, m, "contradiction", ctx, detail,
-                    "every term of an inconsistent vector came out "
-                    "consistent",
-                )
-        for ctx, stable, lo, hi in stables:
-            if f & lo and f & hi:
-                return t, f, _fact(
-                    why, lo | hi, "contradiction", ctx,
-                    f"stable event {stable}",
-                    f"{_IS}inconsistent with both {_name(lo)} and "
-                    f"{_name(hi)}, although consistency with {stable} "
-                    "requires one of them",
-                )
-        for ctx, detail, m in screens:
+        for m, _, screened in screens:
+            if m & f:
+                continue  # a term is already inconsistent
             rest = m & ~t
-            if rest & (rest - 1) == 0 and not rest & f:
+            if rest & (rest - 1) == 0:
                 f |= rest
-                why[rest] = _fact(
-                    why, m & ~rest, "cc3-screening", ctx, detail,
-                    f"{_IS}inconsistent with {_name(rest)}",
-                )
+                step, pair = screened[rest]
+                why[rest] = _fact(why, m & ~rest, step)
+                if f & pair == pair:
+                    return t, f, _fact(why, pair, stables[pair][3])
                 break
         else:
-            for ctx, stable, lo, hi in stables:
-                settled = (lo | hi) & ~f
-                if settled != lo | hi and not t & settled:
+            for lo, hi, _, _, settle in stables.values():
+                pair = lo | hi
+                settled = pair & ~f
+                if settled != pair and not t & settled:
                     t |= settled
-                    why[settled] = _fact(
-                        why, (lo | hi) & f, "cc2-existence", ctx,
-                        f"stable initial {stable} branches to {_name(lo)} "
-                        f"or {_name(hi)}",
-                        f"{_IS}consistent with {_name(settled)}",
-                    )
+                    why[settled] = _fact(why, pair & f, settle[settled])
                     break
             else:
                 return t, f, False
 
 
 def _measured(stables: Iterable[_Stable]) -> int:
-    return sum(lo | hi for *_, lo, hi in stables)
+    return sum(lo | hi for lo, hi, *_ in stables)
 
 
 @functools.cache
@@ -592,11 +647,11 @@ def _context_survivors(ctx: Context) -> frozenset[int]:
         subs.append((subs[-1] - 1) & free)
     # a stable's flagged outcomes: the minus one, the plus one, or both;
     # both fail a parity screen, but not in a context with no screens
-    flagged = itertools.product(*((lo, hi, lo | hi) for *_, lo, hi in stables))
+    flagged = itertools.product(*((lo, hi, lo | hi) for lo, hi, *_ in stables))
     return frozenset(
         t | sub
         for t in map(sum, flagged)
-        if not any(t & m == m for *_, m in screens)
+        if not any(t & m == m for m, *_ in screens)
         for sub in subs
     )
 
@@ -606,9 +661,21 @@ def _profile(t: int) -> CandidateProfile:
     return CandidateProfile(flags=tuple(bool(t & b) for b in _BIT.values()))
 
 
+@functools.cache
+def _case_steps(label: str, bit: int) -> tuple[TraceStep, TraceStep]:
+    """The two cases of a split on ``bit``, "inconsistent" first."""
+    return tuple(
+        TraceStep(
+            "case-split", label, f"case split on {_name(bit)}",
+            f"suppose {_IS}{kind} with {_name(bit)}",
+        )
+        for kind in ("inconsistent", "consistent")
+    )  # type: ignore[return-value]
+
+
 def _derive(
     screens: list[_Screen],
-    stables: list[_Stable],
+    stables: dict[int, _Stable],
     t: int,
     f: int,
     why: dict[int, _Fact],
@@ -633,14 +700,11 @@ def _derive(
 
         visit(clash)
         return steps
-    open_ = _measured(stables) & ~(t | f)
+    open_ = _measured(stables.values()) & ~(t | f)
     bit = 1 << open_.bit_length() - 1
-    ctx = next(ctx for ctx, _, lo, hi in stables if (lo | hi) & bit)
-    for kind, t_bit, f_bit in ("inconsistent", 0, bit), ("consistent", bit, 0):
-        case = _fact(
-            why, 0, "case-split", ctx, f"case split on {_name(bit)}",
-            f"suppose {_IS}{kind} with {_name(bit)}",
-        )
+    label = next(stable[2] for pair, stable in stables.items() if pair & bit)
+    for step, t_bit, f_bit in zip(_case_steps(label, bit), (0, bit), (bit, 0)):
+        case = _Fact(step)
         steps.append(case)
         steps += _derive(
             screens, stables, t | t_bit, f | f_bit, {**why, bit: case},
@@ -650,29 +714,31 @@ def _derive(
 
 
 @functools.cache
-def _start(ctx: Context) -> GhzVector:
-    """The start of a derivation from ``ctx``: the paper's when it is a
-    consistent vector of ``ctx``, else the first one."""
+def _start(ctx: Context) -> tuple[TraceStep, tuple[int, ...]]:
+    """The start of a derivation from ``ctx``, its step and its flags: the
+    paper's vector when it is a consistent vector of ``ctx``, else the
+    first one."""
     candidates = consistent_vectors(ctx)
-    if _PREFERRED_START in candidates:
-        return _PREFERRED_START
-    return candidates[0]
+    v = _PREFERRED_START if _PREFERRED_START in candidates else candidates[0]
+    step = TraceStep(
+        "cc2-existence", context_label(ctx), f"consistent vector {v.label()}",
+        f"{_IS}consistent with each of " + ", ".join(v.outcome_names),
+    )
+    return step, tuple(_BIT[n] for n in v.outcome_names)
 
 
 def _derivation(
-    contexts: Sequence[Context], screens: list[_Screen], stables: list[_Stable]
+    contexts: Sequence[Context],
+    screens: list[_Screen],
+    stables: dict[int, _Stable],
 ) -> ReductioTrace:
     """Derive the contradiction from a consistent vector of the first
     listed context, the paper's start when it is one."""
-    start = _start(contexts[0])
-    fact = _fact(
-        {}, 0, "cc2-existence", context_label(start.context),
-        f"consistent vector {start.label()}",
-        f"{_IS}consistent with each of " + ", ".join(start.outcome_names),
-    )
-    why = {_BIT[n]: fact for n in start.outcome_names}
+    step, flags = _start(contexts[0])
+    fact = _Fact(step)
+    why = dict.fromkeys(flags, fact)
     steps = [fact] + _derive(
-        screens, stables, sum(why), 0, why, frozenset({fact})
+        screens, stables, sum(flags), 0, why, frozenset({fact})
     )
     return ReductioTrace(steps=tuple(n.step for n in steps), complete=True)
 

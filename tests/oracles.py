@@ -14,9 +14,11 @@ with ``lt`` and scan every history, the common-cause search builds every
 candidate's full report for every target, covers and
 density gaps test every candidate point in between, refutation survivors
 come from a scan of all 2^12 flag masks, a refutation trace is replayed
-from the parity rule and the event labels alone, and the exact quantum
-oracle is checked against float Pauli matrices, Kronecker products and
-inner products (numpy; the tests that use it skip without it).
+from the parity rule and the event labels alone, the propagation closure
+rescans every rule after each forced step with its step texts rendered
+from the labels, and the exact quantum oracle is checked against float
+Pauli matrices, Kronecker products and inner products (numpy; the tests
+that use it skip without it).
 Agreement with the fast implementations is what the tests assert.
 """
 
@@ -51,11 +53,14 @@ from bstghz.events import (
     is_consistent,
 )
 from bstghz.ghz import (
+    OUTCOME_EVENT_ORDER,
+    STATIONS,
     CandidateProfile,
     Context,
     GhzVector,
     ReductioTrace,
     SignVector,
+    TraceStep,
     consistent_vectors,
     context_label,
     inconsistent_vectors,
@@ -940,6 +945,98 @@ def check_derivation(contexts: Sequence[Context], trace: ReductioTrace) -> int:
     if end != len(steps):
         fail(end, "a step follows the closed derivation")
     return closed
+
+
+class RescanFact(NamedTuple):
+    """A trace step and the facts it was derived from."""
+
+    step: TraceStep
+    premises: tuple[Any, ...]
+
+
+def rescan_close(
+    contexts: Sequence[Context], t: int, f: int, why: dict[int, Any]
+) -> tuple[int, int, RescanFact | bool]:
+    """The propagation closure by a full rescan after every forced step.
+
+    Rules come from the labels: a screen per inconsistent vector of each
+    listed context, a stable per measured station/axis under the first
+    context listing it.  Each pass looks for a contradiction among every
+    rule (screens, then stables), else takes the first forced step,
+    screening before settling, and starts over.  Masks give the first
+    outcome event the most significant bit; a derived flag's fact goes
+    into ``why``, its premises the facts of the flags it rests on, most
+    significant first.  Returns the flags and the contradiction's fact,
+    False if none.
+    """
+    is_ = "the candidate outcome is "
+    bits = {
+        n: 1 << len(OUTCOME_EVENT_ORDER) - 1 - k
+        for k, n in enumerate(OUTCOME_EVENT_ORDER)
+    }
+    names = {b: n for n, b in bits.items()}
+    screens = [
+        (
+            context_label(ctx),
+            f"inconsistent vector {v.label()}",
+            sum(bits[n] for n in v.outcome_names),
+        )
+        for ctx in contexts
+        for v in inconsistent_vectors(ctx)
+    ]
+    stables: dict[str, tuple[str, str, int, int]] = {}
+    for ctx in contexts:
+        for i, a in zip(STATIONS, ctx):
+            lo, hi = bits[f"{a}-{i}"], bits[f"{a}+{i}"]
+            stables.setdefault(
+                f"{a}{i}", (context_label(ctx), f"{a}{i}", lo, hi)
+            )
+
+    def fact(mask: int, rule: str, ctx: str, *text: str) -> RescanFact:
+        premises = tuple(
+            why[b] for b in sorted(names, reverse=True) if mask & b
+        )
+        return RescanFact(TraceStep(rule, ctx, *text), premises)
+
+    while True:
+        for ctx, detail, m in screens:
+            if t & m == m:
+                return t, f, fact(
+                    m, "contradiction", ctx, detail,
+                    "every term of an inconsistent vector came out "
+                    "consistent",
+                )
+        for ctx, stable, lo, hi in stables.values():
+            if f & lo and f & hi:
+                return t, f, fact(
+                    lo | hi, "contradiction", ctx, f"stable event {stable}",
+                    f"{is_}inconsistent with both {names[lo]} and "
+                    f"{names[hi]}, although consistency with {stable} "
+                    "requires one of them",
+                )
+        for ctx, detail, m in screens:
+            rest = m & ~t
+            if rest & (rest - 1) == 0 and not rest & f:
+                f |= rest
+                why[rest] = fact(
+                    m & ~rest, "cc3-screening", ctx, detail,
+                    f"{is_}inconsistent with {names[rest]}",
+                )
+                break
+        else:
+            for ctx, stable, lo, hi in stables.values():
+                settled = (lo | hi) & ~f
+                if settled != lo | hi and not t & settled:
+                    t |= settled
+                    why[settled] = fact(
+                        (lo | hi) & f, "cc2-existence", ctx,
+                        f"stable initial {stable} branches to {names[lo]} "
+                        f"or {names[hi]}",
+                        f"{is_}consistent with {names[settled]}",
+                    )
+                    break
+            else:
+                return t, f, False
 
 
 def _numpy() -> Any:

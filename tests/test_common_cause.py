@@ -44,6 +44,7 @@ from bstghz.ghz import (
     ReductioTrace,
     TraceStep,
     _BIT,
+    _case_steps,
     _close,
     _compile,
     _context_rules,
@@ -70,6 +71,7 @@ from .oracles import (
     reference_atomic_spreads,
     reference_cc_conditions,
     reference_search_common_causes,
+    rescan_close,
     seeded_model,
     seeded_station_model,
 )
@@ -533,7 +535,9 @@ class TestProfiles:
 
     def test_family_result_does_not_depend_on_what_ran_before(self):
         # the per-context caches fill in whatever order families arrive
-        caches = (_context_rules, _context_survivors, _profile, _start)
+        caches = (
+            _case_steps, _context_rules, _context_survivors, _profile, _start
+        )
         structure = build_abstract_structure()
 
         def cold(fam):
@@ -717,6 +721,40 @@ class TestPropagation:
         assert _close(screens, stables, flagged("x+1", "x+2"), 0, why) == (
             flagged("x+1", "x+2", "y+3"), flagged("y-3", "x-2", "x-1"), False
         )
+
+
+def unfold(fact):
+    """A fact as nested (step, premises), comparable across engines."""
+    return (fact.step, tuple(map(unfold, fact.premises)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.permutations(ALL_CONTEXTS).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda n: order[:n])
+    ),
+    # each flag open half the time, else flagged consistent or inconsistent
+    st.lists(
+        st.sampled_from((None, None, True, False)), min_size=12, max_size=12
+    ),
+)
+def test_close_agrees_with_the_full_rescan(contexts, states):
+    # any disjoint (t, f), each flag set with a given fact of its own
+    t = sum(b for b, s in zip(_BIT.values(), states) if s is True)
+    f = sum(b for b, s in zip(_BIT.values(), states) if s is False)
+    given = {
+        b: _Fact(TraceStep("cc2-existence", "xxx", "given", name))
+        for name, b in _BIT.items()
+        if b & (t | f)
+    }
+    why, oracle_why = dict(given), dict(given)
+    t1, f1, clash = _close(*_compile(contexts), t, f, why)
+    t2, f2, oracle_clash = rescan_close(contexts, t, f, oracle_why)
+    assert (t1, f1) == (t2, f2)
+    assert (clash and unfold(clash)) == (oracle_clash and unfold(oracle_clash))
+    assert {b: unfold(x) for b, x in why.items()} == {
+        b: unfold(x) for b, x in oracle_why.items()
+    }
 
 
 def theorem_trace():

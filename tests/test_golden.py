@@ -7,8 +7,17 @@ is; an intended change to the output regenerates it.  The ``check-cc``
 search on both fixtures, a failing single-vector check, the traced
 refutations (the eight-context family and xxy,xyx,yxx,yyy in JSON) and
 the JSON oracle report are replayed under ``python -O`` as well.
+
+``tests/golden/traces.json`` pins every refutation: one SHA-256 per
+nonempty context family, listed in ``ALL_CONTEXTS`` order and reversed,
+over the result's contexts, survivor flags, trace and notes.  It was
+recorded once with ``trace_digests()`` and is not regenerated: a change
+to the engine must reproduce every trace byte for byte.
 """
 
+import dataclasses
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -18,6 +27,13 @@ from pathlib import Path
 import pytest
 
 from bstghz.cli import main
+from bstghz.ghz import (
+    ALL_CONTEXTS,
+    build_abstract_structure,
+    context_label,
+    parse_context,
+    refute_joint_common_cause,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPT = json.loads(
@@ -100,3 +116,46 @@ def test_cli_matches_the_transcript_under_optimize(argv):
         timeout=60,
     )
     assert (out.returncode, out.stdout) == (entry["code"], entry["stdout"])
+
+
+def family_digest(structure, listing):
+    """SHA-256 of one family's refutation as listed: its contexts, the
+    flags of each survivor, the trace's steps and completeness, and the
+    notes."""
+    result = refute_joint_common_cause(structure, listing)
+    trace = result.trace
+    record = [
+        [context_label(ctx) for ctx in result.contexts],
+        ["".join("01"[f] for f in p.flags) for p in result.survivors],
+        None
+        if trace is None
+        else [[dataclasses.astuple(s) for s in trace.steps], trace.complete],
+        list(result.notes),
+    ]
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+def trace_digests():
+    """Each nonempty family's digest, forward then reversed, keyed by its
+    listing (``xxx,xxy``)."""
+    structure = build_abstract_structure()
+    return {
+        ",".join(map(context_label, listing)): family_digest(
+            structure, listing
+        )
+        for r in range(1, len(ALL_CONTEXTS) + 1)
+        for fam in itertools.combinations(ALL_CONTEXTS, r)
+        for listing in (fam, fam[::-1])
+    }
+
+
+def test_every_family_replays_its_recorded_trace():
+    recorded = json.loads(
+        (ROOT / "tests" / "golden" / "traces.json").read_text(encoding="utf-8")
+    )
+    assert len(recorded) == 2 * 255 - len(ALL_CONTEXTS)
+    structure = build_abstract_structure()
+    for key, digest in recorded.items():
+        listing = [parse_context(label) for label in key.split(",")]
+        got = family_digest(structure, listing)
+        assert got == digest, f"first family that differs: {key}"

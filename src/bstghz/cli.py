@@ -46,7 +46,7 @@ from .quantum import (
 @dataclass(frozen=True)
 class Report:
     command: str
-    status: str  # "pass" | "fail" | "waived"
+    status: str  # "pass" | "fail"
     findings: tuple[str, ...]
     payload: dict[str, Any] = field(default_factory=dict)
 
@@ -456,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(result)
         return 0
     sys.stdout.write(render(result, args.format))
-    return 0 if result.status in ("pass", "waived") else 1
+    return 0 if result.status == "pass" else 1
 
 
 if __name__ == "__main__":

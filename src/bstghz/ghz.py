@@ -49,16 +49,17 @@ Logemann and Loveland) derives the contradiction.  Its contradictions,
 on a full profile exactly the violated survival conditions, are a fully
 flagged inconsistent vector and a measured station/axis with both
 outcomes flagged inconsistent; its forced steps are screening and
-settling (see ``_close``).  Each context's rules carry the finished trace
-steps they can produce, built once per context, so a derivation formats
-no text; a closure looks for contradictions among every rule once, on
-entry, and after that only among the rules the last step touched.  The
-derivation starts from a consistent vector of the first listed context,
-records one justification per derived fact, splits on the first open
-measured event when saturation stalls, and lays out the facts each
-contradiction rests on as it is reached.  The paper's start x+1, x-2,
-x+3 is preferred, so the xxx/xxy/xyy/xyx family replays Mermin's
-derivation step for step.
+settling (see ``_close``).  Each context's rules are plain masks read
+off ``inconsistent_vectors``, so the parity rule is stated only in
+``parity_consistent``.  A trace step is formatted when a derivation first
+reaches it and shared by every later derivation.  A closure looks for
+contradictions among every rule once, on entry, and after that only
+among the rules the last step touched.  The derivation starts from a
+consistent vector of the first listed context, records one justification
+per derived fact, splits on the first open measured event when
+saturation stalls, and lays out the facts each contradiction rests on as
+it is reached.  The paper's start x+1, x-2, x+3 is preferred, so the
+xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
 """
 
 from __future__ import annotations
@@ -466,16 +467,21 @@ _BIT = {
     for k, n in enumerate(OUTCOME_EVENT_ORDER)
 }
 _ALL_FLAGS = (1 << len(OUTCOME_EVENT_ORDER)) - 1
+# Per flag, the outcome mask of its station/axis.
+_PAIR = {
+    _BIT[outcome_name(i, a, s)]: _BIT[outcome_name(i, a, -1)]
+    | _BIT[outcome_name(i, a, 1)]
+    for i, a, s in itertools.product(STATIONS, AXES, SIGNS)
+}
 _IS = "the candidate outcome is "
-# Compiled rules, each with the finished trace steps it can produce.  A
-# screen per inconsistent vector of a listed context: (term mask, its
-# contradiction step, per term bit its cc3-screening step and the mask of
-# that term's station/axis).  A stable per measured station/axis: (minus
-# bit, plus bit, context label, its contradiction step, per outcome bit
-# the cc2-existence step settling that outcome).  A family keeps each
-# stable as first listed, keyed by its outcome mask.
-_Screen = tuple[int, TraceStep, dict[int, tuple[TraceStep, int]]]
-_Stable = tuple[int, int, str, TraceStep, dict[int, TraceStep]]
+# Rules, read off the parity rule.  A screen per inconsistent vector of a
+# listed context: (context label, detail, term mask).  A stable per
+# measured station/axis: (context label, stable name, minus bit, plus
+# bit).  A family keeps each stable as first listed, keyed by its outcome
+# mask.  The trace steps a rule can produce are built by the cached
+# builders below when a derivation first reaches them.
+_Screen = tuple[str, str, int]
+_Stable = tuple[str, str, int, int]
 
 
 def _name(bit: int) -> str:
@@ -497,70 +503,52 @@ def _fact(why: dict[int, _Fact], mask: int, step: TraceStep) -> _Fact:
 def _context_rules(
     ctx: Context,
 ) -> tuple[tuple[_Screen, ...], tuple[_Stable, ...]]:
-    """One context's rules and their trace steps: a screen per parity
-    inconsistent vector, a stable per measured station/axis."""
+    """One context's rules: a screen per parity inconsistent vector, a
+    stable per measured station/axis."""
     label = context_label(ctx)
+    screens = tuple(
+        (
+            label,
+            f"inconsistent vector {v.label()}",
+            sum(_BIT[n] for n in v.outcome_names),
+        )
+        for v in inconsistent_vectors(ctx)
+    )
     stables = []
-    screening = []  # per station, per sign: (bit, conclusion, station mask)
     for i, a in zip(STATIONS, ctx):
-        stable = stable_name(i, a)
-        lo, hi = (outcome_name(i, a, s) for s in SIGNS)
-        lo_bit, hi_bit = _BIT[lo], _BIT[hi]
-        detail = f"stable initial {stable} branches to {lo} or {hi}"
-        stables.append(
-            (
-                lo_bit,
-                hi_bit,
-                label,
-                TraceStep(
-                    "contradiction", label, f"stable event {stable}",
-                    f"{_IS}inconsistent with both {lo} and {hi}, although "
-                    f"consistency with {stable} requires one of them",
-                ),
-                {
-                    lo_bit: TraceStep(
-                        "cc2-existence", label, detail,
-                        f"{_IS}consistent with {lo}",
-                    ),
-                    hi_bit: TraceStep(
-                        "cc2-existence", label, detail,
-                        f"{_IS}consistent with {hi}",
-                    ),
-                },
-            )
-        )
-        pair = lo_bit | hi_bit
-        screening.append(
-            {
-                -1: (lo_bit, f"{_IS}inconsistent with {lo}", pair),
-                1: (hi_bit, f"{_IS}inconsistent with {hi}", pair),
-            }
-        )
-    mixed = len(set(ctx)) > 1
-    screens = []
-    for signs in itertools.product(SIGNS, repeat=3):
-        if signs.count(-1) % 2 != mixed:
-            continue  # parity consistent (see parity_consistent)
-        detail = f"inconsistent vector {label}:{signs_label(signs)}"
-        screened = {}
-        for station, s in zip(screening, signs):
-            bit, conclusion, pair = station[s]
-            screened[bit] = (
-                TraceStep("cc3-screening", label, detail, conclusion),
-                pair,
-            )
-        screens.append(
-            (
-                sum(screened),
-                TraceStep(
-                    "contradiction", label, detail,
-                    "every term of an inconsistent vector came out "
-                    "consistent",
-                ),
-                screened,
-            )
-        )
-    return tuple(screens), tuple(stables)
+        lo, hi = (_BIT[outcome_name(i, a, s)] for s in SIGNS)
+        stables.append((label, stable_name(i, a), lo, hi))
+    return screens, tuple(stables)
+
+
+@functools.cache
+def _screening(label: str, detail: str, bit: int) -> TraceStep:
+    """The cc3 step putting ``bit`` in f, by the screen (label, detail)."""
+    return TraceStep(
+        "cc3-screening", label, detail, f"{_IS}inconsistent with {_name(bit)}"
+    )
+
+
+@functools.cache
+def _settling(stable: _Stable, bit: int) -> TraceStep:
+    """The cc2 step putting ``bit``, an outcome of ``stable``, in t."""
+    label, name, lo, hi = stable
+    return TraceStep(
+        "cc2-existence", label,
+        f"stable initial {name} branches to {_name(lo)} or {_name(hi)}",
+        f"{_IS}consistent with {_name(bit)}",
+    )
+
+
+@functools.cache
+def _both_inconsistent(stable: _Stable) -> TraceStep:
+    """The contradiction of ``stable`` with both outcomes in f."""
+    label, name, lo, hi = stable
+    return TraceStep(
+        "contradiction", label, f"stable event {name}",
+        f"{_IS}inconsistent with both {_name(lo)} and {_name(hi)}, although "
+        f"consistency with {name} requires one of them",
+    )
 
 
 def _compile(
@@ -574,7 +562,7 @@ def _compile(
         ctx_screens, ctx_stables = _context_rules(ctx)
         screens += ctx_screens
         for stable in ctx_stables:
-            stables.setdefault(stable[0] | stable[1], stable)
+            stables.setdefault(stable[2] | stable[3], stable)
     return screens, stables
 
 
@@ -596,42 +584,44 @@ def _close(
     outcome in f puts the other in t).  Only screening can then make a
     contradiction, at the stable holding its flag: a screen lacking just
     a settled flag would have screened that flag first.  Each derived
-    flag's fact, its step built once per context, is recorded in
-    ``why``.  Returns the flags and the contradiction's fact, False if
-    none.
+    flag's fact is recorded in ``why``; its step is built when a
+    derivation first reaches it and shared after that.  Returns the
+    flags and the contradiction's fact, False if none.
     """
-    for m, clash, _ in screens:
+    for label, detail, m in screens:
         if t & m == m:
+            clash = TraceStep(
+                "contradiction", label, detail,
+                "every term of an inconsistent vector came out consistent",
+            )
             return t, f, _fact(why, m, clash)
-    for lo, hi, _, clash, _ in stables.values():
-        if f & lo and f & hi:
-            return t, f, _fact(why, lo | hi, clash)
+    for pair, stable in stables.items():
+        if f & pair == pair:
+            return t, f, _fact(why, pair, _both_inconsistent(stable))
     while True:
-        for m, _, screened in screens:
+        for label, detail, m in screens:
             if m & f:
                 continue  # a term is already inconsistent
             rest = m & ~t
             if rest & (rest - 1) == 0:
                 f |= rest
-                step, pair = screened[rest]
+                step = _screening(label, detail, rest)
                 why[rest] = _fact(why, m & ~rest, step)
+                pair = _PAIR[rest]
                 if f & pair == pair:
-                    return t, f, _fact(why, pair, stables[pair][3])
+                    step = _both_inconsistent(stables[pair])
+                    return t, f, _fact(why, pair, step)
                 break
         else:
-            for lo, hi, _, _, settle in stables.values():
-                pair = lo | hi
+            for pair, stable in stables.items():
                 settled = pair & ~f
                 if settled != pair and not t & settled:
                     t |= settled
-                    why[settled] = _fact(why, pair & f, settle[settled])
+                    step = _settling(stable, settled)
+                    why[settled] = _fact(why, pair & f, step)
                     break
             else:
                 return t, f, False
-
-
-def _measured(stables: Iterable[_Stable]) -> int:
-    return sum(lo | hi for lo, hi, *_ in stables)
 
 
 @functools.cache
@@ -641,17 +631,17 @@ def _context_survivors(ctx: Context) -> frozenset[int]:
     screen has all its terms flagged.  Each setting of the measured flags
     that meets both is crossed with every setting of the free flags."""
     screens, stables = _context_rules(ctx)
-    free = _ALL_FLAGS & ~_measured(stables)
+    free = _ALL_FLAGS & ~sum(lo | hi for *_, lo, hi in stables)
     subs = [free]
     while subs[-1]:
         subs.append((subs[-1] - 1) & free)
     # a stable's flagged outcomes: the minus one, the plus one, or both;
     # both fail a parity screen, but not in a context with no screens
-    flagged = itertools.product(*((lo, hi, lo | hi) for lo, hi, *_ in stables))
+    flagged = itertools.product(*((lo, hi, lo | hi) for *_, lo, hi in stables))
     return frozenset(
         t | sub
         for t in map(sum, flagged)
-        if not any(t & m == m for m, *_ in screens)
+        if not any(t & m == m for *_, m in screens)
         for sub in subs
     )
 
@@ -700,9 +690,9 @@ def _derive(
 
         visit(clash)
         return steps
-    open_ = _measured(stables.values()) & ~(t | f)
+    open_ = sum(stables) & ~(t | f)
     bit = 1 << open_.bit_length() - 1
-    label = next(stable[2] for pair, stable in stables.items() if pair & bit)
+    label = next(stable[0] for pair, stable in stables.items() if pair & bit)
     for step, t_bit, f_bit in zip(_case_steps(label, bit), (0, bit), (bit, 0)):
         case = _Fact(step)
         steps.append(case)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bstghz import events
+from bstghz import events, ghz
 from bstghz.common_cause import (
     _cc_conditions,
     _nspread_masks,
@@ -41,20 +41,20 @@ from bstghz.ghz import (
     OUTCOME_EVENT_ORDER,
     THEOREM_CONTEXTS,
     CandidateProfile,
+    GhzStructure,
     ReductioTrace,
     TraceStep,
     _BIT,
-    _case_steps,
     _close,
     _compile,
     _context_rules,
     _context_survivors,
     _Fact,
     _profile,
-    _start,
     build_abstract_structure,
     build_concrete_model,
     consistent_vectors,
+    context_vectors,
     inconsistent_vectors,
     refute_joint_common_cause,
     value_assignment_search,
@@ -533,11 +533,30 @@ class TestProfiles:
             expected = sorted(set.intersection(*(alone[c] for c in fam)))
             assert [p.flags for p in result.survivors] == expected, fam
 
-    def test_family_result_does_not_depend_on_what_ran_before(self):
-        # the per-context caches fill in whatever order families arrive
-        caches = (
-            _case_steps, _context_rules, _context_survivors, _profile, _start
+    def test_both_outcomes_flagged_survive_a_context_without_screens(
+        self, monkeypatch
+    ):
+        # every vector consistent: only the stables constrain, and a
+        # station/axis may have both of its outcomes flagged
+        ctx = ("x", "y", "y")
+        monkeypatch.setattr(ghz, "inconsistent_vectors", lambda ctx: ())
+        _context_rules.cache_clear()
+        _context_survivors.cache_clear()
+        try:
+            got = [_profile(m).flags for m in sorted(_context_survivors(ctx))]
+        finally:
+            _context_rules.cache_clear()
+            _context_survivors.cache_clear()
+        vectors = [v.outcome_names for v in context_vectors(ctx)]
+        assert got == brute_force_survivors(
+            OUTCOME_EVENT_ORDER, [(vectors, [])]
         )
+
+    def test_family_result_does_not_depend_on_what_ran_before(self):
+        # the caches fill in whatever order families arrive
+        caches = [
+            f for f in vars(ghz).values() if hasattr(f, "cache_clear")
+        ]
         structure = build_abstract_structure()
 
         def cold(fam):
@@ -662,6 +681,12 @@ class TestRefutation:
         with pytest.raises(ValueError, match="unknown context"):
             refute_joint_common_cause(
                 build_abstract_structure(), [("x", "x", "z")]
+            )
+
+    def test_structure_without_outcome_events_rejected(self):
+        with pytest.raises(ValueError, match="lacks outcome event 'x-1'"):
+            refute_joint_common_cause(
+                GhzStructure({}, {}, {}), THEOREM_CONTEXTS
             )
 
     def test_no_contexts_is_vacuous(self):

@@ -24,8 +24,8 @@ Passing all three does not *establish* a common cause, which is why the
 interesting direction is the refutation; the GHZ scenario's, which needs
 no model, is ``bstghz.ghz.refute_joint_common_cause``.
 ``classify_determinism`` grades a model's indeterminism from the search,
-as evidence only, and ``build_toy_decay`` is a two-station positive
-control for the checker.
+as evidence only.  ``toy_decay_document`` declares a two-station
+positive control for the checker, and ``build_toy_decay`` resolves it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .document import ModelDocument, model_document
+from .document import ModelDocument, SpreadDoc, resolve_document
 from .errors import NotInconsistencyType, PreconditionFailed
 from .events import (
     Event,
@@ -51,7 +51,7 @@ from .events import (
     _one_consistent,
     _require_valid,
 )
-from .model import CausalModel, bit_indices, build_model
+from .model import CausalModel, bit_indices
 
 
 @dataclass(frozen=True)
@@ -419,60 +419,38 @@ class ToyDecayScenario:
     inconsistent: tuple[OutcomeVector, ...]
 
 
-def build_toy_decay() -> ToyDecayScenario:
-    points = ["d", "d-", "d+", "a", "a-", "a+", "b", "b-", "b+", "m1", "m2"]
-    pairs = [
-        ("d", "d-"),
-        ("d", "d+"),
-        ("a", "a-"),
-        ("a", "a+"),
-        ("b", "b-"),
-        ("b", "b+"),
-        ("d+", "a+"),
-        ("d+", "b-"),
-        ("d-", "a-"),
-        ("d-", "b+"),
-        ("a+", "m1"),
-        ("b-", "m1"),
-        ("a-", "m2"),
-        ("b+", "m2"),
-    ]
-    model = build_model(points, pairs)
-    events = {
-        n: Event(name=n, members=frozenset({n}))
-        for n in points
-        if n not in ("m1", "m2")
-    }
-    sigma_a = Spread(
-        initial=events["a"], outcomes=(events["a-"], events["a+"])
-    )
-    sigma_b = Spread(
-        initial=events["b"], outcomes=(events["b-"], events["b+"])
-    )
-    sigma_d = Spread(
-        initial=events["d"], outcomes=(events["d-"], events["d+"])
-    )
-    ns = NSpread(spreads=(sigma_a, sigma_b))
-    inconsistent = (
-        OutcomeVector(terms=(events["a-"], events["b-"])),
-        OutcomeVector(terms=(events["a+"], events["b+"])),
-    )
-    return ToyDecayScenario(
-        model=model,
-        events=events,
-        decay_spread=sigma_d,
-        station_nspread=ns,
-        inconsistent=inconsistent,
-    )
-
-
 def toy_decay_document() -> ModelDocument:
     """The anticorrelated decay scenario as a document."""
-    toy = build_toy_decay()
-    a, b = toy.station_nspread.spreads
-    return model_document(
-        toy.model,
-        toy.events,
-        {"sigma_a": a, "sigma_b": b, "sigma_d": toy.decay_spread},
-        {"Sigma_ab": toy.station_nspread},
+    named = ("a", "a+", "a-", "b", "b+", "b-", "d", "d+", "d-")
+    return ModelDocument(
+        points=named + ("m1", "m2"),
+        order=(
+            ("a", "a+"), ("a", "a-"), ("a+", "m1"), ("a-", "m2"),
+            ("b", "b+"), ("b", "b-"), ("b+", "m2"), ("b-", "m1"),
+            ("d", "d+"), ("d", "d-"),
+            ("d+", "a+"), ("d+", "b-"), ("d-", "a-"), ("d-", "b+"),
+        ),
+        events={n: (n,) for n in named},
+        spreads={
+            "sigma_a": SpreadDoc("a", ("a-", "a+")),
+            "sigma_b": SpreadDoc("b", ("b-", "b+")),
+            "sigma_d": SpreadDoc("d", ("d-", "d+")),
+        },
+        nspreads={"Sigma_ab": ("sigma_a", "sigma_b")},
+    )
+
+
+def build_toy_decay() -> ToyDecayScenario:
+    """The scenario resolved from :func:`toy_decay_document`."""
+    resolved = resolve_document(toy_decay_document())
+    events = resolved.events
+    return ToyDecayScenario(
+        model=resolved.model,
+        events=events,
+        decay_spread=resolved.spreads["sigma_d"],
+        station_nspread=resolved.nspreads["Sigma_ab"],
+        inconsistent=tuple(
+            OutcomeVector(terms=(events[f"a{s}"], events[f"b{s}"]))
+            for s in "-+"
+        ),
     )

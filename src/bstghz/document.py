@@ -204,42 +204,3 @@ def resolve_document(doc: ModelDocument) -> ResolvedModel:
         model=model, events=events, spreads=spreads, nspreads=nspreads
     )
 
-
-def model_document(
-    model: CausalModel,
-    events: Mapping[str, Event],
-    spreads: Mapping[str, Spread],
-    nspreads: Mapping[str, NSpread],
-) -> ModelDocument:
-    """A document for a live model and its named structure.
-
-    The order is given by the model's cover pairs.  Spreads name their
-    events, and n-spreads name their spreads by the first key of
-    ``spreads`` holding an equal spread.  Sections are sorted by name.
-    """
-
-    def spread_name(spread: Spread) -> str:
-        for name, s in spreads.items():
-            if s is spread or s == spread:
-                return name
-        raise KeyError(spread.initial.name)
-
-    return ModelDocument(
-        points=model.points,
-        order=tuple((p, q) for p in model.points for q in model.covers(p)),
-        events={
-            name: tuple(sorted(ev.members))
-            for name, ev in sorted(events.items())
-        },
-        spreads={
-            name: SpreadDoc(
-                initial=s.initial.name,
-                outcomes=tuple(o.name for o in s.outcomes),
-            )
-            for name, s in sorted(spreads.items())
-        },
-        nspreads={
-            name: tuple(spread_name(s) for s in ns.spreads)
-            for name, ns in sorted(nspreads.items())
-        },
-    )

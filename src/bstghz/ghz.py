@@ -10,16 +10,18 @@ is consistent exactly when
 * the context mixes both axes and the number of minus signs is even, or
 * the context is unmixed (xxx or yyy) and the number of minus signs is odd.
 
-``build_concrete_model`` realizes the rule inside an explicit 53-point
-causal model whose histories are in bijection with the 32 parity
-consistent joint outcomes, so the abstract stipulation and history-based
-consistency can be checked against each other.
+``ghz_document`` realizes the rule as the document of an explicit
+53-point causal model whose histories are in bijection with the 32
+parity consistent joint outcomes, and ``build_concrete_model`` resolves
+it like any other document, so the abstract stipulation and
+history-based consistency can be checked against each other.
 
-Three no-go results follow.  Two brute-force searches mechanize the
-obstruction to pre-assigned values: no global assignment of signs to the
-six station/axis pairs satisfies the four product constraints at once,
-while per-context assignments (nothing shared between contexts) satisfy
-them comfortably.
+Three no-go results follow.  Two sign assignment searches mechanize the
+obstruction to pre-assigned values: a brute force over the 64 global
+assignments of signs to the six station/axis pairs finds none meeting
+the four product constraints at once, while per-context assignments
+(nothing shared between contexts) meet them comfortably, 4 of the 8
+sign triples per constraint, which is counted in closed form.
 
 The third refutes a joint screening common cause, in the sense of the
 conditions cc1..cc3 of ``bstghz.common_cause``.
@@ -69,9 +71,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .document import ModelDocument, model_document
+from .document import ModelDocument, SpreadDoc, resolve_document
 from .events import Event, NSpread, Spread
-from .model import CausalModel, build_model
+from .model import CausalModel
 
 STATIONS = (1, 2, 3)
 AXES = ("x", "y")
@@ -112,6 +114,11 @@ def context_label(ctx: Context) -> str:
 
 def signs_label(signs: SignVector) -> str:
     return "".join(sign_char(s) for s in signs)
+
+
+def _require_known(ctx: Context) -> None:
+    if ctx not in ALL_CONTEXTS:
+        raise ValueError(f"unknown context: {ctx!r}")
 
 
 def parse_context(label: str) -> Context:
@@ -189,11 +196,12 @@ OUTCOME_EVENT_ORDER: tuple[str, ...] = tuple(
 
 @dataclass(frozen=True)
 class GhzStructure:
-    """The named events, spreads, and n-spreads of the scenario.
+    """The named events, spreads, and n-spreads of the scenario, as
+    resolved from :func:`ghz_document`.
 
     All events are singletons over like-named points, so the same
     structure describes both the abstract parity scenario and its
-    realization from :func:`build_concrete_model`.
+    realization in the document's model.
     """
 
     events: Mapping[str, Event]
@@ -220,101 +228,80 @@ class GhzStructure:
         return (a, b, c)
 
 
-def build_abstract_structure() -> GhzStructure:
-    """Events and spreads of the scenario, independent of any model."""
-    events: dict[str, Event] = {}
-
-    def ev(name: str) -> Event:
-        events[name] = Event(name=name, members=frozenset({name}))
-        return events[name]
-
-    for i in STATIONS:
-        ev(initial_name(i))
-        for a in AXES:
-            ev(stable_name(i, a))
-            for s in SIGNS:
-                ev(outcome_name(i, a, s))
-
-    spreads: dict[str, Spread] = {}
-    for i in STATIONS:
-        spreads[f"sigma_{i}"] = Spread(
-            initial=events[initial_name(i)],
-            outcomes=tuple(events[stable_name(i, a)] for a in AXES),
-        )
-        for a in AXES:
-            spreads[f"sigma_{a}_{i}"] = Spread(
-                initial=events[stable_name(i, a)],
-                outcomes=tuple(events[outcome_name(i, a, s)] for s in SIGNS),
-            )
-        spreads[f"sigma_star_{i}"] = Spread(
-            initial=events[initial_name(i)],
-            outcomes=tuple(
-                events[outcome_name(i, a, s)] for a in AXES for s in SIGNS
-            ),
-        )
-
-    nspreads: dict[str, NSpread] = {
-        "Sigma_123": NSpread(
-            spreads=tuple(spreads[f"sigma_{i}"] for i in STATIONS)
-        ),
-        "Sigma_star_123": NSpread(
-            spreads=tuple(spreads[f"sigma_star_{i}"] for i in STATIONS)
-        ),
-    }
-    for ctx in ALL_CONTEXTS:
-        nspreads[f"Sigma_{context_label(ctx)}"] = NSpread(
-            spreads=tuple(
-                spreads[f"sigma_{a}_{i}"] for i, a in zip(STATIONS, ctx)
-            )
-        )
-    return GhzStructure(events=events, spreads=spreads, nspreads=nspreads)
-
-
 def terminal_name(vector: GhzVector) -> str:
     return f"t:{context_label(vector.context)}:{signs_label(vector.signs)}"
 
 
-def build_concrete_model() -> tuple[CausalModel, GhzStructure]:
-    """An explicit 53-point model realizing the parity rule.
+def ghz_document() -> ModelDocument:
+    """The concrete GHZ realization as a document: 53 points, 32 histories.
 
-    Its first 21 points are the members of the abstract structure's
-    events, each spread's initial below each of its outcomes: per station,
-    an initial point below two axis points, each below its two sign points
-    (the star spreads' pairs follow by transitivity).  On top, one terminal
-    point per parity consistent joint outcome (32 more), above exactly the
-    three matching sign points.  Histories are then exactly the
-    down-closures of the terminals, so history-based consistency of joint
-    outcomes agrees with :func:`parity_consistent` by construction.
+    Per station, the initial is covered by its two axis points, each
+    covered by its two sign points; each spread names singleton events
+    over like-named points, and the star spread joins the initial to all
+    four signs.  On top, one terminal point per parity consistent joint
+    outcome (32 of them) covers exactly its three sign points.  Histories
+    are then exactly the down-closures of the terminals, so history-based
+    consistency of joint outcomes agrees with :func:`parity_consistent`
+    by construction.  Points, pairs and sections are sorted.
     """
-    structure = build_abstract_structure()
-    points = [p for ev in structure.events.values() for p in ev.members]
-    pairs = [
-        (p, q)
-        for spread in structure.spreads.values()
-        for out in spread.outcomes
-        for p in spread.initial.members
-        for q in out.members
-    ]
-
+    spreads: dict[str, SpreadDoc] = {}
+    order: list[tuple[str, str]] = []
+    for i in STATIONS:
+        axes = tuple(stable_name(i, a) for a in AXES)
+        spreads[f"sigma_{i}"] = SpreadDoc(initial_name(i), axes)
+        order += [(initial_name(i), x) for x in axes]
+        for a, x in zip(AXES, axes):
+            signs = tuple(outcome_name(i, a, s) for s in SIGNS)
+            spreads[f"sigma_{a}_{i}"] = SpreadDoc(x, signs)
+            order += [(x, o) for o in signs]
+        spreads[f"sigma_star_{i}"] = SpreadDoc(
+            initial_name(i),
+            tuple(outcome_name(i, a, s) for a in AXES for s in SIGNS),
+        )
+    names = sorted(
+        {n for s in spreads.values() for n in (s.initial, *s.outcomes)}
+    )
+    terminals = []
     for ctx in ALL_CONTEXTS:
         for v in consistent_vectors(ctx):
-            t = terminal_name(v)
-            points.append(t)
-            for out in v.outcome_names:
-                pairs.append((out, t))
+            terminals.append(terminal_name(v))
+            order += [(o, terminals[-1]) for o in v.outcome_names]
 
-    return build_model(points, pairs), structure
-
-
-def ghz_document() -> ModelDocument:
-    """The concrete GHZ realization as a document."""
-    model, structure = build_concrete_model()
-    return model_document(
-        model, structure.events, structure.spreads, structure.nspreads
+    nspreads = {
+        "Sigma_123": tuple(f"sigma_{i}" for i in STATIONS),
+        "Sigma_star_123": tuple(f"sigma_star_{i}" for i in STATIONS),
+    }
+    for ctx in ALL_CONTEXTS:
+        nspreads[f"Sigma_{context_label(ctx)}"] = tuple(
+            f"sigma_{a}_{i}" for i, a in zip(STATIONS, ctx)
+        )
+    return ModelDocument(
+        points=tuple(sorted(names + terminals)),
+        order=tuple(sorted(order)),
+        events={n: (n,) for n in names},
+        spreads=dict(sorted(spreads.items())),
+        nspreads=dict(sorted(nspreads.items())),
     )
 
 
-# -- brute-force sign assignment searches ---------------------------------
+def build_concrete_model() -> tuple[CausalModel, GhzStructure]:
+    """The model of :func:`ghz_document` and its named structure."""
+    resolved = resolve_document(ghz_document())
+    structure = GhzStructure(
+        events=resolved.events,
+        spreads=resolved.spreads,
+        nspreads=resolved.nspreads,
+    )
+    return resolved.model, structure
+
+
+def build_abstract_structure() -> GhzStructure:
+    """The events, spreads and n-spreads of the scenario, as resolved
+    from :func:`ghz_document` (the model is built and dropped)."""
+    return build_concrete_model()[1]
+
+
+# -- sign assignment searches ---------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -344,6 +331,8 @@ def value_assignment_search(
     Each constraint demands that the product of the three signs the
     assignment gives to (station i, context axis at i) equals the target.
     """
+    for ctx, _ in constraints:
+        _require_known(ctx)
     keys = ValueSearchResult.assignment_keys()
     witnesses = []
     for signs in itertools.product(SIGNS, repeat=len(keys)):
@@ -382,24 +371,24 @@ class ContextualSearchResult:
 def contextual_assignment_search(
     constraints: Sequence[tuple[Context, int]] = OMEGA_CONSTRAINTS,
 ) -> ContextualSearchResult:
-    """Count joint choices of per-context sign triples meeting the targets."""
-    count = 0
-    witness: tuple[SignVector, ...] | None = None
-    triples = tuple(itertools.product(SIGNS, repeat=3))
-    for combo in itertools.product(triples, repeat=len(constraints)):
-        ok = all(
-            t[0] * t[1] * t[2] == target
-            for t, (_, target) in zip(combo, constraints)
-        )
-        if ok:
-            count += 1
-            if witness is None:
-                witness = combo  # type: ignore[assignment]
+    """Count joint choices of per-context sign triples meeting the targets.
+
+    The constraints are independent, and a target of +1 or -1 admits 4 of
+    the 8 triples, the least of them (-1, -1, target); any other target
+    admits none.
+    """
+    for ctx, _ in constraints:
+        _require_known(ctx)
+    solvable = all(target in SIGNS for _, target in constraints)
     return ContextualSearchResult(
         constraints=tuple((ctx, t) for ctx, t in constraints),
-        total=len(triples) ** len(constraints),
-        satisfying=count,
-        witness=witness,
+        total=8 ** len(constraints),
+        satisfying=4 ** len(constraints) if solvable else 0,
+        witness=(
+            tuple((-1, -1, SIGNS[t > 0]) for _, t in constraints)
+            if solvable
+            else None
+        ),
     )
 
 
@@ -757,8 +746,7 @@ def refute_joint_common_cause(
     """
     ctx_list: list[Context] = []
     for ctx in contexts:
-        if ctx not in ALL_CONTEXTS:
-            raise ValueError(f"unknown context: {ctx!r}")
+        _require_known(ctx)
         if ctx not in ctx_list:
             ctx_list.append(ctx)
     for name in OUTCOME_EVENT_ORDER:

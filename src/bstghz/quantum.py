@@ -39,10 +39,6 @@ from .ghz import (
     parity_consistent,
 )
 
-# Kept for callers that compare the oracle's values against floats; the
-# oracle itself is exact, so its own values are off by 0.
-EIGEN_TOLERANCE = 1e-12
-
 _QUBITS = len(STATIONS)
 Gaussian = tuple[int, int]  # re + i * im
 

@@ -16,9 +16,11 @@ density gaps test every candidate point in between, refutation survivors
 come from a scan of all 2^12 flag masks, a refutation trace is replayed
 from the parity rule and the event labels alone, the propagation closure
 rescans every rule after each forced step with its step texts rendered
-from the labels, and the exact quantum oracle is checked against float
-Pauli matrices, Kronecker products and inner products (numpy; the tests
-that use it skip without it).
+from the labels, the scenario documents are compared with orders written
+out by hand and closed over sets, the per-context sign search is
+replayed over all 8^k choices of triples, and the exact quantum oracle
+is checked against float Pauli matrices, Kronecker products and inner
+products (numpy; the tests that use it skip without it).
 Agreement with the fast implementations is what the tests assert.
 """
 
@@ -53,10 +55,12 @@ from bstghz.events import (
     is_consistent,
 )
 from bstghz.ghz import (
+    ALL_CONTEXTS,
     OUTCOME_EVENT_ORDER,
     STATIONS,
     CandidateProfile,
     Context,
+    ContextualSearchResult,
     GhzVector,
     ReductioTrace,
     SignVector,
@@ -1039,6 +1043,100 @@ def rescan_close(
                 return t, f, False
 
 
+# -- the scenario documents by hand and the per-context sign search --------
+
+
+def reference_covers(
+    points: Iterable[str], pairs: Iterable[tuple[str, str]]
+) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The sorted points and cover pairs of the order the pairs generate,
+    closed over Python sets."""
+    model = set_model(points, pairs)
+    return model.points, tuple(
+        (p, q) for p in model.points for q in model.covers(p)
+    )
+
+
+# The toy decay's order as written by hand: d+ forces a+ and b-, d- the
+# reverse, and m1, m2 join the two anticorrelated outcome pairs.
+TOY_DECAY_POINTS = (
+    "d", "d-", "d+", "a", "a-", "a+", "b", "b-", "b+", "m1", "m2"
+)
+TOY_DECAY_PAIRS = (
+    ("d", "d-"), ("d", "d+"),
+    ("a", "a-"), ("a", "a+"),
+    ("b", "b-"), ("b", "b+"),
+    ("d+", "a+"), ("d+", "b-"),
+    ("d-", "a-"), ("d-", "b+"),
+    ("a+", "m1"), ("b-", "m1"),
+    ("a-", "m2"), ("b+", "m2"),
+)
+
+
+def reference_ghz_spreads() -> dict[str, tuple[str, tuple[str, ...]]]:
+    """The GHZ spreads written out by hand: name to (initial, outcomes)."""
+    spreads = {}
+    for i in STATIONS:
+        spreads[f"sigma_{i}"] = (f"I{i}", (f"x{i}", f"y{i}"))
+        for a in ("x", "y"):
+            spreads[f"sigma_{a}_{i}"] = (f"{a}{i}", (f"{a}-{i}", f"{a}+{i}"))
+        spreads[f"sigma_star_{i}"] = (
+            f"I{i}",
+            tuple(f"{a}{s}{i}" for a in ("x", "y") for s in "-+"),
+        )
+    return spreads
+
+
+def reference_ghz_order() -> tuple[
+    tuple[str, ...], tuple[tuple[str, str], ...]
+]:
+    """Points and cover pairs of the concrete GHZ model built by hand.
+
+    Every spread's initial lies below each of its outcomes, the star
+    spreads' pairs included, and one terminal ``t:<context>:<signs>`` per
+    parity consistent vector lies above its three signs.
+    """
+    pairs = {
+        (initial, o)
+        for initial, outcomes in reference_ghz_spreads().values()
+        for o in outcomes
+    }
+    for ctx in ALL_CONTEXTS:
+        for v in consistent_vectors(ctx):
+            pairs |= {(o, f"t:{v.label()}") for o in v.outcome_names}
+    return reference_covers({p for pair in pairs for p in pair}, pairs)
+
+
+def brute_force_contextual_search(
+    constraints: Sequence[tuple[Context, int]],
+) -> ContextualSearchResult:
+    """Every joint choice of one sign triple per constraint, in
+    lexicographic order, counted against the targets."""
+    count = 0
+    witness = None
+    triples = tuple(itertools.product((-1, 1), repeat=3))
+    for combo in itertools.product(triples, repeat=len(constraints)):
+        if all(
+            t[0] * t[1] * t[2] == target
+            for t, (_, target) in zip(combo, constraints)
+        ):
+            count += 1
+            if witness is None:
+                witness = combo
+    return ContextualSearchResult(
+        constraints=tuple(constraints),
+        total=len(triples) ** len(constraints),
+        satisfying=count,
+        witness=witness,
+    )
+
+
+# -- the quantum oracle against float matrices -------------------------------
+
+# The tolerance for comparing the exact oracle's values with floats.
+EIGEN_TOLERANCE = 1e-12
+
+
 def _numpy() -> Any:
     return pytest.importorskip("numpy")
 
@@ -1069,7 +1167,7 @@ def float_eigenvalue(m: Any, psi: Any) -> complex:
     np = _numpy()
     lam = complex(np.vdot(psi, m @ psi))
     residual = float(np.linalg.norm(m @ psi - lam * psi))
-    if residual >= 1e-12:
+    if residual >= EIGEN_TOLERANCE:
         raise AssertionError(f"not an eigenstate (residual {residual:.3e})")
     return lam
 

@@ -39,13 +39,10 @@ from bstghz.model import (
     check_infima_suprema,
     check_prior_choice,
 )
-from bstghz.quantum import (
-    EIGEN_TOLERANCE,
-    compare_with_stipulation,
-    omega_eigencheck,
-)
+from bstghz.quantum import compare_with_stipulation, omega_eigencheck
 
 from .oracles import (
+    EIGEN_TOLERANCE,
     atomic_candidate_events,
     brute_force_histories,
     fact1_violations,

@@ -26,6 +26,14 @@ from bstghz.errors import (
 )
 from bstghz.ghz import ghz_document
 
+from .oracles import (
+    TOY_DECAY_PAIRS,
+    TOY_DECAY_POINTS,
+    reference_covers,
+    reference_ghz_order,
+    reference_ghz_spreads,
+)
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -487,16 +495,23 @@ class TestCannedDocuments:
         assert len(doc.spreads) == 12
         assert len(doc.nspreads) == 10
 
-    def test_ghz_document_resolves_to_the_concrete_model(self, ghz_model):
-        resolved = resolve_document(ghz_document())
-        assert resolved.model.points == ghz_model.points
-        assert resolved.model.order_pairs() == ghz_model.order_pairs()
-        assert len(resolved.model.histories) == 32
+    def test_ghz_document_resolves_to_the_concrete_model(self):
+        # against the model written out by hand, closed over sets
+        doc = ghz_document()
+        points, covers = reference_ghz_order()
+        assert doc.points == points
+        assert doc.order == covers
+        assert {
+            name: (s.initial, s.outcomes) for name, s in doc.spreads.items()
+        } == reference_ghz_spreads()
+        assert len(resolve_document(doc).model.histories) == 32
 
-    def test_toy_document_resolves(self, toy):
-        resolved = resolve_document(toy_decay_document())
-        assert resolved.model.points == toy.model.points
-        assert resolved.model.order_pairs() == toy.model.order_pairs()
+    def test_toy_document_resolves(self):
+        doc = toy_decay_document()
+        points, covers = reference_covers(TOY_DECAY_POINTS, TOY_DECAY_PAIRS)
+        assert doc.points == points
+        assert doc.order == covers
+        resolved = resolve_document(doc)
         assert set(resolved.nspreads) == {"Sigma_ab"}
 
     def test_checked_in_fixtures_are_current(self):

@@ -36,6 +36,11 @@ from bstghz.ghz import (
 )
 from bstghz.model import choice_points
 
+from .oracles import brute_force_contextual_search
+
+UNKNOWN = [(("x", "x", "z"), 1)]
+UNKNOWN_MESSAGE = r"^unknown context: \('x', 'x', 'z'\)$"
+
 
 class TestLabels:
     def test_sign_char(self):
@@ -282,8 +287,30 @@ class TestValueSearch:
                 hits += 1
         assert hits == value_assignment_search().satisfying
 
+    def test_unknown_context_rejected(self):
+        with pytest.raises(ValueError, match=UNKNOWN_MESSAGE):
+            value_assignment_search(UNKNOWN)
+
 
 class TestContextualSearch:
+    def test_closed_form_matches_the_brute_force(self):
+        families = [
+            list(sub)
+            for r in range(len(OMEGA_CONSTRAINTS) + 1)
+            for sub in itertools.combinations(OMEGA_CONSTRAINTS, r)
+        ]
+        assert len(families) == 16
+        unsolvable = [(("x", "y", "y"), 0)]
+        for constraints in families + [unsolvable]:
+            assert contextual_assignment_search(
+                constraints
+            ) == brute_force_contextual_search(constraints)
+        assert contextual_assignment_search(unsolvable).witness is None
+
+    def test_unknown_context_rejected(self):
+        with pytest.raises(ValueError, match=UNKNOWN_MESSAGE):
+            contextual_assignment_search(UNKNOWN)
+
     def test_count_and_witness(self):
         res = contextual_assignment_search()
         assert res.total == 8 ** 4 == 4096

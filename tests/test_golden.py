@@ -5,8 +5,9 @@ each command, recorded by ``scripts/write_fixtures.py`` from the
 repository root.  A refactor that keeps behaviour keeps this file as it
 is; an intended change to the output regenerates it.  The ``check-cc``
 search on both fixtures, a failing single-vector check, the traced
-refutations (the eight-context family and xxy,xyx,yxx,yyy in JSON) and
-the JSON oracle report are replayed under ``python -O`` as well.
+refutations (the eight-context family and xxy,xyx,yxx,yyy in JSON), the
+JSON oracle report, the built GHZ document in both formats and the two
+sign assignment searches are replayed under ``python -O`` as well.
 
 ``tests/golden/traces.json`` pins every refutation: one SHA-256 per
 nonempty context family, listed in ``ALL_CONTEXTS`` order and reversed,
@@ -96,6 +97,10 @@ OPTIMIZED = [
         "--trace",
     ],
     ["--format", "json", "ghz", "oracle"],
+    ["ghz", "build"],
+    ["--format", "json", "ghz", "build"],
+    ["ghz", "contextual"],
+    ["ghz", "values"],
 ]
 
 

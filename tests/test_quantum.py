@@ -14,7 +14,6 @@ import pytest
 from bstghz.errors import NotEigenstate
 from bstghz.ghz import ALL_CONTEXTS, OMEGA_CONSTRAINTS, context_vectors
 from bstghz.quantum import (
-    EIGEN_TOLERANCE,
     ObservableSpec,
     QubitState,
     _apply,
@@ -29,6 +28,7 @@ from bstghz.quantum import (
 )
 
 from .oracles import (
+    EIGEN_TOLERANCE,
     float_commute,
     float_eigenvalue,
     float_ghz_state,

@@ -17,6 +17,7 @@ from bstghz.ghz import (
     THEOREM_CONTEXTS,
     build_concrete_model,
     context_label,
+    nspread_name,
     parse_context,
     refute_joint_common_cause,
 )
@@ -54,7 +55,7 @@ def main() -> int:
     star = structure.nspreads["Sigma_star_123"]
     print(f"space-like joint arrangement: {is_spacelike(model, star)}")
     for ctx in contexts:
-        ns = structure.context_nspread(ctx)
+        ns = structure.nspreads[nspread_name(ctx)]
         grade = consistency_grade(model, ns)
         print(
             f"  context {context_label(ctx)}: "
@@ -72,7 +73,7 @@ def main() -> int:
             print(f"  {i}. [{step.rule} {step.context}] {step.conclusion}")
 
     level = classify_determinism(
-        model, [structure.context_nspread(c) for c in contexts]
+        model, [structure.nspreads[nspread_name(c)] for c in contexts]
     )
     print(
         f"determinism: level={level.level} "

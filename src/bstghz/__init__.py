@@ -65,7 +65,6 @@ from .common_cause import (
 from .ghz import (
     THEOREM_CONTEXTS,
     CandidateProfile,
-    GhzStructure,
     GhzVector,
     ReductioTrace,
     RefutationResult,
@@ -73,6 +72,7 @@ from .ghz import (
     build_concrete_model,
     contextual_assignment_search,
     ghz_document,
+    nspread_name,
     parity_consistent,
     refute_joint_common_cause,
     value_assignment_search,

@@ -15,7 +15,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .common_cause import check_common_cause, search_common_causes
+from .common_cause import (
+    _require_cc_preconditions,
+    check_common_cause,
+    search_common_causes,
+)
 from .document import (
     ResolvedModel,
     dump_document,
@@ -113,20 +117,15 @@ def cmd_validate(args: argparse.Namespace) -> Report:
 
 
 def cmd_histories(args: argparse.Namespace) -> Report:
-    resolved = _load(args.file)
-    hs = sorted(resolved.model.histories, key=lambda h: h.top)
-    findings = [f"count: {len(hs)}"]
-    findings.extend(
-        f"{h.top}: {' '.join(sorted(h.members))}" for h in hs
-    )
+    model = _load(args.file).model
+    members = {h.top: model.names(h.mask) for h in model.histories}
+    findings = [f"count: {len(members)}"]
+    findings.extend(f"{top}: {' '.join(m)}" for top, m in members.items())
     return Report(
         command="histories",
         status="pass",
         findings=tuple(findings),
-        payload={
-            "count": len(hs),
-            "histories": {h.top: sorted(h.members) for h in hs},
-        },
+        payload={"count": len(members), "histories": members},
     )
 
 
@@ -308,6 +307,7 @@ def cmd_check_cc(args: argparse.Namespace) -> Report:
         vectors = []
         for name in ns_names:
             ns = _lookup(resolved.nspreads, name, "nspread")
+            _require_cc_preconditions(model, ns)
             for v in consistency_grade(model, ns).inconsistent_vectors:
                 ns_list.append(ns)
                 vectors.append(v)

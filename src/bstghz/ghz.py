@@ -14,7 +14,9 @@ is consistent exactly when
 53-point causal model whose histories are in bijection with the 32
 parity consistent joint outcomes, and ``build_concrete_model`` resolves
 it like any other document, so the abstract stipulation and
-history-based consistency can be checked against each other.
+history-based consistency can be checked against each other.  Callers
+get the document's ``ResolvedModel`` and look names up in it as in any
+other, a context's n-spread under ``nspread_name``.
 
 Three no-go results follow.  Two sign assignment searches mechanize the
 obstruction to pre-assigned values: a brute force over the 64 global
@@ -69,10 +71,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .document import ModelDocument, SpreadDoc, resolve_document
-from .events import Event, NSpread, Spread
+from .document import (
+    ModelDocument,
+    ResolvedModel,
+    SpreadDoc,
+    resolve_document,
+)
 from .model import CausalModel
 
 STATIONS = (1, 2, 3)
@@ -194,38 +200,8 @@ OUTCOME_EVENT_ORDER: tuple[str, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class GhzStructure:
-    """The named events, spreads, and n-spreads of the scenario, as
-    resolved from :func:`ghz_document`.
-
-    All events are singletons over like-named points, so the same
-    structure describes both the abstract parity scenario and its
-    realization in the document's model.
-    """
-
-    events: Mapping[str, Event]
-    spreads: Mapping[str, Spread]
-    nspreads: Mapping[str, NSpread]
-
-    def initial(self, i: int) -> Event:
-        return self.events[initial_name(i)]
-
-    def stable(self, i: int, axis: str) -> Event:
-        return self.events[stable_name(i, axis)]
-
-    def outcome(self, i: int, axis: str, sign: int) -> Event:
-        return self.events[outcome_name(i, axis, sign)]
-
-    def outcome_events(self) -> tuple[Event, ...]:
-        return tuple(self.events[n] for n in OUTCOME_EVENT_ORDER)
-
-    def context_nspread(self, ctx: Context) -> NSpread:
-        return self.nspreads[f"Sigma_{context_label(ctx)}"]
-
-    def vector_events(self, vector: GhzVector) -> tuple[Event, Event, Event]:
-        a, b, c = (self.events[n] for n in vector.outcome_names)
-        return (a, b, c)
+def nspread_name(ctx: Context) -> str:
+    return f"Sigma_{context_label(ctx)}"
 
 
 def terminal_name(vector: GhzVector) -> str:
@@ -272,7 +248,7 @@ def ghz_document() -> ModelDocument:
         "Sigma_star_123": tuple(f"sigma_star_{i}" for i in STATIONS),
     }
     for ctx in ALL_CONTEXTS:
-        nspreads[f"Sigma_{context_label(ctx)}"] = tuple(
+        nspreads[nspread_name(ctx)] = tuple(
             f"sigma_{a}_{i}" for i, a in zip(STATIONS, ctx)
         )
     return ModelDocument(
@@ -284,21 +260,21 @@ def ghz_document() -> ModelDocument:
     )
 
 
-def build_concrete_model() -> tuple[CausalModel, GhzStructure]:
-    """The model of :func:`ghz_document` and its named structure."""
+def build_concrete_model() -> tuple[CausalModel, ResolvedModel]:
+    """The model of :func:`ghz_document` and the document resolved over it.
+
+    Every event is a singleton over a like-named point, so the resolved
+    events, spreads and n-spreads describe both the abstract parity
+    scenario and its realization in the model.
+    """
     resolved = resolve_document(ghz_document())
-    structure = GhzStructure(
-        events=resolved.events,
-        spreads=resolved.spreads,
-        nspreads=resolved.nspreads,
-    )
-    return resolved.model, structure
+    return resolved.model, resolved
 
 
-def build_abstract_structure() -> GhzStructure:
-    """The events, spreads and n-spreads of the scenario, as resolved
-    from :func:`ghz_document` (the model is built and dropped)."""
-    return build_concrete_model()[1]
+def build_abstract_structure() -> ResolvedModel:
+    """:func:`ghz_document` resolved: its events, spreads and n-spreads,
+    looked up by name (``nspread_name`` for a context's n-spread)."""
+    return resolve_document(ghz_document())
 
 
 # -- sign assignment searches ---------------------------------------------
@@ -428,9 +404,13 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class ReductioTrace:
-    """The derivation of the contradiction.  A ``case-split`` step opens a
-    branch that runs to its own ``contradiction``; the other case of the
-    same flag follows it."""
+    """The derivation of the contradiction from one cc2 start, a
+    consistent vector of the first listed context: the paper's x+1, x-2,
+    x+3 when it is one, else the first.  The other starts are covered by
+    the exhaustive zero-survivor count, not by the trace.  A
+    ``case-split`` step opens a branch that runs to its own
+    ``contradiction``; the other case of the same flag follows it.
+    ``complete`` means every branch of this one derivation closes."""
 
     steps: tuple[TraceStep, ...]
     complete: bool
@@ -733,7 +713,7 @@ class RefutationResult:
 
 
 def refute_joint_common_cause(
-    structure: GhzStructure, contexts: Iterable[Context]
+    structure: ResolvedModel, contexts: Iterable[Context]
 ) -> RefutationResult:
     """Exhaust all candidate profiles against the listed contexts.
 

@@ -30,6 +30,7 @@ from bstghz.ghz import (
     build_abstract_structure,
     context_vectors,
     contextual_assignment_search,
+    nspread_name,
     parity_consistent,
     refute_joint_common_cause,
     value_assignment_search,
@@ -143,13 +144,12 @@ def test_criterion_06_concrete_model_realizes_the_rule(ghz):
         assert validate_spread(model, spread).ok
     assert is_spacelike(model, structure.nspreads["Sigma_star_123"])
     for ctx in ALL_CONTEXTS:
-        g = consistency_grade(model, structure.context_nspread(ctx))
+        g = consistency_grade(model, structure.nspreads[nspread_name(ctx)])
         assert g.one_consistent and not g.maximal
         assert len(g.inconsistent_vectors) == 4
         for v in context_vectors(ctx):
-            realized = is_consistent(
-                model, (), structure.vector_events(v)
-            )
+            terms = [structure.events[n] for n in v.outcome_names]
+            realized = is_consistent(model, (), terms)
             assert realized == parity_consistent(v)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

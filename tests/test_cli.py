@@ -31,9 +31,33 @@ def docs(tmp_path_factory):
         ),
         encoding="utf-8",
     )
+    # a < a1 < b1: N's two spreads lie on one chain, not space-like
+    chain = root / "chain.json"
+    chain.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "points": ["a", "a1", "b1"],
+                "order": [["a", "a1"], ["a1", "b1"]],
+                "events": {"a": ["a"], "a1": ["a1"], "b1": ["b1"]},
+                "spreads": {
+                    "A": {"initial": "a", "outcomes": ["a1"]},
+                    "B": {"initial": "a1", "outcomes": ["b1"]},
+                },
+                "nspreads": {"N": ["A", "B"]},
+            }
+        ),
+        encoding="utf-8",
+    )
     bad = root / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    return {"toy": str(toy), "ghz": str(ghz), "twin": str(twin), "bad": str(bad)}
+    return {
+        "toy": str(toy),
+        "ghz": str(ghz),
+        "twin": str(twin),
+        "chain": str(chain),
+        "bad": str(bad),
+    }
 
 
 def run(capsys, *argv):
@@ -340,6 +364,17 @@ class TestCheckCc:
         assert "target vectors: 4" in out
         assert "candidates: 21" in out
         assert "passing: 0" in out
+
+    def test_search_checks_an_nspread_without_inconsistent_vectors(
+        self, docs, capsys
+    ):
+        code, out, err = run(
+            capsys, "check-cc", docs["chain"], "--search", "--nspread", "N"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: PreconditionFailed: the n-spread is not space-like\n"
+        )
 
     def test_search_needs_nspread(self, docs, capsys):
         code, _, err = run(capsys, "check-cc", docs["toy"], "--search")

@@ -18,6 +18,7 @@ from bstghz.common_cause import (
     check_common_cause,
     classify_determinism,
     search_common_causes,
+    toy_decay_document,
 )
 from bstghz.errors import (
     BstError,
@@ -41,7 +42,6 @@ from bstghz.ghz import (
     OUTCOME_EVENT_ORDER,
     THEOREM_CONTEXTS,
     CandidateProfile,
-    GhzStructure,
     ReductioTrace,
     TraceStep,
     _BIT,
@@ -56,6 +56,7 @@ from bstghz.ghz import (
     consistent_vectors,
     context_vectors,
     inconsistent_vectors,
+    nspread_name,
     refute_joint_common_cause,
     value_assignment_search,
 )
@@ -237,7 +238,7 @@ class TestChecker:
 
     def test_each_spread_is_validated_once_per_model(self, monkeypatch):
         model, structure = build_concrete_model()
-        ns = structure.context_nspread(("x", "x", "y"))
+        ns = structure.nspreads[nspread_name(("x", "x", "y"))]
         sigma = structure.spreads["sigma_1"]
         vector = OutcomeVector(
             terms=tuple(structure.events[n] for n in ("x+1", "x+2", "y-3"))
@@ -343,9 +344,11 @@ class TestSearch:
         assert not result.vacuous
 
     def test_ghz_search_finds_nothing(self, ghz_model, ghz_structure):
-        ns = ghz_structure.context_nspread(("x", "x", "y"))
+        ns = ghz_structure.nspreads[nspread_name(("x", "x", "y"))]
         vectors = [
-            OutcomeVector(terms=ghz_structure.vector_events(v))
+            OutcomeVector(
+                terms=tuple(ghz_structure.events[n] for n in v.outcome_names)
+            )
             for v in inconsistent_vectors(("x", "x", "y"))
         ]
         result = search_common_causes(
@@ -413,7 +416,7 @@ class TestSearch:
         else:
             model = ghz_model
             nspreads = [
-                ghz_structure.context_nspread(c)
+                ghz_structure.nspreads[nspread_name(c)]
                 for c in (("x", "x", "y"), ("y", "x", "x"))
             ]
         pairs = [
@@ -686,7 +689,7 @@ class TestRefutation:
     def test_structure_without_outcome_events_rejected(self):
         with pytest.raises(ValueError, match="lacks outcome event 'x-1'"):
             refute_joint_common_cause(
-                GhzStructure({}, {}, {}), THEOREM_CONTEXTS
+                resolve_document(toy_decay_document()), THEOREM_CONTEXTS
             )
 
     def test_no_contexts_is_vacuous(self):
@@ -880,7 +883,7 @@ class TestDeterminism:
         assert any("screened by atomic spreads at d" in n for n in report.notes)
 
     def test_ghz_correlations_are_not_screened(self, ghz_model, ghz_structure):
-        ns = ghz_structure.context_nspread(("x", "x", "y"))
+        ns = ghz_structure.nspreads[nspread_name(("x", "x", "y"))]
         report = classify_determinism(ghz_model, [ns])
         assert report.level == "indeterministic"
         assert report.level3_evidence

@@ -18,6 +18,7 @@ from bstghz.ghz import (
     OMEGA_CONSTRAINTS,
     OUTCOME_EVENT_ORDER,
     SIGNS,
+    STATIONS,
     THEOREM_CONTEXTS,
     GhzVector,
     build_abstract_structure,
@@ -26,6 +27,7 @@ from bstghz.ghz import (
     context_vectors,
     contextual_assignment_search,
     inconsistent_vectors,
+    nspread_name,
     outcome_name,
     parity_consistent,
     parse_context,
@@ -135,18 +137,18 @@ class TestAbstractStructure:
         assert len(s.spreads) == 12
         assert len(s.nspreads) == 10
 
-    def test_accessors(self):
+    def test_context_nspreads_and_outcome_events(self):
         s = build_abstract_structure()
-        assert s.initial(1).name == "I1"
-        assert s.stable(2, "y").name == "y2"
-        assert s.outcome(3, "x", -1).name == "x-3"
-        assert [e.name for e in s.outcome_events()] == list(
-            OUTCOME_EVENT_ORDER
-        )
+        for ctx in ALL_CONTEXTS:
+            ns = s.nspreads[nspread_name(ctx)]
+            assert ns.spreads == tuple(
+                s.spreads[f"sigma_{a}_{i}"] for i, a in zip(STATIONS, ctx)
+            )
+        assert all(n in s.events for n in OUTCOME_EVENT_ORDER)
 
     def test_context_nspread_wiring(self):
         s = build_abstract_structure()
-        ns = s.context_nspread(("x", "x", "y"))
+        ns = s.nspreads[nspread_name(("x", "x", "y"))]
         assert [sp.initial.name for sp in ns.spreads] == ["x1", "x2", "y3"]
         assert [
             [o.name for o in sp.outcomes] for sp in ns.spreads
@@ -155,7 +157,9 @@ class TestAbstractStructure:
     def test_vector_events(self):
         s = build_abstract_structure()
         v = GhzVector(context=("y", "x", "y"), signs=(-1, 1, -1))
-        assert [e.name for e in s.vector_events(v)] == ["y-1", "x+2", "y-3"]
+        assert [s.events[n].name for n in v.outcome_names] == [
+            "y-1", "x+2", "y-3"
+        ]
 
 
 class TestConcreteModel:
@@ -184,14 +188,13 @@ class TestConcreteModel:
     ):
         for ctx in ALL_CONTEXTS:
             for v in context_vectors(ctx):
-                realized = is_consistent(
-                    ghz_model, (), ghz_structure.vector_events(v)
-                )
+                terms = [ghz_structure.events[n] for n in v.outcome_names]
+                realized = is_consistent(ghz_model, (), terms)
                 assert realized == parity_consistent(v), v.label()
 
     def test_measurement_nspread_grades(self, ghz_model, ghz_structure):
         g = consistency_grade(
-            ghz_model, ghz_structure.context_nspread(("x", "x", "y"))
+            ghz_model, ghz_structure.nspreads[nspread_name(("x", "x", "y"))]
         )
         assert g.minimal and g.one_consistent and not g.maximal
         assert g.vector_count == 8
@@ -220,7 +223,7 @@ class TestConcreteModel:
     def test_measurement_nspreads_spacelike(self, ghz_model, ghz_structure):
         for ctx in ALL_CONTEXTS:
             assert is_spacelike(
-                ghz_model, ghz_structure.context_nspread(ctx)
+                ghz_model, ghz_structure.nspreads[nspread_name(ctx)]
             )
 
     def test_choice_points_between_sibling_histories(self, ghz_model):
@@ -239,7 +242,7 @@ class TestConcreteModel:
     def test_vector_enumeration_matches_context_vectors(
         self, ghz_structure
     ):
-        ns = ghz_structure.context_nspread(("x", "y", "x"))
+        ns = ghz_structure.nspreads[nspread_name(("x", "y", "x"))]
         enumerated = [v.names for v in enumerate_outcome_vectors(ns)]
         expected = [
             v.outcome_names for v in context_vectors(("x", "y", "x"))

@@ -17,7 +17,7 @@ families of that size (``null`` when there are none), the median
 milliseconds of the first calls (``first_ms``), and the median
 milliseconds of the derivation alone over the refuted families
 (``derivation_ms``, ``null`` when none is refuted), which separates the
-survivor intersection from the trace.
+survivors from the trace.
 """
 
 from __future__ import annotations

@@ -41,10 +41,13 @@ conditions: each station/axis measured has an outcome flagged consistent
 (cc2 through its stable initial), and no inconsistent vector has every
 term flagged consistent (cc3).  A station/axis measured in two contexts
 gives the same condition in both, so a profile survives a family exactly
-when it survives each of its contexts: a family's survivors are the
-intersection of per-context sets, each read off the conditions over the
-six flags the context measures and crossed with every setting of the six
-it leaves free.  Masks give the first outcome event the most significant
+when it survives each of its contexts.  Each context's conditions are
+read off over the six flags it measures: they leave four settings of
+those flags, one per consistent vector.  A family's survivors are these
+settings joined across its contexts on the flags two contexts share, and
+crossed with every setting of the flags no listed context measures; a
+family is refuted as soon as the join is empty, so no set of profiles is
+built for it.  Masks give the first outcome event the most significant
 bit, so they sort in the lexicographic order of their profiles.
 
 Only a refuted family's derivation searches.  One propagation engine
@@ -546,16 +549,19 @@ def _close(
     given disjoint.
 
     Contradictions are looked for among every rule once, on entry, and
-    after that only where the last step can make one.  Each pass takes
-    the first forced step in rule order, as a full rescan after every
-    step would: screening (an inconsistent vector with all terms but one
-    in t puts the last in f), else settling (a station/axis with one
-    outcome in f puts the other in t).  Only screening can then make a
-    contradiction, at the stable holding its flag: a screen lacking just
-    a settled flag would have screened that flag first.  Each derived
-    flag's fact is recorded in ``why``; its step is built when a
-    derivation first reaches it and shared after that.  Returns the
-    flags and the contradiction's fact, False if none.
+    after that only where the last step can make one.  Forced steps are
+    taken in the order a full rescan after every step would take them:
+    screening first (an inconsistent vector with all terms but one in t
+    puts the last in f), else settling (a station/axis with one outcome
+    in f puts the other in t).  Screening only adds to f, and that forces
+    no screen, so one sweep over the screens takes every screening due in
+    rule order; a settling is taken only when a sweep ends, and the next
+    sweep starts over.  Only screening can then make a contradiction, at
+    the stable holding its flag: a screen lacking just a settled flag
+    would have screened that flag first.  Each derived flag's fact is
+    recorded in ``why``; its step is built when a derivation first
+    reaches it and shared after that.  Returns the flags and the
+    contradiction's fact, False if none.
     """
     for label, detail, m in screens:
         if t & m == m:
@@ -580,39 +586,59 @@ def _close(
                 if f & pair == pair:
                     step = _both_inconsistent(stables[pair])
                     return t, f, _fact(why, pair, step)
+        for pair, stable in stables.items():
+            settled = pair & ~f
+            if settled != pair and not t & settled:
+                t |= settled
+                step = _settling(stable, settled)
+                why[settled] = _fact(why, pair & f, step)
                 break
         else:
-            for pair, stable in stables.items():
-                settled = pair & ~f
-                if settled != pair and not t & settled:
-                    t |= settled
-                    step = _settling(stable, settled)
-                    why[settled] = _fact(why, pair & f, step)
-                    break
-            else:
-                return t, f, False
+            return t, f, False
 
 
 @functools.cache
-def _context_survivors(ctx: Context) -> frozenset[int]:
-    """The full masks surviving one context, read off the survival
-    conditions: every stable has an outcome flagged consistent, and no
-    screen has all its terms flagged.  Each setting of the measured flags
-    that meets both is crossed with every setting of the free flags."""
+def _context_settings(ctx: Context) -> tuple[int, tuple[int, ...]]:
+    """One context's measured flags, and the settings of them that meet
+    its survival conditions: every stable has an outcome flagged
+    consistent, and no screen has all its terms flagged.  A profile
+    survives the context exactly when it sets the measured flags as one
+    of these; the other six flags are free."""
     screens, stables = _context_rules(ctx)
-    free = _ALL_FLAGS & ~sum(lo | hi for *_, lo, hi in stables)
-    subs = [free]
-    while subs[-1]:
-        subs.append((subs[-1] - 1) & free)
     # a stable's flagged outcomes: the minus one, the plus one, or both;
     # both fail a parity screen, but not in a context with no screens
     flagged = itertools.product(*((lo, hi, lo | hi) for *_, lo, hi in stables))
-    return frozenset(
-        t | sub
-        for t in map(sum, flagged)
-        if not any(t & m == m for *_, m in screens)
-        for sub in subs
+    return sum(lo | hi for *_, lo, hi in stables), tuple(
+        t for t in map(sum, flagged) if not any(t & m == m for *_, m in screens)
     )
+
+
+def _survivors(contexts: Sequence[Context]) -> list[int]:
+    """The full masks surviving every listed context, in increasing order.
+
+    The settings of the flags measured so far are joined, context by
+    context, with the context's settings that agree with them on the
+    flags both measure, and the family is refuted as soon as none is
+    left.  Each joint setting is then crossed with every setting of the
+    flags no listed context measures."""
+    measured, settings = 0, [0]
+    for ctx in contexts:
+        ctx_measured, ctx_settings = _context_settings(ctx)
+        shared = measured & ctx_measured
+        settings = [
+            s | c
+            for s in settings
+            for c in ctx_settings
+            if s & shared == c & shared
+        ]
+        if not settings:
+            return []
+        measured |= ctx_measured
+    free = _ALL_FLAGS & ~measured
+    subs = [free]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & free)
+    return sorted([s | sub for s in settings for sub in subs])
 
 
 @functools.cache
@@ -733,14 +759,7 @@ def refute_joint_common_cause(
         if name not in structure.events:
             raise ValueError(f"structure lacks outcome event {name!r}")
 
-    # a profile survives the family exactly when it survives each context
-    sets = map(_context_survivors, ctx_list)
-    masks = next(sets, range(_ALL_FLAGS + 1))
-    for ctx_masks in sets:
-        if not masks:
-            break
-        masks = masks & ctx_masks
-    survivors = tuple(map(_profile, sorted(masks)))
+    survivors = tuple(map(_profile, _survivors(ctx_list)))
 
     notes: list[str] = []
     trace: ReductioTrace | None = None

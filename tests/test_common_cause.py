@@ -47,8 +47,8 @@ from bstghz.ghz import (
     _BIT,
     _close,
     _compile,
-    _context_rules,
-    _context_survivors,
+    _context_settings,
+    _survivors,
     _Fact,
     _profile,
     build_abstract_structure,
@@ -82,6 +82,14 @@ EVERY_FAMILY = [
     for r in range(len(ALL_CONTEXTS) + 1)
     for fam in itertools.combinations(ALL_CONTEXTS, r)
 ]
+
+
+def clear_ghz_caches():
+    """Empty every ``functools`` cache in ``ghz``, so that no rule, table
+    or trace step built before a test patches the rules outlives it."""
+    for f in vars(ghz).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
 
 
 def spread_of(events, initial, *outcomes):
@@ -536,6 +544,17 @@ class TestProfiles:
             expected = sorted(set.intersection(*(alone[c] for c in fam)))
             assert [p.flags for p in result.survivors] == expected, fam
 
+    def test_a_context_leaves_one_setting_per_consistent_vector(self):
+        for ctx in ALL_CONTEXTS:
+            measured, settings = _context_settings(ctx)
+            vectors = consistent_vectors(ctx)
+            assert sorted(settings) == sorted(
+                sum(_BIT[n] for n in v.outcome_names) for v in vectors
+            )
+            assert measured == sum(
+                {_BIT[n] for v in context_vectors(ctx) for n in v.outcome_names}
+            )
+
     def test_both_outcomes_flagged_survive_a_context_without_screens(
         self, monkeypatch
     ):
@@ -543,13 +562,11 @@ class TestProfiles:
         # station/axis may have both of its outcomes flagged
         ctx = ("x", "y", "y")
         monkeypatch.setattr(ghz, "inconsistent_vectors", lambda ctx: ())
-        _context_rules.cache_clear()
-        _context_survivors.cache_clear()
+        clear_ghz_caches()
         try:
-            got = [_profile(m).flags for m in sorted(_context_survivors(ctx))]
+            got = [_profile(m).flags for m in _survivors([ctx])]
         finally:
-            _context_rules.cache_clear()
-            _context_survivors.cache_clear()
+            clear_ghz_caches()
         vectors = [v.outcome_names for v in context_vectors(ctx)]
         assert got == brute_force_survivors(
             OUTCOME_EVENT_ORDER, [(vectors, [])]
@@ -557,19 +574,14 @@ class TestProfiles:
 
     def test_family_result_does_not_depend_on_what_ran_before(self):
         # the caches fill in whatever order families arrive
-        caches = [
-            f for f in vars(ghz).values() if hasattr(f, "cache_clear")
-        ]
         structure = build_abstract_structure()
 
         def cold(fam):
-            for cache in caches:
-                cache.cache_clear()
+            clear_ghz_caches()
             return refute_joint_common_cause(structure, fam)
 
         expected = {fam: cold(fam) for fam in EVERY_FAMILY}
-        for cache in caches:
-            cache.cache_clear()
+        clear_ghz_caches()
         # every family before its member contexts, then after them
         for fam in [*EVERY_FAMILY[::-1], *EVERY_FAMILY]:
             got = refute_joint_common_cause(structure, fam)

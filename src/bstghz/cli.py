@@ -255,12 +255,11 @@ def cmd_ghz_oracle(args: argparse.Namespace) -> Report:
         "pairwise commuting: " + ("yes" if eig.pairwise_commuting else "no")
     )
     report = compare_with_stipulation()
-    contexts = (
-        [parse_context(args.context)] if args.context else list(ALL_CONTEXTS)
-    )
+    single = args.context is not None
+    contexts = [parse_context(args.context)] if single else list(ALL_CONTEXTS)
     probabilities: dict[str, float] = {}
     for ctx in contexts:
-        if args.context:
+        if single:
             for signs, exact in sorted(context_distribution(ctx).items()):
                 label = f"{context_label(ctx)}:{signs_label(signs)}"
                 p = float(exact)

@@ -19,8 +19,8 @@ get the document's ``ResolvedModel`` and look names up in it as in any
 other, a context's n-spread under ``nspread_name``.
 
 Three no-go results follow.  Two sign assignment searches mechanize the
-obstruction to pre-assigned values: a brute force over the 64 global
-assignments of signs to the six station/axis pairs finds none meeting
+obstruction to pre-assigned values: the refutation's join finds none of
+the 64 global assignments of signs to the six station/axis pairs meeting
 the four product constraints at once, while per-context assignments
 (nothing shared between contexts) meet them comfortably, 4 of the 8
 sign triples per constraint, which is counted in closed form.
@@ -74,6 +74,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 from .document import (
@@ -82,6 +83,7 @@ from .document import (
     SpreadDoc,
     resolve_document,
 )
+from .errors import BadFlag
 from .model import CausalModel
 
 STATIONS = (1, 2, 3)
@@ -131,8 +133,6 @@ def _require_known(ctx: Context) -> None:
 
 
 def parse_context(label: str) -> Context:
-    from .errors import BadFlag
-
     if len(label) != 3 or any(c not in AXES for c in label):
         raise BadFlag(f"not an axis context: {label!r} (want e.g. 'xxy')")
     return (label[0], label[1], label[2])
@@ -303,28 +303,32 @@ class ValueSearchResult:
 
 
 def value_assignment_search(
-    constraints: Sequence[tuple[Context, int]] = OMEGA_CONSTRAINTS,
+    constraints: Iterable[tuple[Context, int]] = OMEGA_CONSTRAINTS,
 ) -> ValueSearchResult:
     """Count sign assignments meeting every product constraint.
 
     Each constraint demands that the product of the three signs the
     assignment gives to (station i, context axis at i) equals the target.
+    The satisfying ones, as the outcome flags of their signs, are the
+    :func:`_join` of a row per constraint, its context's vectors with the
+    target product, and one per station/axis, allowing either outcome.
     """
-    for ctx, _ in constraints:
+    constraints = tuple((ctx, t) for ctx, t in constraints)
+    rows = []
+    for ctx, target in constraints:
         _require_known(ctx)
+        rows.append((_context_settings(ctx)[0], [
+            sum(_BIT[n] for n in v.outcome_names)
+            for v in context_vectors(ctx) if prod(v.signs) == target
+        ]))
     keys = ValueSearchResult.assignment_keys()
-    witnesses = []
-    for signs in itertools.product(SIGNS, repeat=len(keys)):
-        value = dict(zip(keys, signs))
-        ok = all(
-            value[(1, ctx[0])] * value[(2, ctx[1])] * value[(3, ctx[2])]
-            == target
-            for ctx, target in constraints
-        )
-        if ok:
-            witnesses.append(signs)
+    plus = [_BIT[outcome_name(i, a, 1)] for i, a in keys]
+    rows += [(_PAIR[b], (_PAIR[b] ^ b, b)) for b in plus]
+    witnesses = sorted(
+        tuple(SIGNS[bool(m & b)] for b in plus) for m in _join(rows)[1]
+    )
     return ValueSearchResult(
-        constraints=tuple((ctx, t) for ctx, t in constraints),
+        constraints=constraints,
         total=2 ** len(keys),
         satisfying=len(witnesses),
         witnesses=tuple(witnesses),
@@ -348,7 +352,7 @@ class ContextualSearchResult:
 
 
 def contextual_assignment_search(
-    constraints: Sequence[tuple[Context, int]] = OMEGA_CONSTRAINTS,
+    constraints: Iterable[tuple[Context, int]] = OMEGA_CONSTRAINTS,
 ) -> ContextualSearchResult:
     """Count joint choices of per-context sign triples meeting the targets.
 
@@ -356,11 +360,12 @@ def contextual_assignment_search(
     the 8 triples, the least of them (-1, -1, target); any other target
     admits none.
     """
+    constraints = tuple((ctx, t) for ctx, t in constraints)
     for ctx, _ in constraints:
         _require_known(ctx)
     solvable = all(target in SIGNS for _, target in constraints)
     return ContextualSearchResult(
-        constraints=tuple((ctx, t) for ctx, t in constraints),
+        constraints=constraints,
         total=8 ** len(constraints),
         satisfying=4 ** len(constraints) if solvable else 0,
         witness=(
@@ -613,27 +618,31 @@ def _context_settings(ctx: Context) -> tuple[int, tuple[int, ...]]:
     )
 
 
-def _survivors(contexts: Sequence[Context]) -> list[int]:
-    """The full masks surviving every listed context, in increasing order.
+def _join(rows: Iterable[tuple[int, Sequence[int]]]) -> tuple[int, list[int]]:
+    """The flags the rows measure and the settings of them all rows allow.
 
-    The settings of the flags measured so far are joined, context by
-    context, with the context's settings that agree with them on the
-    flags both measure, and the family is refuted as soon as none is
-    left.  Each joint setting is then crossed with every setting of the
-    flags no listed context measures."""
+    A row is the flags it measures and its allowed settings of them.  Rows
+    are merged one at a time, each kept setting joined with the row's
+    settings that agree with it on the flags both measure; the join is
+    empty as soon as a row matches none, and later rows are not read."""
     measured, settings = 0, [0]
-    for ctx in contexts:
-        ctx_measured, ctx_settings = _context_settings(ctx)
-        shared = measured & ctx_measured
+    for flags, allowed in rows:
+        shared = measured & flags
+        measured |= flags
         settings = [
-            s | c
-            for s in settings
-            for c in ctx_settings
-            if s & shared == c & shared
+            s | r for s in settings for r in allowed if not (s ^ r) & shared
         ]
         if not settings:
-            return []
-        measured |= ctx_measured
+            break
+    return measured, settings
+
+
+def _survivors(contexts: Sequence[Context]) -> list[int]:
+    """The full masks surviving every listed context, in increasing order:
+    the :func:`_join` of the contexts' settings, each joint setting
+    crossed with every setting of the flags no listed context measures.
+    A refuted family stops at the first context that leaves no setting."""
+    measured, settings = _join(map(_context_settings, contexts))
     free = _ALL_FLAGS & ~measured
     subs = [free]
     while subs[-1]:

@@ -17,8 +17,9 @@ come from a scan of all 2^12 flag masks, a refutation trace is replayed
 from the parity rule and the event labels alone, the propagation closure
 rescans every rule after each forced step with its step texts rendered
 from the labels, the scenario documents are compared with orders written
-out by hand and closed over sets, the per-context sign search is
-replayed over all 8^k choices of triples, and the exact quantum oracle
+out by hand and closed over sets, the global sign search is replayed
+over all 64 assignments, the per-context sign search over all 8^k
+choices of triples, and the exact quantum oracle
 is checked against float Pauli matrices, Kronecker products and inner
 products (numpy; the tests that use it skip without it).
 Agreement with the fast implementations is what the tests assert.
@@ -65,6 +66,7 @@ from bstghz.ghz import (
     ReductioTrace,
     SignVector,
     TraceStep,
+    ValueSearchResult,
     consistent_vectors,
     context_label,
     inconsistent_vectors,
@@ -1105,6 +1107,29 @@ def reference_ghz_order() -> tuple[
         for v in consistent_vectors(ctx):
             pairs |= {(o, f"t:{v.label()}") for o in v.outcome_names}
     return reference_covers({p for pair in pairs for p in pair}, pairs)
+
+
+def brute_force_value_search(
+    constraints: Sequence[tuple[Context, int]],
+) -> ValueSearchResult:
+    """Every assignment of one sign per station/axis, in lexicographic
+    order, kept when it meets every product constraint."""
+    keys = ValueSearchResult.assignment_keys()
+    witnesses = []
+    for signs in itertools.product((-1, 1), repeat=len(keys)):
+        value = dict(zip(keys, signs))
+        if all(
+            value[(1, ctx[0])] * value[(2, ctx[1])] * value[(3, ctx[2])]
+            == target
+            for ctx, target in constraints
+        ):
+            witnesses.append(signs)
+    return ValueSearchResult(
+        constraints=tuple(constraints),
+        total=2 ** len(keys),
+        satisfying=len(witnesses),
+        witnesses=tuple(witnesses),
+    )
 
 
 def brute_force_contextual_search(

@@ -283,10 +283,14 @@ class TestGhzOracle:
         assert '"product": -1.0,' in out
         assert "0.12499" not in out and "0.24999" not in out
 
-    def test_bad_context(self, capsys):
-        code, _, err = run(capsys, "ghz", "oracle", "--context", "qqq")
-        assert code == 2
-        assert "error: BadFlag" in err
+    @pytest.mark.parametrize("label", ["qqq", ""])
+    def test_bad_context(self, capsys, label):
+        code, out, err = run(capsys, "ghz", "oracle", "--context", label)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: BadFlag: not an axis context: {label!r} "
+            "(want e.g. 'xxy')\n"
+        )
 
 
 class TestCheckCc:

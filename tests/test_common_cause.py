@@ -58,13 +58,13 @@ from bstghz.ghz import (
     inconsistent_vectors,
     nspread_name,
     refute_joint_common_cause,
-    value_assignment_search,
 )
 from bstghz.model import build_model
 
 from .oracles import (
     brute_force_is_consistent,
     brute_force_survivors,
+    brute_force_value_search,
     check_derivation,
     family_groups,
     profile_satisfies_constraints,
@@ -679,7 +679,7 @@ class TestRefutation:
                 products = {math.prod(v.signs) for v in vectors}
                 assert len(products) == 1, ctx
                 constraints.append((ctx, products.pop()))
-            unassignable = value_assignment_search(constraints).satisfying == 0
+            unassignable = not brute_force_value_search(constraints).witnesses
             result = refute_joint_common_cause(structure, fam)
             assert (result.survivors == ()) == unassignable, fam
             refuted += unassignable

@@ -1,6 +1,7 @@
 """The three-station scenario: labels, parity rule, model, searches."""
 
 import itertools
+import random
 from math import prod
 
 import pytest
@@ -38,7 +39,7 @@ from bstghz.ghz import (
 )
 from bstghz.model import choice_points
 
-from .oracles import brute_force_contextual_search
+from .oracles import brute_force_contextual_search, brute_force_value_search
 
 UNKNOWN = [(("x", "x", "z"), 1)]
 UNKNOWN_MESSAGE = r"^unknown context: \('x', 'x', 'z'\)$"
@@ -274,21 +275,51 @@ class TestValueSearch:
             (3, "x"), (3, "y"),
         )
 
-    def test_brute_force_agreement(self):
-        # recount with an unrelated encoding: signs as bits of an integer
+    def test_matches_the_brute_force(self):
+        parity = [
+            (ctx, prod(consistent_vectors(ctx)[0].signs))
+            for ctx in ALL_CONTEXTS
+        ]
+        subsets = [
+            list(sub)
+            for r in range(1, len(parity) + 1)
+            for sub in itertools.combinations(parity, r)
+        ]
+        flipped = [[(ctx, -t) for ctx, t in sub] for sub in subsets]
+        rng = random.Random(19)
+        drawn = [
+            [
+                (rng.choice(ALL_CONTEXTS), rng.choice((-1, 1) * 9 + (0, 2)))
+                for _ in range(rng.randint(1, 10))
+            ]
+            for _ in range(150)
+        ]
+        lists = subsets + flipped + [[]] + drawn + [d[::-1] for d in drawn]
+        assert len(lists) == 811
+        for constraints in lists:
+            assert value_assignment_search(
+                constraints
+            ) == brute_force_value_search(constraints), constraints
+
+        # recount the oracle with an unrelated encoding: signs as bits
         keys = [(i, a) for i in (1, 2, 3) for a in ("x", "y")]
-        hits = 0
-        for bits in range(64):
-            val = {
-                k: (1 if bits >> n & 1 else -1)
-                for n, k in enumerate(keys)
-            }
-            if all(
-                val[(1, c[0])] * val[(2, c[1])] * val[(3, c[2])] == t
-                for c, t in OMEGA_CONSTRAINTS
-            ):
-                hits += 1
-        assert hits == value_assignment_search().satisfying
+        for r in range(len(OMEGA_CONSTRAINTS) + 1):
+            for sub in itertools.combinations(OMEGA_CONSTRAINTS, r):
+                hits = 0
+                for bits in range(64):
+                    val = {
+                        k: (1 if bits >> n & 1 else -1)
+                        for n, k in enumerate(keys)
+                    }
+                    hits += all(
+                        val[(1, c[0])] * val[(2, c[1])] * val[(3, c[2])] == t
+                        for c, t in sub
+                    )
+                assert hits == brute_force_value_search(sub).satisfying
+
+    def test_one_shot_iterable(self):
+        res = value_assignment_search(c for c in OMEGA_CONSTRAINTS)
+        assert res == value_assignment_search()
 
     def test_unknown_context_rejected(self):
         with pytest.raises(ValueError, match=UNKNOWN_MESSAGE):
@@ -313,6 +344,10 @@ class TestContextualSearch:
     def test_unknown_context_rejected(self):
         with pytest.raises(ValueError, match=UNKNOWN_MESSAGE):
             contextual_assignment_search(UNKNOWN)
+
+    def test_one_shot_iterable(self):
+        res = contextual_assignment_search(c for c in OMEGA_CONSTRAINTS)
+        assert res == contextual_assignment_search()
 
     def test_count_and_witness(self):
         res = contextual_assignment_search()

@@ -101,6 +101,7 @@ OPTIMIZED = [
     ["--format", "json", "ghz", "build"],
     ["ghz", "contextual"],
     ["ghz", "values"],
+    ["--format", "json", "ghz", "values"],
 ]
 
 

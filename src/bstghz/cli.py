@@ -246,6 +246,8 @@ def cmd_ghz_contextual(args: argparse.Namespace) -> Report:
 
 
 def cmd_ghz_oracle(args: argparse.Namespace) -> Report:
+    single = args.context is not None
+    contexts = [parse_context(args.context)] if single else list(ALL_CONTEXTS)
     eig = omega_eigencheck()
     findings = []
     for spec, value in eig.operators:
@@ -255,8 +257,6 @@ def cmd_ghz_oracle(args: argparse.Namespace) -> Report:
         "pairwise commuting: " + ("yes" if eig.pairwise_commuting else "no")
     )
     report = compare_with_stipulation()
-    single = args.context is not None
-    contexts = [parse_context(args.context)] if single else list(ALL_CONTEXTS)
     probabilities: dict[str, float] = {}
     for ctx in contexts:
         if single:

@@ -48,6 +48,7 @@ from .events import (
     validate_spread,
     _history_masks,
     _not_below,
+    _nspread_history_masks,
     _one_consistent,
     _require_valid,
 )
@@ -80,11 +81,7 @@ def _nspread_masks(model: CausalModel, ns: NSpread) -> tuple[int, int]:
     pts = model.mask(
         p for s in ns.spreads for o in s.outcomes for p in o.members
     )
-    hist = functools.reduce(
-        operator.and_,
-        (_history_masks(model, e, "initial")[0] for e in ns.initials),
-    )
-    return pts, hist
+    return pts, _nspread_history_masks(model, ns)[0]
 
 
 def _require_cc_preconditions(

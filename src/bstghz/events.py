@@ -35,12 +35,27 @@ per model and is memoised on the model with both history masks, and so
 is each spread's validation; only passes are kept, so a misclassified
 event or an invalid spread raises every time.  Violations are worded
 only after a mask test has failed.
+
+Grading an n-spread reads the same masks and makes no consistency query:
+the AND of its initials' containing masks decides minimal and
+1-consistency, and its consistent outcome vectors are found by extending
+prefixes spread by spread, keeping a prefix only while the AND of its
+outcomes' overlapping masks is nonzero.  No history overlaps two outcomes
+of one spread, so the live prefixes of each length have disjoint masks
+and number at most the model's histories; only the list of inconsistent
+vectors, the product minus those, grows with the product.
+
+``Event``, ``Spread`` and ``NSpread`` are memo keys, so each hashes its
+fields once, at construction.  The hash stays out of the pickled state:
+a record is pickled as its constructor call and hashes afresh where it
+is loaded.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -67,6 +82,15 @@ class Event:
             raise ValueError("event name must be nonempty")
         if not self.members:
             raise ValueError(f"event {self.name!r} has no members")
+        # not through self.__dict__, which would force the instance's
+        # attributes out of their inline layout and slow every later read
+        object.__setattr__(self, "_hash", hash((self.name, self.members)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return Event, (self.name, self.members)
 
 
 @dataclass(frozen=True)
@@ -97,6 +121,13 @@ class Spread:
             raise ValueError(
                 f"spread at {self.initial.name!r} repeats an outcome name"
             )
+        object.__setattr__(self, "_hash", hash((self.initial, self.outcomes)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return Spread, (self.initial, self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -108,6 +139,13 @@ class NSpread:
     def __post_init__(self) -> None:
         if not self.spreads:
             raise ValueError("an n-spread needs at least one spread")
+        object.__setattr__(self, "_hash", hash((self.spreads,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return NSpread, (self.spreads,)
 
     @property
     def initials(self) -> tuple[Event, ...]:
@@ -292,29 +330,66 @@ def enumerate_outcome_vectors(ns: NSpread) -> tuple[OutcomeVector, ...]:
     )
 
 
+def _nspread_history_masks(
+    model: CausalModel, ns: NSpread
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The histories containing every initial of ``ns``, and per spread
+    the histories overlapping each of its outcomes, in declared order.
+
+    Read from the masks :func:`_history_masks` memoises; the n-spread's
+    own masks are not kept.
+    """
+    hist = functools.reduce(
+        operator.and_,
+        (_history_masks(model, s.initial, "initial")[0] for s in ns.spreads),
+    )
+    outs = tuple(
+        tuple(_history_masks(model, o, "outcome")[1] for o in s.outcomes)
+        for s in ns.spreads
+    )
+    return hist, outs
+
+
 def _one_consistent(model: CausalModel, ns: NSpread) -> bool:
     """Each outcome of each spread is consistent with all the initials."""
-    return all(
-        is_consistent(model, ns.initials, (o,))
-        for s in ns.spreads
-        for o in s.outcomes
-    )
+    hist, outs = _nspread_history_masks(model, ns)
+    return all(hist & m for ms in outs for m in ms)
 
 
 def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     """Grade an n-spread: minimal, 1-consistent, maximally consistent.
 
     Raises :class:`InvalidSpread` when a constituent spread fails
-    validation.  The implication chain maximal => 1-consistent => minimal
-    is checked on every grading; a break is a bug and raises
-    ``RuntimeError``, also under ``python -O``.
+    validation.  The grade is read off the history masks: the initials
+    are consistent when the AND of their containing masks is nonzero, and
+    an outcome with them when its overlapping mask meets that AND.  The
+    consistent vectors are the prefixes, extended one spread at a time,
+    whose overlapping masks keep a nonzero AND; each is held as its
+    lexicographic rank, and ``inconsistent_vectors`` lists the other
+    ranks of the product in order.  The implication chain maximal =>
+    1-consistent => minimal is checked on every grading; a break is a bug
+    and raises ``RuntimeError``, also under ``python -O``.
     """
     _require_valid(model, ns.spreads)
-    minimal = is_consistent(model, ns.initials, ())
-    one = minimal and _one_consistent(model, ns)
-    vectors = enumerate_outcome_vectors(ns)
+    hist, outs = _nspread_history_masks(model, ns)
+    minimal = hist != 0
+    one = minimal and all(hist & m for ms in outs for m in ms)
+    # rank of each consistent prefix -> the histories realizing it
+    live = {0: (1 << len(model.histories)) - 1}
+    for ms in outs:
+        live = {
+            rank * len(ms) + j: acc & m
+            for rank, acc in live.items()
+            for j, m in enumerate(ms)
+            if acc & m
+        }
+    count = math.prod(len(ms) for ms in outs)
     inconsistent = tuple(
-        v for v in vectors if not is_consistent(model, (), v.terms)
+        OutcomeVector(terms=combo)
+        for rank, combo in enumerate(
+            itertools.product(*[s.outcomes for s in ns.spreads])
+        )
+        if rank not in live
     )
     maximal = not inconsistent
     if (maximal and not one) or (one and not minimal):
@@ -326,7 +401,7 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
         minimal=minimal,
         one_consistent=one,
         maximal=maximal,
-        vector_count=len(vectors),
+        vector_count=count,
         inconsistent_vectors=inconsistent,
     )
 

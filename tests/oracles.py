@@ -8,7 +8,8 @@ histories are found by enumerating *all* subsets and keeping the maximal
 directed ones, the branching-location check quantifies over all chains
 rather than single points, the infima/suprema check scans every maximal
 chain instead of trusting finiteness, consistency scans every history
-with set operations instead of reading history bitmasks, spread
+with set operations instead of reading history bitmasks, a grade makes
+one such scan per initial, outcome and vector of the product, spread
 validation and the screening conditions compare every pair of points
 with ``lt`` and scan every history, the common-cause search builds every
 candidate's full report for every target, covers and
@@ -50,6 +51,7 @@ from bstghz.errors import (
 from bstghz.events import (
     Event,
     EventClassification,
+    GradeReport,
     NSpread,
     OutcomeVector,
     Spread,
@@ -437,6 +439,32 @@ def brute_force_is_consistent(
         all(e.members <= h.members for e in ini)
         and all(e.members & h.members for e in out)
         for h in model.histories
+    )
+
+
+def brute_force_grade(model: CausalModel, ns: NSpread) -> GradeReport:
+    """The grade by ``brute_force_is_consistent`` queries: the initials,
+    each outcome with them, and every vector of the product in
+    lexicographic order.  The spreads are not validated."""
+    minimal = brute_force_is_consistent(model, ns.initials)
+    one = minimal and all(
+        brute_force_is_consistent(model, ns.initials, (o,))
+        for s in ns.spreads
+        for o in s.outcomes
+    )
+    vectors = [
+        OutcomeVector(terms=combo)
+        for combo in itertools.product(*(s.outcomes for s in ns.spreads))
+    ]
+    inconsistent = tuple(
+        v for v in vectors if not brute_force_is_consistent(model, (), v.terms)
+    )
+    return GradeReport(
+        minimal=minimal,
+        one_consistent=one,
+        maximal=not inconsistent,
+        vector_count=len(vectors),
+        inconsistent_vectors=inconsistent,
     )
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bstghz import cli
 from bstghz.cli import main
 from bstghz.common_cause import toy_decay_document
 from bstghz.document import dump_document
@@ -291,6 +292,17 @@ class TestGhzOracle:
             f"error: BadFlag: not an axis context: {label!r} "
             "(want e.g. 'xxy')\n"
         )
+
+    def test_bad_context_is_rejected_before_the_oracle_runs(
+        self, capsys, monkeypatch
+    ):
+        def refuse():
+            raise AssertionError("the oracle ran before --context was parsed")
+
+        monkeypatch.setattr(cli, "omega_eigencheck", refuse)
+        code, out, err = run(capsys, "ghz", "oracle", "--context", "qqq")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: BadFlag: not an axis context: 'qqq'")
 
 
 class TestCheckCc:

@@ -1,5 +1,6 @@
 """Event roles, spread validation, and consistency grading."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -27,12 +28,14 @@ from bstghz.events import (
 from bstghz.model import build_model
 
 from .oracles import (
+    brute_force_grade,
     brute_force_is_consistent,
     random_chain,
     random_spread,
     reference_spread_report,
     seeded_model,
     seeded_order,
+    seeded_station_model,
     set_classify_event,
     set_model,
 )
@@ -40,6 +43,13 @@ from .oracles import (
 
 def ev(*names):
     return [Event(name=n, members=frozenset({n})) for n in names]
+
+
+def broken_masks(model, ns):
+    """History masks no model has: the initials in no history together,
+    every outcome in all of them."""
+    every = (1 << len(model.histories)) - 1
+    return 0, tuple((every,) * len(s.outcomes) for s in ns.spreads)
 
 
 def fork():
@@ -74,6 +84,61 @@ class TestEventBasics:
         v = OutcomeVector(terms=(a, b))
         assert v.names == ("a-", "b+")
         assert v.label() == "a-,b+"
+
+
+class TestRecordHash:
+    def test_replace_hashes_afresh(self):
+        (d,) = ev("d")
+        renamed = dataclasses.replace(d, name="e")
+        assert hash(renamed) == hash(Event(name="e", members=d.members))
+        assert hash(renamed) != hash(d)
+
+    def test_equal_records_share_one_memo_entry(self):
+        f = fork()
+        built = []
+        for _ in range(2):
+            d, dm, dp = ev("d", "d-", "d+")
+            spread = Spread(initial=d, outcomes=(dm, dp))
+            built.append(NSpread(spreads=(spread,)))
+        assert built[0] is not built[1] and built[0] == built[1]
+        consistency_grade(f, built[0])
+        size = len(f.memo)
+        consistency_grade(f, built[1])
+        assert len(f.memo) == size
+
+    def test_hash_is_not_pickled(self):
+        # a record pickled under one hash seed and loaded under another
+        # must hash like a fresh record of the loading process
+        make = (
+            "from bstghz.events import Event, NSpread, Spread\n"
+            "d, o = (Event(n, frozenset({n})) for n in ('d', 'd+'))\n"
+            "ns = NSpread((Spread(d, (o,)),))\n"
+        )
+        dump = make + (
+            "import pickle, sys\n"
+            "sys.stdout.buffer.write(pickle.dumps((d, ns)))"
+        )
+        load = make + (
+            "import pickle, sys\n"
+            "d2, ns2 = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(d2 == d, hash(d2) == hash(d), d2 in {d}, ns2 in {ns})"
+        )
+        src = str(Path(events.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        data = subprocess.run(
+            [sys.executable, "-c", dump],
+            capture_output=True,
+            check=True,
+            env={**env, "PYTHONHASHSEED": "1"},
+        ).stdout
+        out = subprocess.run(
+            [sys.executable, "-c", load],
+            input=data,
+            capture_output=True,
+            check=True,
+            env={**env, "PYTHONHASHSEED": "2"},
+        ).stdout
+        assert out == b"True True True True\n"
 
 
 class TestClassifyEvent:
@@ -286,11 +351,9 @@ class TestGrading:
             consistency_grade(f, ns)
 
     def test_broken_implication_chain_raises(self, toy, monkeypatch):
-        # initials never consistent, vectors always: maximal but not
-        # 1-consistent, which no correct consistency relation allows
-        monkeypatch.setattr(
-            events, "is_consistent", lambda model, initials, outcomes: not initials
-        )
+        # initials in no history, every outcome in all of them: maximal but
+        # not 1-consistent, which no correct set of history masks allows
+        monkeypatch.setattr(events, "_nspread_history_masks", broken_masks)
         with pytest.raises(RuntimeError, match="implication chain"):
             consistency_grade(toy.model, toy.station_nspread)
 
@@ -298,7 +361,12 @@ class TestGrading:
         script = textwrap.dedent(
             """
             from bstghz import build_toy_decay, consistency_grade, events
-            events.is_consistent = lambda model, initials, outcomes: not initials
+
+            def broken_masks(model, ns):
+                every = (1 << len(model.histories)) - 1
+                return 0, tuple((every,) * len(s.outcomes) for s in ns.spreads)
+
+            events._nspread_history_masks = broken_masks
             toy = build_toy_decay()
             try:
                 consistency_grade(toy.model, toy.station_nspread)
@@ -314,6 +382,47 @@ class TestGrading:
             env={**os.environ, "PYTHONPATH": str(Path(events.__file__).parents[1])},
         )
         assert out.stdout == "raised\n"
+
+    def test_station_models_agree_with_the_oracle(self):
+        graded = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            model, spreads = seeded_station_model(rng)
+            for k in range(1, len(spreads) + 1):
+                ns = NSpread(spreads=tuple(rng.sample(spreads, k)))
+                if not all(
+                    reference_spread_report(model, s).ok for s in ns.spreads
+                ):
+                    with pytest.raises(InvalidSpread):
+                        consistency_grade(model, ns)
+                    continue
+                assert consistency_grade(model, ns) == brute_force_grade(
+                    model, ns
+                ), (seed, k)
+                graded += 1
+        assert graded > 100
+
+    def test_toy_decay_agrees_with_the_oracle(self, toy):
+        a, b = toy.station_nspread.spreads
+        for spreads in [
+            (a, b),
+            (b, a),
+            (toy.decay_spread,),
+            (toy.decay_spread, a, b),
+            (a, a),
+        ]:
+            ns = NSpread(spreads=spreads)
+            assert consistency_grade(toy.model, ns) == brute_force_grade(
+                toy.model, ns
+            )
+
+    def test_grade_makes_no_consistency_query(self, toy, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("consistency_grade queried is_consistent")
+
+        monkeypatch.setattr(events, "is_consistent", refuse)
+        g = consistency_grade(toy.model, toy.station_nspread)
+        assert g.vector_count == 4 and len(g.inconsistent_vectors) == 2
 
 
 class TestSpacelike:

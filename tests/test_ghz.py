@@ -39,7 +39,11 @@ from bstghz.ghz import (
 )
 from bstghz.model import choice_points
 
-from .oracles import brute_force_contextual_search, brute_force_value_search
+from .oracles import (
+    brute_force_contextual_search,
+    brute_force_grade,
+    brute_force_value_search,
+)
 
 UNKNOWN = [(("x", "x", "z"), 1)]
 UNKNOWN_MESSAGE = r"^unknown context: \('x', 'x', 'z'\)$"
@@ -220,6 +224,16 @@ class TestConcreteModel:
         assert g.one_consistent and not g.maximal
         assert g.vector_count == 64
         assert len(g.inconsistent_vectors) == 32
+
+    def test_every_nspread_grade_agrees_with_the_oracle(
+        self, ghz_model, ghz_structure
+    ):
+        for name, ns in sorted(ghz_structure.nspreads.items()):
+            got = consistency_grade(ghz_model, ns)
+            assert got == brute_force_grade(ghz_model, ns), name
+        star = ghz_structure.nspreads["Sigma_star_123"]
+        g = consistency_grade(ghz_model, star)
+        assert (g.vector_count, len(g.inconsistent_vectors)) == (64, 32)
 
     def test_measurement_nspreads_spacelike(self, ghz_model, ghz_structure):
         for ctx in ALL_CONTEXTS:

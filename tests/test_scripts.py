@@ -94,3 +94,16 @@ def test_scale_refute_prints_one_json_line_per_family_size():
         assert row["first_ms"] >= 0
         derivation = row["derivation_ms"]
         assert (derivation >= 0) if row["refuted"] else (derivation is None)
+
+
+def test_scale_grade_prints_one_json_line_per_width():
+    proc = run_script("scale_grade.py", "1", "1", "2", "5")
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [row["width"] for row in rows] == [1, 2, 5]
+    assert [row["points"] for row in rows] == [7, 10, 19]
+    assert {row["histories"] for row in rows} == {3}
+    assert [row["vector_count"] for row in rows] == [2, 4, 32]
+    assert [row["inconsistent"] for row in rows] == [0, 1, 29]
+    for row in rows:
+        assert row["grade_ms"] >= 0

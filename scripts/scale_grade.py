@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the consistency grade of an n-spread by its width.
+"""Time the consistency grade of an n-spread, and the common-cause search
+over its inconsistent vectors, by its width.
 
 Usage, from the root of a checkout with ``src`` on ``PYTHONPATH``:
 
@@ -13,21 +14,26 @@ every station: all ``+``, all ``-``, and ``+`` and ``-`` alternating.  So
 the model has 3 histories, and the n-spread of the k stations has 2^k
 outcome vectors, of which 3 are consistent (2 when k is 1).
 
-For each width the n-spread is graded once untimed, which pays the
-per-model chain checks and spread validations, and then ``repeats``
-times, each call timed with ``time.perf_counter``.  The script prints
-one JSON line per width: the number of points, the vector count, the
-number of inconsistent vectors, and the median milliseconds per grade
-(``grade_ms``).
+For each width the n-spread is graded and searched once untimed, which
+pays the per-model chain checks, spread validations and candidate
+spreads, and then ``repeats`` times each, every call timed with
+``time.perf_counter``: a grade alone, and a grade followed by
+``search_common_causes`` over every inconsistent vector, which is what
+``bstghz check-cc --search`` does.  The script prints one JSON line per
+width: the number of points, the vector count, the number of
+inconsistent vectors, and the median milliseconds per grade
+(``grade_ms``) and per grade and search (``search_ms``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import statistics
 import sys
 import time
 
+from bstghz.common_cause import search_common_causes
 from bstghz.events import Event, NSpread, Spread, consistency_grade
 from bstghz.model import CausalModel, build_model
 
@@ -62,16 +68,29 @@ def width_model(k: int) -> tuple[CausalModel, NSpread]:
     return build_model(points, pairs), ns
 
 
+def grade_and_search(model: CausalModel, ns: NSpread) -> None:
+    """Grade ``ns`` and search for a common cause of every inconsistent
+    vector, as ``bstghz check-cc --search`` does."""
+    vectors = consistency_grade(model, ns).inconsistent_vectors
+    search_common_causes(model, [ns] * len(vectors), vectors)
+
+
+def median_ms(call, repeats: int) -> float:
+    """The median milliseconds of ``repeats`` timed calls of ``call``."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1000
+
+
 def measure(widths: list[int], repeats: int) -> list[dict]:
     rows = []
     for k in widths:
         model, ns = width_model(k)
         grade = consistency_grade(model, ns)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            consistency_grade(model, ns)
-            times.append(time.perf_counter() - t0)
+        grade_and_search(model, ns)
         rows.append(
             {
                 "width": k,
@@ -79,7 +98,12 @@ def measure(widths: list[int], repeats: int) -> list[dict]:
                 "histories": len(model.histories),
                 "vector_count": grade.vector_count,
                 "inconsistent": len(grade.inconsistent_vectors),
-                "grade_ms": statistics.median(times) * 1000,
+                "grade_ms": median_ms(
+                    functools.partial(consistency_grade, model, ns), repeats
+                ),
+                "search_ms": median_ms(
+                    functools.partial(grade_and_search, model, ns), repeats
+                ),
             }
         )
     return rows

@@ -101,6 +101,14 @@ GOLDEN_COMMANDS: list[list[str]] = [
         "check-cc", _GHZ, "--spread", "sigma_1", "--nspread", "Sigma_xxy",
         "--vector", "x+1,x+2,y-3",
     ),
+    # a short vector, a foreign term, a consistent vector: exit 2 each
+    *(
+        [
+            "check-cc", _GHZ, "--spread", "sigma_1", "--nspread", "Sigma_xxy",
+            "--vector", vector,
+        ]
+        for vector in ("x+1,x+2", "x+1,x+2,x+3", "x+1,x+2,y+3")
+    ),
     *_both_formats(
         "check-cc", _GHZ, "--search", "--nspread", "Sigma_xxx,Sigma_xxy",
     ),

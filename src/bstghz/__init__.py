@@ -47,7 +47,6 @@ from .events import (
     Spread,
     classify_event,
     consistency_grade,
-    enumerate_outcome_vectors,
     is_consistent,
     is_spacelike,
     validate_spread,

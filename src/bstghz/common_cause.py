@@ -16,9 +16,11 @@ by the checker and the search: cc1 asks whether the outcome points of
 the n-spread lie inside the points above sigma's initial, cc2 and cc3
 AND history masks.  Witness lines are worded only for a report: cc1 and
 cc2 when the condition fails, cc3 per outcome of sigma.  The search
-(``search_common_causes``) reads the verdicts alone, on masks memoised
-per model for the atomic candidates and per n-spread once its
-preconditions pass.
+(``search_common_causes``) reads the verdicts alone.  Its masks are
+memoised per model: the atomic candidates' once, and each n-spread's
+once its preconditions pass.  Those extend the n-spread's record in
+``events``, whose per-outcome maps give the checker and the search a
+vector's term masks by one lookup per term.
 
 Passing all three does not *establish* a common cause, which is why the
 interesting direction is the refutation; the GHZ scenario's, which needs
@@ -43,16 +45,16 @@ from .events import (
     OutcomeVector,
     Spread,
     consistency_grade,
-    is_consistent,
     is_spacelike,
     validate_spread,
+    _above,
     _history_masks,
     _not_below,
-    _nspread_history_masks,
+    _nspread_record,
     _one_consistent,
     _require_valid,
 )
-from .model import CausalModel, bit_indices
+from .model import CausalModel
 
 
 @dataclass(frozen=True)
@@ -75,18 +77,24 @@ class CommonCauseReport:
         return self.cc1.passed and self.cc2.passed and self.cc3.passed
 
 
-def _nspread_masks(model: CausalModel, ns: NSpread) -> tuple[int, int]:
-    """The points of every outcome of ``ns``, and the histories that
-    contain all of its initials."""
+# The n-spread's masks for the screening conditions: the points of every
+# outcome, the histories containing all of its initials, and per spread
+# each outcome's overlapping histories by outcome.
+_NSpreadMasks = tuple[int, int, tuple[dict[Event, int], ...]]
+
+
+def _nspread_masks(model: CausalModel, ns: NSpread) -> _NSpreadMasks:
+    """The screening masks of ``ns``, read from its record."""
+    (hist, _), by_outcome = _nspread_record(model, ns)
     pts = model.mask(
         p for s in ns.spreads for o in s.outcomes for p in o.members
     )
-    return pts, _nspread_history_masks(model, ns)[0]
+    return pts, hist, by_outcome
 
 
 def _require_cc_preconditions(
     model: CausalModel, ns: NSpread
-) -> tuple[int, int]:
+) -> _NSpreadMasks:
     """Check that ``ns`` is space-like and 1-consistent; return its masks.
 
     A pass is memoised on the model, keyed by the n-spread, as
@@ -118,11 +126,25 @@ def _require_vector_of(ns: NSpread, vector: OutcomeVector) -> None:
             )
 
 
-def _above(model: CausalModel, event: Event) -> int:
-    """The points strictly above every point of ``event``."""
-    return functools.reduce(
-        operator.and_,
-        (model.up[i] for i in bit_indices(model.mask(event.members))),
+def _term_masks(
+    ns: NSpread,
+    vector: OutcomeVector,
+    by_outcome: tuple[dict[Event, int], ...],
+) -> tuple[int, ...]:
+    """Per term of ``vector``, the histories overlapping it, looked up in
+    ``by_outcome``, the n-spread's outcome maps.
+
+    A vector of the wrong length or with a term that is no outcome of its
+    spread raises the ``ValueError`` of :func:`_require_vector_of`.
+    """
+    if len(vector.terms) == len(by_outcome):
+        try:
+            return tuple(map(operator.getitem, by_outcome, vector.terms))
+        except KeyError:
+            pass
+    _require_vector_of(ns, vector)
+    raise RuntimeError(
+        f"internal error: no mask for a term of vector {vector.label()}"
     )
 
 
@@ -136,7 +158,7 @@ def _overlaps(
 # The three screening conditions as mask tests.  ``above`` and ``outs`` are
 # the candidate's (``_above``, ``_overlaps`` of its outcomes), ``pts`` and
 # ``hist`` the n-spread's (``_nspread_masks``), ``terms`` the vector's
-# ``_overlaps``.
+# ``_term_masks``.
 
 
 def _cc1(above: int, pts: int) -> bool:
@@ -156,14 +178,14 @@ def _cc_conditions(
     sigma: Spread,
     ns: NSpread,
     vector: OutcomeVector,
-    masks: tuple[int, int],
+    masks: _NSpreadMasks,
 ) -> CommonCauseReport:
     """The report of cc1..cc3: verdicts from the mask tests, cc1 and cc2
     witnesses worded only on a failure, a cc3 line per candidate outcome.
     ``masks`` are the n-spread's ``_nspread_masks``."""
-    pts, hist = masks
+    pts, hist, by_outcome = masks
     outs = _overlaps(model, sigma.outcomes)
-    terms = _overlaps(model, vector.terms)
+    terms = _term_masks(ns, vector, by_outcome)
     cc1_ok = _cc1(_above(model, sigma.initial), pts)
     cc1_witnesses = () if cc1_ok else tuple(
         f"{p} is not strictly below {q} (outcome {o.name})"
@@ -210,8 +232,7 @@ def check_common_cause(
     """
     _require_valid(model, (sigma,), "candidate spread")
     masks = _require_cc_preconditions(model, ns)
-    _require_vector_of(ns, vector)
-    if is_consistent(model, (), vector.terms):
+    if functools.reduce(operator.and_, _term_masks(ns, vector, masks[2])):
         raise NotInconsistencyType(
             f"vector {vector.label()} is consistent; the screening "
             "conditions apply to inconsistent vectors only"
@@ -284,25 +305,28 @@ def search_common_causes(
 
     The verdicts are the mask tests ``_cc1``, ``_cc2`` and ``_cc3`` that
     ``check_common_cause`` reports from, on the masks of each distinct
-    n-spread (told apart by identity) and each distinct vector; no
-    witness is worded.  A candidate stops at its first failing test.
+    n-spread (told apart by identity) and each distinct vector, whose
+    term masks are looked up in its n-spread's record; no witness is
+    worded.  A candidate stops at its first failing test.
     """
     if len(ns_list) != len(vectors):
         raise ValueError("ns_list and vectors must pair up one to one")
     distinct = {id(ns): ns for ns in ns_list}
-    masks = [_require_cc_preconditions(model, ns) for ns in distinct.values()]
+    masks = {
+        key: _require_cc_preconditions(model, ns)
+        for key, ns in distinct.items()
+    }
     targets = set()
     for ns, v in zip(ns_list, vectors):
-        _require_vector_of(ns, v)
-        terms = _overlaps(model, v.terms)
+        terms = _term_masks(ns, v, masks[id(ns)][2])
         if functools.reduce(operator.and_, terms):
             raise PreconditionFailed(
                 f"vector {v.label()} is consistent; only inconsistent "
                 "vectors call for a common cause"
             )
         targets.add(terms)
-    pts = functools.reduce(operator.or_, (p for p, _ in masks), 0)
-    hists = {h for _, h in masks}
+    pts = functools.reduce(operator.or_, (p for p, _, _ in masks.values()), 0)
+    hists = {h for _, h, _ in masks.values()}
     candidates = atomic_spreads(model)
     passing = tuple(
         cand

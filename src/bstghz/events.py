@@ -24,19 +24,23 @@ an event is an initial, and an outcome, exactly when it is a chain.
 
 Everything here is integer arithmetic on the model's bitsets.  An event
 is a chain when every member's ``up | down | self`` mask holds all the
-members, and a point p fails to strictly precede the members of another
-event where that event's mask leaves ``up[p]``.  Consistency queries read
-the per-point history masks: the AND of an event's member masks holds the
-histories containing it in full, which realize it as an initial, and the
-OR the histories overlapping it, which realize it as an outcome.  A query
-is consistent when the AND of its events' masks is nonzero, and an event
-is stable when its AND equals its OR.  Each event's chain check runs once
-per model and is memoised on the model with both history masks, and so
-is each spread's validation; only passes are kept, so a misclassified
-event or an invalid spread raises every time.  Violations are worded
-only after a mask test has failed.
+members, and one event strictly precedes another when the other's mask
+lies inside the AND of ``up`` over the first one's members; a point p
+fails to strictly precede the members of the other where its mask
+leaves ``up[p]``.  Consistency queries read the per-point history
+masks: the AND of an event's member masks holds the histories containing
+it in full, which realize it as an initial, and the OR the histories
+overlapping it, which realize it as an outcome.  A query is consistent
+when the AND of its events' masks is nonzero, and an event is stable
+when its AND equals its OR.  Each event's chain check runs once per
+model and is memoised on the model with both history masks, and so is
+each spread's validation and each n-spread's record of masks (the AND
+of its initials' containing masks, its outcomes' overlapping masks, and
+per spread a map from outcome to mask); only passes are kept, so a
+misclassified event or an invalid spread raises every time.  Violations
+are worded only after a mask test has failed.
 
-Grading an n-spread reads the same masks and makes no consistency query:
+Grading an n-spread reads its record and makes no consistency query:
 the AND of its initials' containing masks decides minimal and
 1-consistency, and its consistent outcome vectors are found by extending
 prefixes spread by spread, keeping a prefix only while the AND of its
@@ -224,6 +228,14 @@ def _history_masks(
     return masks
 
 
+def _above(model: CausalModel, event: Event) -> int:
+    """The points strictly above every point of ``event``."""
+    return functools.reduce(
+        operator.and_,
+        (model.up[i] for i in bit_indices(model.mask(event.members))),
+    )
+
+
 def _not_below(
     model: CausalModel, lower: Event, upper: Event
 ) -> Iterator[tuple[PointEventId, PointEventId]]:
@@ -273,21 +285,25 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
             check=name, status="fail", violations=(str(exc),)
         )
 
-    violations = [
-        f"(i) initial point {p} does not strictly precede {q} of outcome "
-        f"{o.name}"
-        for o in spread.outcomes
-        for p, q in _not_below(model, spread.initial, o)
-    ]
+    # (i) is one test, that the outcome points lie above the initial; its
+    # failing pairs are worded only when it fails
+    violations = []
+    outcome_points = model.mask(p for o in spread.outcomes for p in o.members)
+    if outcome_points & ~_above(model, spread.initial):
+        violations = [
+            f"(i) initial point {p} does not strictly precede {q} of "
+            f"outcome {o.name}"
+            for o in spread.outcomes
+            for p, q in _not_below(model, spread.initial, o)
+        ]
     # histories overlapping some outcome, and overlapping two or more
     some = twice = 0
     for m in masks:
         twice |= some & m
         some |= m
     bad = (initial & ~some) | twice
-    for k, h in enumerate(model.histories):
-        if not bad >> k & 1:
-            continue
+    for k in bit_indices(bad):
+        h = model.histories[k]
         if initial >> k & 1 and not some >> k & 1:
             violations.append(
                 f"(ii) history {h.top} contains the initial but "
@@ -322,12 +338,40 @@ def _require_valid(
         model.memo[_require_valid, s] = True
 
 
-def enumerate_outcome_vectors(ns: NSpread) -> tuple[OutcomeVector, ...]:
-    """All outcome vectors, lexicographic in the declared outcome orders."""
-    return tuple(
-        OutcomeVector(terms=combo)
-        for combo in itertools.product(*[s.outcomes for s in ns.spreads])
-    )
+def _nspread_record(
+    model: CausalModel, ns: NSpread
+) -> tuple[
+    tuple[int, tuple[tuple[int, ...], ...]], tuple[dict[Event, int], ...]
+]:
+    """The n-spread's history masks, as :func:`_nspread_history_masks`
+    returns them, and per spread a map from each outcome to the
+    histories overlapping it.
+
+    Read from the masks :func:`_history_masks` memoises, and memoised on
+    the model, keyed by the n-spread, once every one of them was read
+    without raising: an n-spread with a misclassified event raises on
+    every call.  The maps turn an outcome vector into its terms' masks
+    with one lookup per term.
+    """
+    memo = model.memo
+    record = memo.get(ns)
+    if record is None:
+        hist = functools.reduce(
+            operator.and_,
+            (
+                _history_masks(model, s.initial, "initial")[0]
+                for s in ns.spreads
+            ),
+        )
+        outs = tuple(
+            tuple(_history_masks(model, o, "outcome")[1] for o in s.outcomes)
+            for s in ns.spreads
+        )
+        by_outcome = tuple(
+            dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
+        )
+        record = memo[ns] = ((hist, outs), by_outcome)
+    return record
 
 
 def _nspread_history_masks(
@@ -336,18 +380,10 @@ def _nspread_history_masks(
     """The histories containing every initial of ``ns``, and per spread
     the histories overlapping each of its outcomes, in declared order.
 
-    Read from the masks :func:`_history_masks` memoises; the n-spread's
-    own masks are not kept.
+    Read from the n-spread's record (:func:`_nspread_record`), so built
+    once per model.
     """
-    hist = functools.reduce(
-        operator.and_,
-        (_history_masks(model, s.initial, "initial")[0] for s in ns.spreads),
-    )
-    outs = tuple(
-        tuple(_history_masks(model, o, "outcome")[1] for o in s.outcomes)
-        for s in ns.spreads
-    )
-    return hist, outs
+    return _nspread_record(model, ns)[0]
 
 
 def _one_consistent(model: CausalModel, ns: NSpread) -> bool:

@@ -442,6 +442,14 @@ def brute_force_is_consistent(
     )
 
 
+def enumerate_outcome_vectors(ns: NSpread) -> tuple[OutcomeVector, ...]:
+    """All outcome vectors, lexicographic in the declared outcome orders."""
+    return tuple(
+        OutcomeVector(terms=combo)
+        for combo in itertools.product(*[s.outcomes for s in ns.spreads])
+    )
+
+
 def brute_force_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     """The grade by ``brute_force_is_consistent`` queries: the initials,
     each outcome with them, and every vector of the product in

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bstghz import events, ghz
+from bstghz import common_cause, events, ghz
 from bstghz.common_cause import (
     _cc_conditions,
     _nspread_masks,
+    _require_cc_preconditions,
     atomic_spreads,
     check_common_cause,
     classify_determinism,
@@ -23,6 +24,7 @@ from bstghz.common_cause import (
 from bstghz.errors import (
     BstError,
     InvalidSpread,
+    MisclassifiedEvent,
     NotInconsistencyType,
     PreconditionFailed,
 )
@@ -32,7 +34,6 @@ from bstghz.events import (
     OutcomeVector,
     Spread,
     consistency_grade,
-    enumerate_outcome_vectors,
     validate_spread,
 )
 from bstghz.document import load_document, resolve_document
@@ -66,6 +67,7 @@ from .oracles import (
     brute_force_survivors,
     brute_force_value_search,
     check_derivation,
+    enumerate_outcome_vectors,
     family_groups,
     profile_satisfies_constraints,
     random_spread,
@@ -263,6 +265,88 @@ class TestChecker:
         for _ in range(2):
             check_common_cause(model, sigma, ns, vector)
         assert calls == dict.fromkeys([*ns.spreads, sigma], 1)
+
+    def test_each_nspread_reads_its_masks_once_per_model(self, monkeypatch):
+        model, structure = build_concrete_model()
+        ns = structure.nspreads[nspread_name(("x", "x", "y"))]
+        sigma = structure.spreads["sigma_1"]
+        vector = OutcomeVector(
+            terms=tuple(structure.events[n] for n in ("x+1", "x+2", "y-3"))
+        )
+        # validating the spreads and finding the candidates read outcome
+        # masks too; after them only the n-spread's record reads them
+        events._require_valid(model, ns.spreads)
+        search_common_causes(model, [], [])
+        outcomes = {o for s in ns.spreads for o in s.outcomes}
+        reads = collections.Counter()
+        history_masks = events._history_masks
+
+        def counting(model, event, role):
+            if event in outcomes:
+                reads[event] += 1
+            return history_masks(model, event, role)
+
+        for module in (events, common_cause):
+            monkeypatch.setattr(module, "_history_masks", counting)
+        for _ in range(2):
+            _require_cc_preconditions(model, ns)
+            targets = consistency_grade(model, ns).inconsistent_vectors
+            search_common_causes(model, [ns] * len(targets), targets)
+            check_common_cause(model, sigma, ns, vector)
+        assert reads == dict.fromkeys(outcomes, 1)
+
+    def test_an_invalid_nspread_raises_alike_every_time(self):
+        resolved = resolve_document(
+            load_document(Path(__file__).parent / "golden" / "spreads.json")
+        )
+        model, ns = resolved.model, resolved.nspreads["Sigma_bad"]
+        messages = []
+        for _ in range(2):
+            # a record of the n-spread's masks does not stand in for the
+            # validation of its spreads
+            events._nspread_history_masks(model, ns)
+            for call in (consistency_grade, _require_cc_preconditions):
+                with pytest.raises(InvalidSpread) as raised:
+                    call(model, ns)
+                messages.append(str(raised.value))
+        assert len(set(messages)) == 1
+        assert messages[0].startswith("spread at 'A' is invalid")
+        misclassified = NSpread(spreads=(resolved.spreads["bad_outcome"],))
+        for _ in range(2):
+            with pytest.raises(MisclassifiedEvent):
+                events._nspread_history_masks(model, misclassified)
+
+    @pytest.mark.parametrize("scenario", ["ghz", "toy"])
+    def test_rebuilt_terms_screen_like_the_resolved_ones(self, scenario, toy):
+        if scenario == "ghz":
+            model, structure = build_concrete_model()
+            ns = structure.nspreads[nspread_name(("x", "x", "y"))]
+            sigma = structure.spreads["sigma_1"]
+        else:
+            model, ns, sigma = toy.model, toy.station_nspread, toy.decay_spread
+        resolved = consistency_grade(model, ns).inconsistent_vectors
+        rebuilt = tuple(
+            OutcomeVector(
+                terms=tuple(
+                    Event(t.name, frozenset(sorted(t.members)))
+                    for t in v.terms
+                )
+            )
+            for v in resolved
+        )
+        assert resolved and rebuilt == resolved
+        assert not any(
+            a is b
+            for v, w in zip(resolved, rebuilt)
+            for a, b in zip(v.terms, w.terms)
+        )
+        assert search_common_causes(
+            model, [ns] * len(rebuilt), rebuilt
+        ) == search_common_causes(model, [ns] * len(resolved), resolved)
+        for v, w in zip(resolved, rebuilt):
+            assert check_common_cause(
+                model, sigma, ns, w
+            ) == check_common_cause(model, sigma, ns, v)
 
     def test_an_invalid_candidate_raises_alike_every_time(self):
         resolved = resolve_document(

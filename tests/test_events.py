@@ -20,7 +20,6 @@ from bstghz.events import (
     Spread,
     classify_event,
     consistency_grade,
-    enumerate_outcome_vectors,
     is_consistent,
     is_spacelike,
     validate_spread,
@@ -30,6 +29,7 @@ from bstghz.model import build_model
 from .oracles import (
     brute_force_grade,
     brute_force_is_consistent,
+    enumerate_outcome_vectors,
     random_chain,
     random_spread,
     reference_spread_report,

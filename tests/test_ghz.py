@@ -9,7 +9,6 @@ import pytest
 from bstghz.errors import BadFlag
 from bstghz.events import (
     consistency_grade,
-    enumerate_outcome_vectors,
     is_consistent,
     is_spacelike,
     validate_spread,
@@ -43,6 +42,7 @@ from .oracles import (
     brute_force_contextual_search,
     brute_force_grade,
     brute_force_value_search,
+    enumerate_outcome_vectors,
 )
 
 UNKNOWN = [(("x", "x", "z"), 1)]

@@ -4,10 +4,12 @@
 each command, recorded by ``scripts/write_fixtures.py`` from the
 repository root.  A refactor that keeps behaviour keeps this file as it
 is; an intended change to the output regenerates it.  The ``check-cc``
-search on both fixtures, a failing single-vector check, the traced
-refutations (the eight-context family and xxy,xyx,yxx,yyy in JSON), the
-JSON oracle report, the built GHZ document in both formats and the two
-sign assignment searches are replayed under ``python -O`` as well.
+search on both fixtures, a failing single-vector check, the three
+rejected ``check-cc`` vectors (too short, a foreign term, a consistent
+one), the traced refutations (the eight-context family and
+xxy,xyx,yxx,yyy in JSON), the JSON oracle report, the built GHZ document
+in both formats and the two sign assignment searches are replayed under
+``python -O`` as well, stderr included.
 
 ``tests/golden/traces.json`` pins every refutation: one SHA-256 per
 nonempty context family, listed in ``ALL_CONTEXTS`` order and reversed,
@@ -75,6 +77,19 @@ OPTIMIZED = [
         "--vector",
         "x+1,x+2,y-3",
     ],
+    *(
+        [
+            "check-cc",
+            "fixtures/ghz_model.json",
+            "--spread",
+            "sigma_1",
+            "--nspread",
+            "Sigma_xxy",
+            "--vector",
+            vector,
+        ]
+        for vector in ("x+1,x+2", "x+1,x+2,x+3", "x+1,x+2,y+3")
+    ),
     ["ghz", "refute", "--contexts", "xxx,xxy,xyy,xyx", "--trace"],
     ["ghz", "refute", "--contexts", "xyy,yxy,yyx,xxx", "--trace"],
     [
@@ -121,7 +136,11 @@ def test_cli_matches_the_transcript_under_optimize(argv):
         env=env,
         timeout=60,
     )
-    assert (out.returncode, out.stdout) == (entry["code"], entry["stdout"])
+    assert (out.returncode, out.stdout, out.stderr) == (
+        entry["code"],
+        entry["stdout"],
+        entry["stderr"],
+    )
 
 
 def family_digest(structure, listing):

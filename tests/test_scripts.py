@@ -106,4 +106,4 @@ def test_scale_grade_prints_one_json_line_per_width():
     assert [row["vector_count"] for row in rows] == [2, 4, 32]
     assert [row["inconsistent"] for row in rows] == [0, 1, 29]
     for row in rows:
-        assert row["grade_ms"] >= 0
+        assert row["search_ms"] >= row["grade_ms"] >= 0

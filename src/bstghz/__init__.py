@@ -9,87 +9,117 @@ scenario layer is ``ghz``, the three-station parity setup with its
 53-point realization and its three no-go results (value assignments,
 contextual assignments and the exhaustive common-cause refutation), and
 ``quantum``, an exact quantum cross-check of the parity rule.
+
+Names load on first use.  ``import bstghz`` imports none of these
+modules; the first lookup of an exported name, or of a module by name
+(``bstghz.document``), imports the module that defines it, and the value
+is then kept in the package's globals, so later lookups are plain
+attribute reads.  ``_EXPORTS`` lists what each module exports.
 """
 
-from .errors import (
-    BadFlag,
-    BstError,
-    CycleDetected,
-    EmptyModel,
-    InvalidSpread,
-    MisclassifiedEvent,
-    NotEigenstate,
-    NotInconsistencyType,
-    ParseError,
-    PreconditionFailed,
-    SameHistory,
-    UnknownPoint,
-    UnknownReference,
-)
-from .model import (
-    CausalModel,
-    History,
-    ValidationReport,
-    build_model,
-    check_density,
-    check_infima_suprema,
-    check_prior_choice,
-    choice_points,
-    compute_histories,
-    is_chain,
-)
-from .events import (
-    Event,
-    EventClassification,
-    GradeReport,
-    NSpread,
-    OutcomeVector,
-    Spread,
-    classify_event,
-    consistency_grade,
-    is_consistent,
-    is_spacelike,
-    validate_spread,
-)
-from .common_cause import (
-    CommonCauseReport,
-    LevelReport,
-    atomic_spreads,
-    build_toy_decay,
-    check_common_cause,
-    classify_determinism,
-    search_common_causes,
-    toy_decay_document,
-)
-from .ghz import (
-    THEOREM_CONTEXTS,
-    CandidateProfile,
-    GhzVector,
-    ReductioTrace,
-    RefutationResult,
-    build_abstract_structure,
-    build_concrete_model,
-    contextual_assignment_search,
-    ghz_document,
-    nspread_name,
-    parity_consistent,
-    refute_joint_common_cause,
-    value_assignment_search,
-)
-from .quantum import (
-    DiscrepancyReport,
-    EigencheckResult,
-    ObservableSpec,
-    compare_with_stipulation,
-    ghz_state,
-    omega_eigencheck,
-    outcome_probability,
-)
-from .document import (
-    ModelDocument,
-    dump_document,
-    load_document,
-    resolve_document,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "errors": (
+        "BadFlag",
+        "BstError",
+        "CycleDetected",
+        "EmptyModel",
+        "InvalidSpread",
+        "MisclassifiedEvent",
+        "NotEigenstate",
+        "NotInconsistencyType",
+        "ParseError",
+        "PreconditionFailed",
+        "SameHistory",
+        "UnknownPoint",
+        "UnknownReference",
+    ),
+    "model": (
+        "CausalModel",
+        "History",
+        "ValidationReport",
+        "build_model",
+        "check_density",
+        "check_infima_suprema",
+        "check_prior_choice",
+        "choice_points",
+        "compute_histories",
+        "is_chain",
+    ),
+    "events": (
+        "Event",
+        "EventClassification",
+        "GradeReport",
+        "NSpread",
+        "OutcomeVector",
+        "Spread",
+        "classify_event",
+        "consistency_grade",
+        "is_consistent",
+        "is_spacelike",
+        "validate_spread",
+    ),
+    "common_cause": (
+        "CommonCauseReport",
+        "LevelReport",
+        "atomic_spreads",
+        "build_toy_decay",
+        "check_common_cause",
+        "classify_determinism",
+        "search_common_causes",
+        "toy_decay_document",
+    ),
+    "ghz": (
+        "THEOREM_CONTEXTS",
+        "CandidateProfile",
+        "GhzVector",
+        "ReductioTrace",
+        "RefutationResult",
+        "build_abstract_structure",
+        "build_concrete_model",
+        "contextual_assignment_search",
+        "ghz_document",
+        "nspread_name",
+        "parity_consistent",
+        "refute_joint_common_cause",
+        "value_assignment_search",
+    ),
+    "quantum": (
+        "DiscrepancyReport",
+        "EigencheckResult",
+        "ObservableSpec",
+        "compare_with_stipulation",
+        "ghz_state",
+        "omega_eigencheck",
+        "outcome_probability",
+    ),
+    "document": (
+        "ModelDocument",
+        "dump_document",
+        "load_document",
+        "resolve_document",
+    ),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# the modules are public names too, so ``from bstghz import *`` binds them
+__all__ = [*_ORIGIN, *_EXPORTS]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # importing a submodule binds it in these globals
+        return _import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{_ORIGIN[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,11 +15,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .common_cause import (
-    _require_cc_preconditions,
-    check_common_cause,
-    search_common_causes,
-)
 from .document import (
     ResolvedModel,
     dump_document,
@@ -27,24 +22,11 @@ from .document import (
     resolve_document,
 )
 from .errors import BadFlag, BstError, UnknownReference
+# ``document`` imports ``events`` and ``model``, so these cost nothing more;
+# ``common_cause``, ``ghz`` and ``quantum`` load only in the commands that
+# use them
 from .events import OutcomeVector, consistency_grade, validate_spread
-from .ghz import (
-    ALL_CONTEXTS,
-    build_abstract_structure,
-    context_label,
-    parse_context,
-    signs_label,
-    value_assignment_search,
-    contextual_assignment_search,
-    ghz_document,
-    refute_joint_common_cause,
-)
 from .model import check_density, check_infima_suprema, check_prior_choice
-from .quantum import (
-    compare_with_stipulation,
-    context_distribution,
-    omega_eigencheck,
-)
 
 
 @dataclass(frozen=True)
@@ -130,6 +112,8 @@ def cmd_histories(args: argparse.Namespace) -> Report:
 
 
 def cmd_ghz_build(args: argparse.Namespace) -> Report | str:
+    from .ghz import ghz_document
+
     text = dump_document(ghz_document())
     if args.out is None:
         return text
@@ -143,6 +127,8 @@ def cmd_ghz_build(args: argparse.Namespace) -> Report | str:
 
 
 def _parse_contexts(raw: str) -> list[tuple[str, str, str]]:
+    from .ghz import parse_context
+
     labels = [token for token in raw.split(",") if token]
     if not labels:
         raise BadFlag("--contexts needs at least one context")
@@ -150,6 +136,12 @@ def _parse_contexts(raw: str) -> list[tuple[str, str, str]]:
 
 
 def cmd_ghz_refute(args: argparse.Namespace) -> Report:
+    from .ghz import (
+        build_abstract_structure,
+        context_label,
+        refute_joint_common_cause,
+    )
+
     contexts = _parse_contexts(args.contexts)
     result = refute_joint_common_cause(build_abstract_structure(), contexts)
     findings = [
@@ -187,10 +179,14 @@ def cmd_ghz_refute(args: argparse.Namespace) -> Report:
 
 
 def _constraint_label(ctx: tuple[str, str, str], target: int) -> str:
+    from .ghz import context_label
+
     return f"{context_label(ctx)}={'+1' if target > 0 else '-1'}"
 
 
 def cmd_ghz_values(args: argparse.Namespace) -> Report:
+    from .ghz import value_assignment_search
+
     full = value_assignment_search()
     findings = [
         "constraints: "
@@ -219,6 +215,8 @@ def cmd_ghz_values(args: argparse.Namespace) -> Report:
 
 
 def cmd_ghz_contextual(args: argparse.Namespace) -> Report:
+    from .ghz import contextual_assignment_search, context_label, signs_label
+
     res = contextual_assignment_search()
     findings = [
         "constraints: "
@@ -246,6 +244,13 @@ def cmd_ghz_contextual(args: argparse.Namespace) -> Report:
 
 
 def cmd_ghz_oracle(args: argparse.Namespace) -> Report:
+    from .ghz import ALL_CONTEXTS, context_label, parse_context, signs_label
+    from .quantum import (
+        compare_with_stipulation,
+        context_distribution,
+        omega_eigencheck,
+    )
+
     single = args.context is not None
     contexts = [parse_context(args.context)] if single else list(ALL_CONTEXTS)
     eig = omega_eigencheck()
@@ -296,6 +301,12 @@ def _lookup(mapping: Mapping[str, Any], name: str, kind: str) -> Any:
 
 
 def cmd_check_cc(args: argparse.Namespace) -> Report:
+    from .common_cause import (
+        _require_cc_preconditions,
+        check_common_cause,
+        search_common_causes,
+    )
+
     resolved = _load(args.file)
     model = resolved.model
     if args.search:

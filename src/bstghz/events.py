@@ -32,11 +32,12 @@ masks: the AND of an event's member masks holds the histories containing
 it in full, which realize it as an initial, and the OR the histories
 overlapping it, which realize it as an outcome.  A query is consistent
 when the AND of its events' masks is nonzero, and an event is stable
-when its AND equals its OR.  Each event's chain check runs once per
-model and is memoised on the model with both history masks, and so is
-each spread's validation and each n-spread's record of masks (the AND
-of its initials' containing masks, its outcomes' overlapping masks, and
-per spread a map from outcome to mask); only passes are kept, so a
+when its AND equals its OR.  A one-point event is a chain and skips the
+check; a larger event's chain check runs once per model.  Each event's
+two history masks are memoised on the model, and so is each spread's
+validation and each n-spread's record of masks (the AND of its
+initials' containing masks, its outcomes' overlapping masks, and per
+spread a map from outcome to mask); only passes are kept, so a
 misclassified event or an invalid spread raises every time.  Violations
 are worded only after a mask test has failed.
 
@@ -209,17 +210,22 @@ def _history_masks(
     """The histories containing ``event`` and those overlapping it.
 
     The first mask realizes the event as an initial, the second as an
-    outcome.  The chain check runs once per model: the masks are memoised
-    on the model, keyed by the members, only after the check passed, so a
-    misclassified event or an unknown point raises on every call.
-    ``role`` words the :class:`MisclassifiedEvent` message.
+    outcome.  A one-point event is a chain, so only a larger one is
+    checked, once per model: the masks are memoised on the model, keyed by
+    the members, only after the check passed, so a misclassified event or
+    an unknown point raises on every call.  ``role`` words the
+    :class:`MisclassifiedEvent` message.
     """
     memo = model.memo
     if event.members in memo:
         return memo[event.members]
-    if not is_chain(model, event.members):
+    if len(event.members) > 1 and not is_chain(model, event.members):
         raise MisclassifiedEvent(f"{event.name!r} is not an {role} event")
-    bits = [model.history_bits[p] for p in event.members]
+    try:
+        bits = [model.history_bits[p] for p in event.members]
+    except KeyError:
+        model.mask(event.members)  # raises UnknownPoint
+        raise
     masks = (
         functools.reduce(operator.and_, bits),
         functools.reduce(operator.or_, bits),

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from bstghz import cli
 from bstghz.cli import main
 from bstghz.common_cause import toy_decay_document
 from bstghz.document import dump_document
@@ -299,7 +298,7 @@ class TestGhzOracle:
         def refuse():
             raise AssertionError("the oracle ran before --context was parsed")
 
-        monkeypatch.setattr(cli, "omega_eigencheck", refuse)
+        monkeypatch.setattr("bstghz.quantum.omega_eigencheck", refuse)
         code, out, err = run(capsys, "ghz", "oracle", "--context", "qqq")
         assert (code, out) == (2, "")
         assert err.startswith("error: BadFlag: not an axis context: 'qqq'")

@@ -2,10 +2,13 @@
 
 numpy is a test extra (the float cross-check in ``tests/oracles.py``);
 nothing a user runs may import it.  The generic layer imports neither
-the GHZ scenario, the quantum oracle nor the command line.
+the GHZ scenario, the quantum oracle nor the command line.  Each entry
+point loads only the modules it uses: ``import bstghz`` loads none, and
+each exported name loads its own module on first use.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -97,11 +100,9 @@ def test_generic_layer_imports_no_scenario():
 
 def test_source_imports_only_names_it_uses():
     """Each name a module imports is read there, as a name or as the base
-    of an attribute; ``__init__`` imports only to re-export."""
+    of an attribute."""
     unused = []
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
@@ -140,3 +141,140 @@ def test_oracle_command_never_imports_numpy(fmt, context):
     ]
     assert "bstghz.quantum" in modules
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+
+# -- what each entry point loads ---------------------------------------------
+
+GHZ_FIXTURE = str(ROOT / "fixtures" / "ghz_model.json")
+
+
+def loaded_modules(*args):
+    """The modules a fresh ``python -X importtime *args`` imports."""
+    proc = python("-X", "importtime", *args)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    return {
+        found.group(1)
+        for found in map(IMPORT_LINE.match, proc.stderr.splitlines())
+        if found
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "histories"])
+def test_model_commands_load_no_scenario_and_no_fractions(command):
+    modules = loaded_modules("-m", "bstghz", command, GHZ_FIXTURE)
+    assert "bstghz.document" in modules
+    unwanted = {
+        "bstghz.ghz", "bstghz.quantum", "bstghz.common_cause", "fractions",
+    }
+    assert modules & unwanted == set()
+
+
+def test_common_cause_search_loads_no_scenario():
+    modules = loaded_modules(
+        "-m", "bstghz", "check-cc", GHZ_FIXTURE,
+        "--search", "--nspread", "Sigma_xxx,Sigma_xxy",
+    )
+    assert "bstghz.common_cause" in modules
+    assert modules & {"bstghz.ghz", "bstghz.quantum"} == set()
+
+
+def test_refute_loads_neither_the_oracle_nor_the_checker():
+    modules = loaded_modules(
+        "-m", "bstghz", "ghz", "refute",
+        "--contexts", "xxx,xxy,xyy,xyx", "--trace",
+    )
+    assert "bstghz.ghz" in modules
+    assert modules & {"bstghz.quantum", "bstghz.common_cause"} == set()
+
+
+def test_bare_import_loads_no_submodule():
+    modules = loaded_modules("-c", "import bstghz")
+    assert "bstghz" in modules
+    assert sorted(m for m in modules if m.startswith("bstghz.")) == []
+
+
+# -- the export surface ------------------------------------------------------
+
+# every name the package exports, by its defining module
+EXPORTS = {
+    "errors": (
+        "BadFlag", "BstError", "CycleDetected", "EmptyModel",
+        "InvalidSpread", "MisclassifiedEvent", "NotEigenstate",
+        "NotInconsistencyType", "ParseError", "PreconditionFailed",
+        "SameHistory", "UnknownPoint", "UnknownReference",
+    ),
+    "model": (
+        "CausalModel", "History", "ValidationReport", "build_model",
+        "check_density", "check_infima_suprema", "check_prior_choice",
+        "choice_points", "compute_histories", "is_chain",
+    ),
+    "events": (
+        "Event", "EventClassification", "GradeReport", "NSpread",
+        "OutcomeVector", "Spread", "classify_event", "consistency_grade",
+        "is_consistent", "is_spacelike", "validate_spread",
+    ),
+    "common_cause": (
+        "CommonCauseReport", "LevelReport", "atomic_spreads",
+        "build_toy_decay", "check_common_cause", "classify_determinism",
+        "search_common_causes", "toy_decay_document",
+    ),
+    "ghz": (
+        "THEOREM_CONTEXTS", "CandidateProfile", "GhzVector",
+        "ReductioTrace", "RefutationResult", "build_abstract_structure",
+        "build_concrete_model", "contextual_assignment_search",
+        "ghz_document", "nspread_name", "parity_consistent",
+        "refute_joint_common_cause", "value_assignment_search",
+    ),
+    "quantum": (
+        "DiscrepancyReport", "EigencheckResult", "ObservableSpec",
+        "compare_with_stipulation", "ghz_state", "omega_eigencheck",
+        "outcome_probability",
+    ),
+    "document": (
+        "ModelDocument", "dump_document", "load_document",
+        "resolve_document",
+    ),
+}
+
+# prints facts rather than asserting them, so that it reports under -O too
+SURFACE_PROBE = """
+import importlib, json, sys
+import bstghz
+exports = json.loads(sys.argv[1])
+out = {
+    "loaded": sorted(m for m in sys.modules if m.startswith("bstghz.")),
+    "parse_document": bstghz.document.parse_document
+    is importlib.import_module("bstghz.document").parse_document,
+}
+out["mismatched"] = [
+    name
+    for module, names in exports.items()
+    for name in names
+    if getattr(bstghz, name)
+    is not getattr(importlib.import_module("bstghz." + module), name)
+]
+star = {}
+exec("from bstghz import *", star)
+out["star"] = sorted(k for k in star if k != "__builtins__")
+out["dir"] = dir(bstghz)
+try:
+    bstghz.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_every_export_is_its_module_attribute(flags):
+    proc = python(*flags, "-c", SURFACE_PROBE, json.dumps(EXPORTS))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert out["parse_document"] is True
+    assert out["mismatched"] == []
+    names = {n for names in EXPORTS.values() for n in names}
+    assert set(out["star"]) == names | set(EXPORTS)
+    assert names | set(EXPORTS) | {"__version__"} <= set(out["dir"])
+    assert out["unknown"] == "module 'bstghz' has no attribute 'no_such_name'"

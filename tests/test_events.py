@@ -262,6 +262,23 @@ class TestIsConsistent:
             with pytest.raises(UnknownPoint):
                 is_consistent(fork(), [stray], ())
 
+    def test_undeclared_one_point_event_raises_alike_on_every_call(self):
+        """A one-point event skips the chain check, and its masks are
+        read per point; an undeclared point still raises the same
+        :class:`UnknownPoint` on one model, call after call."""
+        f = fork()
+        (stray,) = ev("zz")
+        messages = []
+        for _ in range(2):
+            for initials, outcomes in (([stray], ()), ((), [stray])):
+                with pytest.raises(UnknownPoint) as caught:
+                    is_consistent(f, initials, outcomes)
+                messages.append(str(caught.value))
+            with pytest.raises(UnknownPoint) as caught:
+                classify_event(f, stray)
+            messages.append(str(caught.value))
+        assert messages == ["unknown point id: 'zz'"] * 6
+
     def test_role_checks_are_not_shared_between_models(self):
         e = Event(name="e", members=frozenset({"a", "b"}))
         chain = build_model(["a", "b"], [("a", "b")])

@@ -107,3 +107,17 @@ def test_scale_grade_prints_one_json_line_per_width():
     assert [row["inconsistent"] for row in rows] == [0, 1, 29]
     for row in rows:
         assert row["search_ms"] >= row["grade_ms"] >= 0
+
+
+def test_scale_start_prints_one_json_line_per_command():
+    proc = run_script("scale_start.py", "2")
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [row["command"] for row in rows] == [
+        "python -c pass", "validate", "check-cc --search", "ghz refute",
+    ]
+    assert {row["checkout"] for row in rows} == {str(ROOT)}
+    for row in rows:
+        assert (row["runs"], row["exit"], row["stable"]) == (2, 0, True)
+        assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+        assert len(row["output_sha256"]) == 64

@@ -19,7 +19,10 @@ For each checkout and command the script prints one JSON line: the
 median and quartiles in milliseconds, the exit code, and a SHA-256 of
 the exit code, stdout and stderr together (``output_sha256``), so two
 checkouts can be compared byte for byte; ``stable`` is false when that
-digest differed between rounds.
+digest differed between rounds.  ``bytecode_cache`` is false when the
+processes write no ``__pycache__`` (``PYTHONDONTWRITEBYTECODE`` is set,
+read here as ``sys.dont_write_bytecode``): then every process compiles
+each module it loads, which is part of the times.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ def measure(rounds: int, checkouts: list[Path]) -> list[dict]:
             "exit": code,
             "output_sha256": digest,
             "stable": not rest,
+            "bytecode_cache": not sys.dont_write_bytecode,
         })
     return rows
 

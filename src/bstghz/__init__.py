@@ -14,10 +14,12 @@ Names load on first use.  ``import bstghz`` imports none of these
 modules; the first lookup of an exported name, or of a module by name
 (``bstghz.document``), imports the module that defines it, and the value
 is then kept in the package's globals, so later lookups are plain
-attribute reads.  ``_EXPORTS`` lists what each module exports.
+attribute reads.  ``_EXPORTS`` lists what each module exports.  Modules
+load through ``__import__``, the path of an ``import`` statement, so
+``python -X importtime`` lists them like any other import.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 __version__ = "0.1.0"
 
@@ -110,14 +112,19 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_ORIGIN, *_EXPORTS]
 
 
+def _load(module):
+    name = f"{__name__}.{module}"
+    __import__(name)
+    return _sys.modules[name]
+
+
 def __getattr__(name):
     if name in _EXPORTS:
         # importing a submodule binds it in these globals
-        return _import_module(f"{__name__}.{name}")
+        return _load(name)
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = _import_module(f"{__name__}.{_ORIGIN[name]}")
-    value = globals()[name] = getattr(module, name)
+    value = globals()[name] = getattr(_load(_ORIGIN[name]), name)
     return value
 
 

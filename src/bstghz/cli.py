@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -26,15 +25,28 @@ from .errors import BadFlag, BstError, UnknownReference
 # ``common_cause``, ``ghz`` and ``quantum`` load only in the commands that
 # use them
 from .events import OutcomeVector, consistency_grade, validate_spread
-from .model import check_density, check_infima_suprema, check_prior_choice
+from .model import (
+    check_density,
+    check_infima_suprema,
+    check_prior_choice,
+    _Record,
+)
 
 
-@dataclass(frozen=True)
-class Report:
-    command: str
-    status: str  # "pass" | "fail"
-    findings: tuple[str, ...]
-    payload: dict[str, Any] = field(default_factory=dict)
+class Report(_Record):
+    __slots__ = ("command", "status", "findings", "payload")
+
+    def __init__(
+        self,
+        command: str,
+        status: str,  # "pass" | "fail"
+        findings: tuple[str, ...],
+        payload: dict[str, Any] | None = None,
+    ) -> None:
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "findings", findings)
+        object.__setattr__(self, "payload", {} if payload is None else payload)
 
 
 def render(report: Report, fmt: str) -> str:
@@ -170,7 +182,7 @@ def cmd_ghz_refute(args: argparse.Namespace) -> Report:
             "witness": (
                 result.witness.as_dict() if result.witness else None
             ),
-            "trace": [asdict(s) for s in steps],
+            "trace": [s.as_dict() for s in steps],
             "trace_complete": (
                 result.trace.complete if result.trace else None
             ),

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .document import ModelDocument, SpreadDoc, resolve_document
@@ -54,23 +53,33 @@ from .events import (
     _one_consistent,
     _require_valid,
 )
-from .model import CausalModel
+from .model import CausalModel, _Record
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    passed: bool
-    witnesses: tuple[str, ...] = ()
+class ConditionResult(_Record):
+    __slots__ = ("passed", "witnesses")
+
+    def __init__(self, passed: bool, witnesses: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
-@dataclass(frozen=True)
-class CommonCauseReport:
+class CommonCauseReport(_Record):
     """Verdict of the three screening conditions for one vector."""
 
-    vector: tuple[str, ...]
-    cc1: ConditionResult
-    cc2: ConditionResult
-    cc3: ConditionResult
+    __slots__ = ("vector", "cc1", "cc2", "cc3")
+
+    def __init__(
+        self,
+        vector: tuple[str, ...],
+        cc1: ConditionResult,
+        cc2: ConditionResult,
+        cc3: ConditionResult,
+    ) -> None:
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "cc1", cc1)
+        object.__setattr__(self, "cc2", cc2)
+        object.__setattr__(self, "cc3", cc3)
 
     @property
     def passed(self) -> bool:
@@ -269,12 +278,22 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
     return memo[atomic_spreads]
 
 
-@dataclass(frozen=True)
-class CommonCauseSearch:
-    candidates_considered: int
-    passing: tuple[Spread, ...]
-    vacuous: bool
-    notes: tuple[str, ...] = ()
+class CommonCauseSearch(_Record):
+    __slots__ = ("candidates_considered", "passing", "vacuous", "notes")
+
+    def __init__(
+        self,
+        candidates_considered: int,
+        passing: tuple[Spread, ...],
+        vacuous: bool,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(
+            self, "candidates_considered", candidates_considered
+        )
+        object.__setattr__(self, "passing", passing)
+        object.__setattr__(self, "vacuous", vacuous)
+        object.__setattr__(self, "notes", notes)
 
 
 def _candidate_masks(
@@ -352,8 +371,7 @@ def search_common_causes(
 # -- determinism levels ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(_Record):
     """Indeterminism classification of a model.
 
     ``level`` is "I" (a single history, hence no branching at all) or
@@ -363,10 +381,19 @@ class LevelReport:
     common cause in this model, never a proof that none could exist.
     """
 
-    level: str
-    history_count: int
-    level3_evidence: bool
-    notes: tuple[str, ...] = ()
+    __slots__ = ("level", "history_count", "level3_evidence", "notes")
+
+    def __init__(
+        self,
+        level: str,
+        history_count: int,
+        level3_evidence: bool,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "history_count", history_count)
+        object.__setattr__(self, "level3_evidence", level3_evidence)
+        object.__setattr__(self, "notes", notes)
 
 
 def classify_determinism(
@@ -423,8 +450,7 @@ def classify_determinism(
 # -- a small positive control ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToyDecayScenario:
+class ToyDecayScenario(_Record):
     """Two anticorrelated stations fed by one decay point.
 
     The decay point d branches to d- and d+; d+ forces station a to read
@@ -433,11 +459,23 @@ class ToyDecayScenario:
     both of them, which makes this the positive control for the checker.
     """
 
-    model: CausalModel
-    events: Mapping[str, Event]
-    decay_spread: Spread
-    station_nspread: NSpread
-    inconsistent: tuple[OutcomeVector, ...]
+    __slots__ = (
+        "model", "events", "decay_spread", "station_nspread", "inconsistent"
+    )
+
+    def __init__(
+        self,
+        model: CausalModel,
+        events: Mapping[str, Event],
+        decay_spread: Spread,
+        station_nspread: NSpread,
+        inconsistent: tuple[OutcomeVector, ...],
+    ) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "decay_spread", decay_spread)
+        object.__setattr__(self, "station_nspread", station_nspread)
+        object.__setattr__(self, "inconsistent", inconsistent)
 
 
 def toy_decay_document() -> ModelDocument:

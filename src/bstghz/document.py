@@ -14,39 +14,58 @@ the first offender; each check words its message only when it fails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import ParseError, UnknownReference
 from .events import Event, NSpread, Spread
-from .model import CausalModel, build_model
+from .model import CausalModel, build_model, _Record
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SpreadDoc:
-    initial: str
-    outcomes: tuple[str, ...]
+class SpreadDoc(_Record):
+    __slots__ = ("initial", "outcomes")
+
+    def __init__(self, initial: str, outcomes: tuple[str, ...]) -> None:
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "outcomes", outcomes)
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    points: tuple[str, ...]
-    order: tuple[tuple[str, str], ...]
-    events: Mapping[str, tuple[str, ...]]
-    spreads: Mapping[str, SpreadDoc]
-    nspreads: Mapping[str, tuple[str, ...]]
-    version: int = SCHEMA_VERSION
+class ModelDocument(_Record):
+    __slots__ = ("points", "order", "events", "spreads", "nspreads", "version")
+
+    def __init__(
+        self,
+        points: tuple[str, ...],
+        order: tuple[tuple[str, str], ...],
+        events: Mapping[str, tuple[str, ...]],
+        spreads: Mapping[str, SpreadDoc],
+        nspreads: Mapping[str, tuple[str, ...]],
+        version: int = SCHEMA_VERSION,
+    ) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "spreads", spreads)
+        object.__setattr__(self, "nspreads", nspreads)
+        object.__setattr__(self, "version", version)
 
 
-@dataclass(frozen=True)
-class ResolvedModel:
-    model: CausalModel
-    events: Mapping[str, Event]
-    spreads: Mapping[str, Spread]
-    nspreads: Mapping[str, NSpread]
+class ResolvedModel(_Record):
+    __slots__ = ("model", "events", "spreads", "nspreads")
+
+    def __init__(
+        self,
+        model: CausalModel,
+        events: Mapping[str, Event],
+        spreads: Mapping[str, Spread],
+        nspreads: Mapping[str, NSpread],
+    ) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "spreads", spreads)
+        object.__setattr__(self, "nspreads", nspreads)
 
 
 def _string_list(raw: Any, where: str, *names: str) -> tuple[str, ...]:

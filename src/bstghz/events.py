@@ -51,9 +51,9 @@ and number at most the model's histories; only the list of inconsistent
 vectors, the product minus those, grows with the product.
 
 ``Event``, ``Spread`` and ``NSpread`` are memo keys, so each hashes its
-fields once, at construction.  The hash stays out of the pickled state:
-a record is pickled as its constructor call and hashes afresh where it
-is loaded.
+fields once, at construction, into a private slot.  The hash stays out
+of the pickled state: a record is pickled as its constructor call and
+hashes afresh where it is loaded.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InvalidSpread, MisclassifiedEvent
@@ -72,96 +71,92 @@ from .model import (
     ValidationReport,
     bit_indices,
     is_chain,
+    _Record,
 )
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_Record):
     """A named, nonempty set of point events."""
 
-    name: str
-    members: frozenset[PointEventId]
+    __slots__ = ("name", "members", "_hash")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, members: frozenset[PointEventId]) -> None:
+        if not name:
             raise ValueError("event name must be nonempty")
-        if not self.members:
-            raise ValueError(f"event {self.name!r} has no members")
-        # not through self.__dict__, which would force the instance's
-        # attributes out of their inline layout and slow every later read
-        object.__setattr__(self, "_hash", hash((self.name, self.members)))
+        if not members:
+            raise ValueError(f"event {name!r} has no members")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_hash", hash((name, members)))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        return Event, (self.name, self.members)
+
+class EventClassification(_Record):
+    __slots__ = ("is_initial", "is_outcome", "is_stable")
+
+    def __init__(
+        self, is_initial: bool, is_outcome: bool, is_stable: bool
+    ) -> None:
+        object.__setattr__(self, "is_initial", is_initial)
+        object.__setattr__(self, "is_outcome", is_outcome)
+        object.__setattr__(self, "is_stable", is_stable)
 
 
-@dataclass(frozen=True)
-class EventClassification:
-    is_initial: bool
-    is_outcome: bool
-    is_stable: bool
-
-
-@dataclass(frozen=True)
-class Spread:
+class Spread(_Record):
     """One initial event branching into mutually exclusive outcome events.
 
     ``outcomes`` is a tuple because the declared order fixes how outcome
     vectors are enumerated.
     """
 
-    initial: Event
-    outcomes: tuple[Event, ...]
+    __slots__ = ("initial", "outcomes", "_hash")
 
-    def __post_init__(self) -> None:
-        if not self.outcomes:
+    def __init__(self, initial: Event, outcomes: tuple[Event, ...]) -> None:
+        if not outcomes:
             raise ValueError(
-                f"spread at {self.initial.name!r} needs at least one outcome"
+                f"spread at {initial.name!r} needs at least one outcome"
             )
-        names = [o.name for o in self.outcomes]
+        names = [o.name for o in outcomes]
         if len(set(names)) != len(names):
             raise ValueError(
-                f"spread at {self.initial.name!r} repeats an outcome name"
+                f"spread at {initial.name!r} repeats an outcome name"
             )
-        object.__setattr__(self, "_hash", hash((self.initial, self.outcomes)))
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "_hash", hash((initial, outcomes)))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        return Spread, (self.initial, self.outcomes)
 
-
-@dataclass(frozen=True)
-class NSpread:
+class NSpread(_Record):
     """An ordered tuple of spreads treated as one joint arrangement."""
 
-    spreads: tuple[Spread, ...]
+    __slots__ = ("spreads", "_hash")
 
-    def __post_init__(self) -> None:
-        if not self.spreads:
+    def __init__(self, spreads: tuple[Spread, ...]) -> None:
+        if not spreads:
             raise ValueError("an n-spread needs at least one spread")
-        object.__setattr__(self, "_hash", hash((self.spreads,)))
+        object.__setattr__(self, "spreads", spreads)
+        object.__setattr__(self, "_hash", hash((spreads,)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        return NSpread, (self.spreads,)
 
     @property
     def initials(self) -> tuple[Event, ...]:
         return tuple(s.initial for s in self.spreads)
 
 
-@dataclass(frozen=True)
-class OutcomeVector:
+class OutcomeVector(_Record):
     """One outcome event per spread of an n-spread, in spread order."""
 
-    terms: tuple[Event, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Event, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -171,8 +166,7 @@ class OutcomeVector:
         return ",".join(self.names)
 
 
-@dataclass(frozen=True)
-class GradeReport:
+class GradeReport(_Record):
     """Consistency grading of an n-spread.
 
     ``minimal``: the initials alone are consistent.  ``one_consistent``:
@@ -180,11 +174,29 @@ class GradeReport:
     initials.  ``maximal``: every outcome vector is consistent.
     """
 
-    minimal: bool
-    one_consistent: bool
-    maximal: bool
-    vector_count: int
-    inconsistent_vectors: tuple[OutcomeVector, ...]
+    __slots__ = (
+        "minimal",
+        "one_consistent",
+        "maximal",
+        "vector_count",
+        "inconsistent_vectors",
+    )
+
+    def __init__(
+        self,
+        minimal: bool,
+        one_consistent: bool,
+        maximal: bool,
+        vector_count: int,
+        inconsistent_vectors: tuple[OutcomeVector, ...],
+    ) -> None:
+        object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "one_consistent", one_consistent)
+        object.__setattr__(self, "maximal", maximal)
+        object.__setattr__(self, "vector_count", vector_count)
+        object.__setattr__(
+            self, "inconsistent_vectors", inconsistent_vectors
+        )
 
 
 def classify_event(model: CausalModel, event: Event) -> EventClassification:

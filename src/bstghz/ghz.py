@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
@@ -84,7 +83,7 @@ from .document import (
     resolve_document,
 )
 from .errors import BadFlag
-from .model import CausalModel
+from .model import CausalModel, _Record
 
 STATIONS = (1, 2, 3)
 AXES = ("x", "y")
@@ -150,18 +149,18 @@ def outcome_name(i: int, axis: str, sign: int) -> str:
     return f"{axis}{sign_char(sign)}{i}"
 
 
-@dataclass(frozen=True)
-class GhzVector:
+class GhzVector(_Record):
     """A joint outcome: an axis context plus one sign per station."""
 
-    context: Context
-    signs: SignVector
+    __slots__ = ("context", "signs")
 
-    def __post_init__(self) -> None:
-        if len(self.context) != 3 or any(a not in AXES for a in self.context):
-            raise ValueError(f"bad context: {self.context!r}")
-        if len(self.signs) != 3 or any(s not in SIGNS for s in self.signs):
-            raise ValueError(f"bad signs: {self.signs!r}")
+    def __init__(self, context: Context, signs: SignVector) -> None:
+        if len(context) != 3 or any(a not in AXES for a in context):
+            raise ValueError(f"bad context: {context!r}")
+        if len(signs) != 3 or any(s not in SIGNS for s in signs):
+            raise ValueError(f"bad signs: {signs!r}")
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def outcome_names(self) -> tuple[str, str, str]:
@@ -283,8 +282,7 @@ def build_abstract_structure() -> ResolvedModel:
 # -- sign assignment searches ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueSearchResult:
+class ValueSearchResult(_Record):
     """Outcome of the global sign assignment search.
 
     An assignment gives one sign per (station, axis) pair, the same sign
@@ -292,10 +290,19 @@ class ValueSearchResult:
     satisfying assignment in lexicographic order.
     """
 
-    constraints: tuple[tuple[Context, int], ...]
-    total: int
-    satisfying: int
-    witnesses: tuple[tuple[int, ...], ...]
+    __slots__ = ("constraints", "total", "satisfying", "witnesses")
+
+    def __init__(
+        self,
+        constraints: tuple[tuple[Context, int], ...],
+        total: int,
+        satisfying: int,
+        witnesses: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "satisfying", satisfying)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @staticmethod
     def assignment_keys() -> tuple[tuple[int, str], ...]:
@@ -335,8 +342,7 @@ def value_assignment_search(
     )
 
 
-@dataclass(frozen=True)
-class ContextualSearchResult:
+class ContextualSearchResult(_Record):
     """Outcome of the per-context sign assignment search.
 
     Here each constrained context gets its own independent triple of
@@ -345,10 +351,19 @@ class ContextualSearchResult:
     as a tuple of sign triples in constraint order.
     """
 
-    constraints: tuple[tuple[Context, int], ...]
-    total: int
-    satisfying: int
-    witness: tuple[SignVector, ...] | None
+    __slots__ = ("constraints", "total", "satisfying", "witness")
+
+    def __init__(
+        self,
+        constraints: tuple[tuple[Context, int], ...],
+        total: int,
+        satisfying: int,
+        witness: tuple[SignVector, ...] | None,
+    ) -> None:
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "satisfying", satisfying)
+        object.__setattr__(self, "witness", witness)
 
 
 def contextual_assignment_search(
@@ -379,18 +394,18 @@ def contextual_assignment_search(
 # -- exhaustive profile refutation ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateProfile:
+class CandidateProfile(_Record):
     """Flags, per GHZ outcome event, of consistency with a hypothetical
     common cause outcome; aligned with ``OUTCOME_EVENT_ORDER``."""
 
-    flags: tuple[bool, ...]
+    __slots__ = ("flags",)
 
-    def __post_init__(self) -> None:
-        if len(self.flags) != len(OUTCOME_EVENT_ORDER):
+    def __init__(self, flags: tuple[bool, ...]) -> None:
+        if len(flags) != len(OUTCOME_EVENT_ORDER):
             raise ValueError(
                 f"profile needs {len(OUTCOME_EVENT_ORDER)} flags"
             )
+        object.__setattr__(self, "flags", flags)
 
     def as_dict(self) -> dict[str, bool]:
         return dict(zip(OUTCOME_EVENT_ORDER, self.flags))
@@ -401,17 +416,24 @@ class CandidateProfile:
         )
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    # "cc2-existence" | "cc3-screening" | "case-split" | "contradiction"
-    rule: str
-    context: str
-    detail: str
-    conclusion: str
+class TraceStep(_Record):
+    # rule: "cc2-existence" | "cc3-screening" | "case-split" | "contradiction"
+    __slots__ = ("rule", "context", "detail", "conclusion")
+
+    def __init__(
+        self, rule: str, context: str, detail: str, conclusion: str
+    ) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "conclusion", conclusion)
+
+    def as_dict(self) -> dict[str, str]:
+        """The fields by name, for the JSON report."""
+        return {f: getattr(self, f) for f in self._fields}
 
 
-@dataclass(frozen=True)
-class ReductioTrace:
+class ReductioTrace(_Record):
     """The derivation of the contradiction from one cc2 start, a
     consistent vector of the first listed context: the paper's x+1, x-2,
     x+3 when it is one, else the first.  The other starts are covered by
@@ -420,8 +442,11 @@ class ReductioTrace:
     ``contradiction``; the other case of the same flag follows it.
     ``complete`` means every branch of this one derivation closes."""
 
-    steps: tuple[TraceStep, ...]
-    complete: bool
+    __slots__ = ("steps", "complete")
+
+    def __init__(self, steps: tuple[TraceStep, ...], complete: bool) -> None:
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "complete", complete)
 
 
 class _Fact:
@@ -737,14 +762,26 @@ def _derivation(
     return ReductioTrace(steps=tuple(n.step for n in steps), complete=True)
 
 
-@dataclass(frozen=True)
-class RefutationResult:
-    contexts: tuple[Context, ...]
-    profile_count: int
-    survivors: tuple[CandidateProfile, ...]
-    witness: CandidateProfile | None
-    trace: ReductioTrace | None
-    notes: tuple[str, ...] = ()
+class RefutationResult(_Record):
+    __slots__ = (
+        "contexts", "profile_count", "survivors", "witness", "trace", "notes"
+    )
+
+    def __init__(
+        self,
+        contexts: tuple[Context, ...],
+        profile_count: int,
+        survivors: tuple[CandidateProfile, ...],
+        witness: CandidateProfile | None,
+        trace: ReductioTrace | None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "profile_count", profile_count)
+        object.__setattr__(self, "survivors", survivors)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "notes", notes)
 
 
 def refute_joint_common_cause(

@@ -37,7 +37,6 @@ in every nontrivial finite order and is reported as waived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
@@ -53,25 +52,75 @@ def bit_indices(mask: int) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-@dataclass(frozen=True)
-class History:
+class _Record:
+    """An immutable record: the base of the package's result types.
+
+    A subclass's fields are its public ``__slots__``, in declared order;
+    its own ``__init__`` sets them through ``object.__setattr__``.  The
+    fields named in ``_hidden`` are left out of equality, hash and repr.
+    The others decide all three, as in a frozen dataclass: records of
+    one class are equal when their fields are, the hash is that of the
+    field tuple, and the repr is ``Name(field=value, ...)``.  A record
+    refuses assignment and deletion, and pickles and copies as its
+    constructor call.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._args = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        cls._fields = tuple(s for s in cls._args if s not in cls._hidden)
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), tuple([getattr(self, a) for a in self._args])
+
+
+class History(_Record):
     """A maximal directed subset of a model, identified by its top point.
 
     ``mask`` has bit i set for each member ``points[i]`` of the model;
-    ``members`` names them and is derived on first use.
+    ``members`` names them and is derived on first use.  ``points`` is
+    left out of equality, hash and repr.
     """
 
-    top: PointEventId
-    mask: int
-    points: tuple[PointEventId, ...] = field(repr=False, compare=False)
+    __slots__ = ("top", "mask", "points", "__dict__")
+    _hidden = ("points",)
+
+    def __init__(
+        self, top: PointEventId, mask: int, points: tuple[PointEventId, ...]
+    ) -> None:
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "points", points)
 
     @cached_property
     def members(self) -> frozenset[PointEventId]:
         return frozenset(self.points[i] for i in bit_indices(self.mask))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Outcome of one structural check.
 
     ``status`` is ``"pass"``, ``"fail"`` or ``"waived"``; a waived check is
@@ -80,18 +129,26 @@ class ValidationReport:
     the witness for a waiver), ``notes`` carries commentary.
     """
 
-    check: str
-    status: str
-    violations: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = ("check", "status", "violations", "notes")
+
+    def __init__(
+        self,
+        check: str,
+        status: str,
+        violations: tuple[str, ...] = (),
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "notes", notes)
 
     @property
     def ok(self) -> bool:
         return self.status != "fail"
 
 
-@dataclass(frozen=True, eq=False)
-class CausalModel:
+class CausalModel(_Record):
     """A finite strict partial order over named point events, as bitsets.
 
     ``points`` is sorted and ``index`` maps a point to its position there.
@@ -103,11 +160,23 @@ class CausalModel:
     intentional.
     """
 
-    points: tuple[PointEventId, ...]
-    index: Mapping[PointEventId, int]
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-    cover: tuple[int, ...]
+    __slots__ = ("points", "index", "up", "down", "cover", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        points: tuple[PointEventId, ...],
+        index: Mapping[PointEventId, int],
+        up: tuple[int, ...],
+        down: tuple[int, ...],
+        cover: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "cover", cover)
 
     # -- masks ------------------------------------------------------------
 

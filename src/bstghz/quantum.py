@@ -21,7 +21,6 @@ are exactly +-1 and exactly 0, 1/4 or 1/8 (Mermin, Am. J. Phys. 58, 731
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +37,7 @@ from .ghz import (
     context_vectors,
     parity_consistent,
 )
+from .model import _Record
 
 _QUBITS = len(STATIONS)
 Gaussian = tuple[int, int]  # re + i * im
@@ -49,12 +49,16 @@ def _times_i(z: Gaussian, power: int) -> Gaussian:
     return ((re, im), (-im, re), (-re, -im), (im, -re))[power % 4]
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(_Record):
     """Amplitude of |b> is amplitudes[b] / sqrt(2)**sqrt2_power."""
 
-    amplitudes: tuple[Gaussian, ...]
-    sqrt2_power: int
+    __slots__ = ("amplitudes", "sqrt2_power")
+
+    def __init__(
+        self, amplitudes: tuple[Gaussian, ...], sqrt2_power: int
+    ) -> None:
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "sqrt2_power", sqrt2_power)
 
 
 def ghz_state() -> QubitState:
@@ -65,15 +69,15 @@ def ghz_state() -> QubitState:
     )
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
+class ObservableSpec(_Record):
     """A tensor product of one Pauli (x or y) per station."""
 
-    axes: Context
+    __slots__ = ("axes",)
 
-    def __post_init__(self) -> None:
-        if len(self.axes) != _QUBITS or any(a not in AXES for a in self.axes):
-            raise ValueError(f"bad observable axes: {self.axes!r}")
+    def __init__(self, axes: Context) -> None:
+        if len(axes) != _QUBITS or any(a not in AXES for a in axes):
+            raise ValueError(f"bad observable axes: {axes!r}")
+        object.__setattr__(self, "axes", axes)
 
     def label(self) -> str:
         return context_label(self.axes)
@@ -124,11 +128,18 @@ def commute(a: ObservableSpec, b: ObservableSpec) -> bool:
     return sum(p != q for p, q in zip(a.axes, b.axes)) % 2 == 0
 
 
-@dataclass(frozen=True)
-class EigencheckResult:
-    operators: tuple[tuple[ObservableSpec, int], ...]
-    product_eigenvalue: int
-    pairwise_commuting: bool
+class EigencheckResult(_Record):
+    __slots__ = ("operators", "product_eigenvalue", "pairwise_commuting")
+
+    def __init__(
+        self,
+        operators: tuple[tuple[ObservableSpec, int], ...],
+        product_eigenvalue: int,
+        pairwise_commuting: bool,
+    ) -> None:
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "product_eigenvalue", product_eigenvalue)
+        object.__setattr__(self, "pairwise_commuting", pairwise_commuting)
 
 
 def omega_eigencheck() -> EigencheckResult:
@@ -190,18 +201,29 @@ def context_distribution(context: Context) -> dict[SignVector, Fraction]:
     }
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(_Record):
     """One joint outcome where rule and state disagree about possibility."""
 
-    vector: GhzVector
-    stipulated_consistent: bool
-    probability: Fraction
+    __slots__ = ("vector", "stipulated_consistent", "probability")
+
+    def __init__(
+        self,
+        vector: GhzVector,
+        stipulated_consistent: bool,
+        probability: Fraction,
+    ) -> None:
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(
+            self, "stipulated_consistent", stipulated_consistent
+        )
+        object.__setattr__(self, "probability", probability)
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    disagreements: tuple[Discrepancy, ...]
+class DiscrepancyReport(_Record):
+    __slots__ = ("disagreements",)
+
+    def __init__(self, disagreements: tuple[Discrepancy, ...]) -> None:
+        object.__setattr__(self, "disagreements", disagreements)
 
     def count_for(self, context: Context) -> int:
         return sum(

@@ -1,7 +1,6 @@
 """Screening conditions, the profile refutation, and determinism levels."""
 
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -888,7 +887,7 @@ def theorem_trace():
 
 
 def with_steps(trace, steps):
-    return dataclasses.replace(trace, steps=tuple(steps))
+    return ReductioTrace(steps=tuple(steps), complete=trace.complete)
 
 
 class TestDerivationGuards:
@@ -897,8 +896,9 @@ class TestDerivationGuards:
     def test_start_needs_a_listed_consistent_vector(self):
         trace = theorem_trace()
         start = trace.steps[0]
-        inconsistent = dataclasses.replace(
-            start, detail="consistent vector xxx:+++"
+        inconsistent = TraceStep(
+            start.rule, start.context, "consistent vector xxx:+++",
+            start.conclusion,
         )
         steps = (inconsistent,) + trace.steps[1:]
         with pytest.raises(ValueError, match="not parity consistent"):
@@ -916,8 +916,10 @@ class TestDerivationGuards:
 
     def test_screen_rejects_consistent_vectors(self):
         trace = theorem_trace()
-        consistent = dataclasses.replace(
-            trace.steps[1], detail="inconsistent vector xxy:+--"
+        screen = trace.steps[1]
+        consistent = TraceStep(
+            screen.rule, screen.context, "inconsistent vector xxy:+--",
+            screen.conclusion,
         )
         steps = (trace.steps[0], consistent) + trace.steps[2:]
         with pytest.raises(ValueError, match="not parity inconsistent"):

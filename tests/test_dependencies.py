@@ -4,7 +4,9 @@ numpy is a test extra (the float cross-check in ``tests/oracles.py``);
 nothing a user runs may import it.  The generic layer imports neither
 the GHZ scenario, the quantum oracle nor the command line.  Each entry
 point loads only the modules it uses: ``import bstghz`` loads none, and
-each exported name loads its own module on first use.
+each exported name loads its own module on first use.  No entry point
+loads ``dataclasses``: the package's records are plain ``__slots__``
+classes.
 """
 
 import ast
@@ -192,6 +194,66 @@ def test_bare_import_loads_no_submodule():
     modules = loaded_modules("-c", "import bstghz")
     assert "bstghz" in modules
     assert sorted(m for m in modules if m.startswith("bstghz.")) == []
+
+
+@pytest.mark.parametrize(
+    "touch, module",
+    [
+        ("refute_joint_common_cause", "bstghz.ghz"),
+        ("quantum", "bstghz.quantum"),
+    ],
+)
+def test_lazy_loads_show_under_importtime(touch, module):
+    modules = loaded_modules("-c", f"import bstghz; bstghz.{touch}")
+    assert module in modules
+
+
+# -- records without dataclasses ---------------------------------------------
+
+# ``dataclasses`` pulls in ``inspect`` and, through it, ``ast`` and ``dis``
+HEAVY = {"dataclasses", "inspect"}
+TOUCH_EVERY_EXPORT = (
+    "import bstghz; [getattr(bstghz, n) for n in bstghz.__all__]"
+)
+
+
+def test_source_imports_no_dataclasses():
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-m", "bstghz", "validate", GHZ_FIXTURE],
+        ["-m", "bstghz", "histories", GHZ_FIXTURE],
+        [
+            "-m", "bstghz", "check-cc", GHZ_FIXTURE,
+            "--search", "--nspread", "Sigma_xxx,Sigma_xxy",
+        ],
+        [
+            "-m", "bstghz", "ghz", "refute",
+            "--contexts", "xxx,xxy,xyy,xyx", "--trace",
+        ],
+        ["-m", "bstghz", "ghz", "oracle"],
+        ["-c", TOUCH_EVERY_EXPORT],
+    ],
+    ids=["validate", "histories", "check-cc", "refute", "oracle", "exports"],
+)
+def test_no_entry_point_loads_dataclasses(args):
+    modules = loaded_modules(*args)
+    assert "bstghz" in modules
+    assert modules & HEAVY == set()
 
 
 # -- the export surface ------------------------------------------------------

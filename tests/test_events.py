@@ -1,6 +1,6 @@
 """Event roles, spread validation, and consistency grading."""
 
-import dataclasses
+import copy
 import os
 import random
 import subprocess
@@ -89,7 +89,10 @@ class TestEventBasics:
 class TestRecordHash:
     def test_replace_hashes_afresh(self):
         (d,) = ev("d")
-        renamed = dataclasses.replace(d, name="e")
+        fresh = Event(name=d.name, members=d.members)
+        for made in (copy.copy(d), copy.deepcopy(d), fresh):
+            assert hash(made) == hash(Event(d.name, d.members))
+        renamed = Event(name="e", members=d.members)
         assert hash(renamed) == hash(Event(name="e", members=d.members))
         assert hash(renamed) != hash(d)
 

@@ -18,7 +18,6 @@ recorded once with ``trace_digests()`` and is not regenerated: a change
 to the engine must reproduce every trace byte for byte.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -154,7 +153,10 @@ def family_digest(structure, listing):
         ["".join("01"[f] for f in p.flags) for p in result.survivors],
         None
         if trace is None
-        else [[dataclasses.astuple(s) for s in trace.steps], trace.complete],
+        else [
+            [(s.rule, s.context, s.detail, s.conclusion) for s in trace.steps],
+            trace.complete,
+        ],
         list(result.notes),
     ]
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()

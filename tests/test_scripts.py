@@ -117,7 +117,11 @@ def test_scale_start_prints_one_json_line_per_command():
         "python -c pass", "validate", "check-cc --search", "ghz refute",
     ]
     assert {row["checkout"] for row in rows} == {str(ROOT)}
+    # the processes inherit the environment, so they cache bytecode unless
+    # PYTHONDONTWRITEBYTECODE is set
+    cache = not os.environ.get("PYTHONDONTWRITEBYTECODE")
     for row in rows:
         assert (row["runs"], row["exit"], row["stable"]) == (2, 0, True)
+        assert row["bytecode_cache"] is cache
         assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
         assert len(row["output_sha256"]) == 64

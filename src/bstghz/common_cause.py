@@ -86,28 +86,16 @@ class CommonCauseReport(_Record):
         return self.cc1.passed and self.cc2.passed and self.cc3.passed
 
 
-# The n-spread's masks for the screening conditions: the points of every
-# outcome, the histories containing all of its initials, and per spread
-# each outcome's overlapping histories by outcome.
-_NSpreadMasks = tuple[int, int, tuple[dict[Event, int], ...]]
-
-
-def _nspread_masks(model: CausalModel, ns: NSpread) -> _NSpreadMasks:
-    """The screening masks of ``ns``, read from its record."""
-    (hist, _), by_outcome = _nspread_record(model, ns)
-    pts = model.mask(
-        p for s in ns.spreads for o in s.outcomes for p in o.members
-    )
-    return pts, hist, by_outcome
-
-
 def _require_cc_preconditions(
     model: CausalModel, ns: NSpread
-) -> _NSpreadMasks:
-    """Check that ``ns`` is space-like and 1-consistent; return its masks.
+) -> tuple[int, int, tuple[dict[Event, int], ...]]:
+    """Check that ``ns`` is space-like and 1-consistent; return its
+    screening masks: the points of every outcome, the histories
+    containing all of its initials, and per spread each outcome's
+    overlapping histories by outcome, the last two read from its record.
 
-    A pass is memoised on the model, keyed by the n-spread, as
-    :func:`_nspread_masks`; a failing n-spread raises on every call.
+    A pass is memoised on the model, keyed by the n-spread; a failing
+    n-spread raises on every call.
     """
     key = (_require_cc_preconditions, ns)
     masks = model.memo.get(key)
@@ -117,7 +105,11 @@ def _require_cc_preconditions(
         # is_spacelike validated the spreads and found the initials consistent
         if not _one_consistent(model, ns):
             raise PreconditionFailed("the n-spread is not 1-consistent")
-        masks = model.memo[key] = _nspread_masks(model, ns)
+        hist, _, by_outcome = _nspread_record(model, ns)
+        pts = model.mask(
+            p for s in ns.spreads for o in s.outcomes for p in o.members
+        )
+        masks = model.memo[key] = (pts, hist, by_outcome)
     return masks
 
 
@@ -166,8 +158,8 @@ def _overlaps(
 
 # The three screening conditions as mask tests.  ``above`` and ``outs`` are
 # the candidate's (``_above``, ``_overlaps`` of its outcomes), ``pts`` and
-# ``hist`` the n-spread's (``_nspread_masks``), ``terms`` the vector's
-# ``_term_masks``.
+# ``hist`` the n-spread's (from ``_require_cc_preconditions``), ``terms``
+# the vector's ``_term_masks``.
 
 
 def _cc1(above: int, pts: int) -> bool:
@@ -187,11 +179,12 @@ def _cc_conditions(
     sigma: Spread,
     ns: NSpread,
     vector: OutcomeVector,
-    masks: _NSpreadMasks,
+    masks: tuple[int, int, tuple[dict[Event, int], ...]],
 ) -> CommonCauseReport:
     """The report of cc1..cc3: verdicts from the mask tests, cc1 and cc2
     witnesses worded only on a failure, a cc3 line per candidate outcome.
-    ``masks`` are the n-spread's ``_nspread_masks``."""
+    ``masks`` are the n-spread's, as :func:`_require_cc_preconditions`
+    returns them."""
     pts, hist, by_outcome = masks
     outs = _overlaps(model, sigma.outcomes)
     terms = _term_masks(ns, vector, by_outcome)

@@ -35,20 +35,21 @@ when the AND of its events' masks is nonzero, and an event is stable
 when its AND equals its OR.  A one-point event is a chain and skips the
 check; a larger event's chain check runs once per model.  Each event's
 two history masks are memoised on the model, and so is each spread's
-validation and each n-spread's record of masks (the AND of its
-initials' containing masks, its outcomes' overlapping masks, and per
-spread a map from outcome to mask); only passes are kept, so a
-misclassified event or an invalid spread raises every time.  Violations
-are worded only after a mask test has failed.
+validation and each n-spread's record of masks (``_nspread_record``:
+the AND of its initials' containing masks, its outcomes' overlapping
+masks, and per spread a map from outcome to mask); only passes are kept,
+so a misclassified event or an invalid spread raises every time.
+Violations are worded only after a mask test has failed.
 
 Grading an n-spread reads its record and makes no consistency query:
 the AND of its initials' containing masks decides minimal and
-1-consistency, and its consistent outcome vectors are found by extending
-prefixes spread by spread, keeping a prefix only while the AND of its
-outcomes' overlapping masks is nonzero.  No history overlaps two outcomes
-of one spread, so the live prefixes of each length have disjoint masks
-and number at most the model's histories; only the list of inconsistent
-vectors, the product minus those, grows with the product.
+1-consistency (the space-like test reads the same AND), and its
+consistent outcome vectors are found by extending prefixes spread by
+spread, keeping a prefix only while the AND of its outcomes' overlapping
+masks is nonzero.  No history overlaps two outcomes of one spread, so
+the live prefixes of each length have disjoint masks and number at most
+the model's histories; only the list of inconsistent vectors, the
+product minus those, grows with the product.
 
 ``Event``, ``Spread`` and ``NSpread`` are memo keys, so each hashes its
 fields once, at construction, into a private slot.  The hash stays out
@@ -358,12 +359,10 @@ def _require_valid(
 
 def _nspread_record(
     model: CausalModel, ns: NSpread
-) -> tuple[
-    tuple[int, tuple[tuple[int, ...], ...]], tuple[dict[Event, int], ...]
-]:
-    """The n-spread's history masks, as :func:`_nspread_history_masks`
-    returns them, and per spread a map from each outcome to the
-    histories overlapping it.
+) -> tuple[int, tuple[tuple[int, ...], ...], tuple[dict[Event, int], ...]]:
+    """The n-spread's history masks: the histories containing every
+    initial, per spread the histories overlapping each of its outcomes in
+    declared order, and per spread a map from each outcome to that mask.
 
     Read from the masks :func:`_history_masks` memoises, and memoised on
     the model, keyed by the n-spread, once every one of them was read
@@ -388,25 +387,13 @@ def _nspread_record(
         by_outcome = tuple(
             dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
         )
-        record = memo[ns] = ((hist, outs), by_outcome)
+        record = memo[ns] = (hist, outs, by_outcome)
     return record
-
-
-def _nspread_history_masks(
-    model: CausalModel, ns: NSpread
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The histories containing every initial of ``ns``, and per spread
-    the histories overlapping each of its outcomes, in declared order.
-
-    Read from the n-spread's record (:func:`_nspread_record`), so built
-    once per model.
-    """
-    return _nspread_record(model, ns)[0]
 
 
 def _one_consistent(model: CausalModel, ns: NSpread) -> bool:
     """Each outcome of each spread is consistent with all the initials."""
-    hist, outs = _nspread_history_masks(model, ns)
+    hist, outs, _ = _nspread_record(model, ns)
     return all(hist & m for ms in outs for m in ms)
 
 
@@ -425,7 +412,7 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     and raises ``RuntimeError``, also under ``python -O``.
     """
     _require_valid(model, ns.spreads)
-    hist, outs = _nspread_history_masks(model, ns)
+    hist, outs, _ = _nspread_record(model, ns)
     minimal = hist != 0
     one = minimal and all(hist & m for ms in outs for m in ms)
     # rank of each consistent prefix -> the histories realizing it
@@ -465,10 +452,11 @@ def is_spacelike(model: CausalModel, ns: NSpread) -> bool:
 
     The second clause: no point of the initial of one spread strictly
     precedes any point of any outcome of a *different* spread of the
-    n-spread.
+    n-spread.  The first clause reads the AND of the initials'
+    containing masks from the n-spread's record.
     """
     _require_valid(model, ns.spreads)
-    if not is_consistent(model, ns.initials, ()):
+    if not _nspread_record(model, ns)[0]:
         return False
     initials = [model.mask(s.initial.members) for s in ns.spreads]
     # per spread, the points strictly below some point of some outcome

@@ -18,8 +18,7 @@ computes them with one OR per supplied pair in each direction of a
 topological order.  A history is a mask too, and every order question
 (comparison, maxima, chains, choice points, prior choice, density) is
 answered by integer arithmetic on these masks.  Naming a mask's members
-walks its bits in index order, so names come out sorted.  The set views
-``below``, ``above`` and ``History.members`` are derived on first use.
+walks its bits in index order, so names come out sorted.
 
 Consistency questions are answered from one cached bitmask per point,
 ``history_bits``: bit k is set when ``histories[k]`` contains the point.
@@ -57,20 +56,17 @@ class _Record:
 
     A subclass's fields are its public ``__slots__``, in declared order;
     its own ``__init__`` sets them through ``object.__setattr__``.  The
-    fields named in ``_hidden`` are left out of equality, hash and repr.
-    The others decide all three, as in a frozen dataclass: records of
-    one class are equal when their fields are, the hash is that of the
-    field tuple, and the repr is ``Name(field=value, ...)``.  A record
-    refuses assignment and deletion, and pickles and copies as its
-    constructor call.
+    fields decide equality, hash and repr, as in a frozen dataclass:
+    records of one class are equal when their fields are, the hash is
+    that of the field tuple, and the repr is ``Name(field=value, ...)``.
+    A record refuses assignment and deletion, and pickles and copies as
+    its constructor call.
     """
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._args = tuple(s for s in cls.__slots__ if not s.startswith("_"))
-        cls._fields = tuple(s for s in cls._args if s not in cls._hidden)
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
 
     def _values(self) -> tuple[Any, ...]:
         return tuple([getattr(self, f) for f in self._fields])
@@ -94,30 +90,21 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
-        return type(self), tuple([getattr(self, a) for a in self._args])
+        return type(self), self._values()
 
 
 class History(_Record):
     """A maximal directed subset of a model, identified by its top point.
 
     ``mask`` has bit i set for each member ``points[i]`` of the model;
-    ``members`` names them and is derived on first use.  ``points`` is
-    left out of equality, hash and repr.
+    ``model.names(mask)`` names them.
     """
 
-    __slots__ = ("top", "mask", "points", "__dict__")
-    _hidden = ("points",)
+    __slots__ = ("top", "mask")
 
-    def __init__(
-        self, top: PointEventId, mask: int, points: tuple[PointEventId, ...]
-    ) -> None:
+    def __init__(self, top: PointEventId, mask: int) -> None:
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "points", points)
-
-    @cached_property
-    def members(self) -> frozenset[PointEventId]:
-        return frozenset(self.points[i] for i in bit_indices(self.mask))
 
 
 class ValidationReport(_Record):
@@ -201,52 +188,9 @@ class CausalModel(_Record):
             below |= self.down[i]
         return mask & ~below
 
-    # -- order primitives -------------------------------------------------
-
-    def lt(self, a: PointEventId, b: PointEventId) -> bool:
-        """Strictly below."""
-        return bool(self.down[self.index[b]] >> self.index[a] & 1)
-
-    def le(self, a: PointEventId, b: PointEventId) -> bool:
-        return a == b or self.lt(a, b)
-
-    def comparable(self, a: PointEventId, b: PointEventId) -> bool:
-        return a == b or self.lt(a, b) or self.lt(b, a)
-
-    def down_closure(self, p: PointEventId) -> frozenset[PointEventId]:
-        """All points at or below ``p``."""
-        i = self.index[p]
-        return frozenset(self.names(self.down[i] | 1 << i))
-
-    def require_points(self, pts: Iterable[PointEventId]) -> None:
-        self.mask(pts)
-
     def covers(self, p: PointEventId) -> tuple[PointEventId, ...]:
         """Immediate successors of ``p``: q > p with nothing in between."""
         return tuple(self.names(self.cover[self.index[p]]))
-
-    def maximal_points(self) -> tuple[PointEventId, ...]:
-        return tuple(p for p, u in zip(self.points, self.up) if not u)
-
-    def maximal_in(self, subset: frozenset[PointEventId]) -> frozenset[PointEventId]:
-        """Members of ``subset`` with no strictly greater member in it."""
-        return frozenset(self.names(self.maximal(self.mask(subset))))
-
-    # -- set views, derived on first use ----------------------------------
-
-    @cached_property
-    def below(self) -> Mapping[PointEventId, frozenset[PointEventId]]:
-        """Per point, its strict predecessors as a set."""
-        return {
-            p: frozenset(self.names(m)) for p, m in zip(self.points, self.down)
-        }
-
-    @cached_property
-    def above(self) -> Mapping[PointEventId, frozenset[PointEventId]]:
-        """Per point, its strict successors as a set."""
-        return {
-            p: frozenset(self.names(m)) for p, m in zip(self.points, self.up)
-        }
 
     # -- histories --------------------------------------------------------
 
@@ -254,7 +198,7 @@ class CausalModel(_Record):
     def histories(self) -> tuple[History, ...]:
         """Maximal directed subsets, as principal down-sets of maxima."""
         return tuple(
-            History(top=p, mask=self.down[i] | 1 << i, points=self.points)
+            History(top=p, mask=self.down[i] | 1 << i)
             for i, p in enumerate(self.points)
             if not self.up[i]
         )
@@ -280,14 +224,6 @@ class CausalModel(_Record):
         caller.  It is never shared across models.
         """
         return {}
-
-    def order_pairs(self) -> tuple[tuple[PointEventId, PointEventId], ...]:
-        """The full strict relation as sorted (lower, upper) pairs."""
-        return tuple(
-            (a, b)
-            for b, m in zip(self.points, self.down)
-            for a in self.names(m)
-        )
 
 
 def build_model(

@@ -3,8 +3,10 @@
 Nothing here reuses the library's derived machinery: the order is closed
 over Python sets by a depth-first search per point (``SetModel``, the
 set implementation the bitset model replaced, with its prior-choice
-report, covers, chain and boundedness tests and event classification),
-histories are found by enumerating *all* subsets and keeping the maximal
+report, covers, chain and boundedness tests and event classification;
+an oracle handed a ``CausalModel`` closes the model's cover pairs again
+with it, through ``set_model_of``, and reads no other mask), histories
+are found by enumerating *all* subsets and keeping the maximal
 directed ones, the branching-location check quantifies over all chains
 rather than single points, the infima/suprema check scans every maximal
 chain instead of trusting finiteness, consistency scans every history
@@ -28,6 +30,7 @@ Agreement with the fast implementations is what the tests assert.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -215,7 +218,7 @@ class SetModel:
     def maximal_in(self, subset: frozenset[str]) -> frozenset[str]:
         return frozenset(p for p in subset if not (self.above[p] & subset))
 
-    @property
+    @functools.cached_property
     def histories(self) -> tuple[SetHistory, ...]:
         return tuple(
             SetHistory(top=m, members=self.down_closure(m))
@@ -273,6 +276,19 @@ def set_model(
         points=tuple(sorted(pts)),
         below={p: frozenset(s) for p, s in below.items()},
         above=above,
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def set_model_of(model: CausalModel) -> SetModel:
+    """``model``'s order closed again over sets from its cover pairs.
+
+    The closure, and the histories and sets read from it, come from
+    :func:`set_model`, not from the model's ``up`` and ``down`` masks.
+    Kept for the last few models, which compare by identity.
+    """
+    return set_model(
+        model.points, [(p, q) for p in model.points for q in model.covers(p)]
     )
 
 
@@ -366,14 +382,15 @@ def set_check_density(model: SetModel) -> ValidationReport:
 
 def brute_force_histories(model: CausalModel) -> set[frozenset[str]]:
     """Maximal directed subsets by exhaustive subset enumeration."""
-    pts = sorted(model.points)
+    sm = set_model_of(model)
+    pts = sorted(sm.points)
     n = len(pts)
     # upper cone of each point, as a bitmask over pts
     cone = []
     for i, p in enumerate(pts):
         m = 0
         for j, q in enumerate(pts):
-            if model.le(p, q):
+            if sm.le(p, q):
                 m |= 1 << j
         cone.append(m)
 
@@ -403,22 +420,23 @@ def brute_force_prior_choice_ok(model: CausalModel) -> bool:
     lying in the difference there must be a maximal point of the
     intersection strictly below the whole chain.
     """
-    for h1 in model.histories:
-        for h2 in model.histories:
+    sm = set_model_of(model)
+    for h1 in sm.histories:
+        for h2 in sm.histories:
             if h1.members == h2.members:
                 continue
             inter = h1.members & h2.members
-            cps = [p for p in inter if not (model.above[p] & inter)]
+            cps = [p for p in inter if not (sm.above[p] & inter)]
             diff = sorted(h1.members - h2.members)
             for r in range(1, len(diff) + 1):
                 for combo in itertools.combinations(diff, r):
                     if not all(
-                        model.comparable(a, b)
+                        sm.comparable(a, b)
                         for a, b in itertools.combinations(combo, 2)
                     ):
                         continue
                     if not any(
-                        all(model.lt(c, e) for e in combo) for c in cps
+                        all(sm.lt(c, e) for e in combo) for c in cps
                     ):
                         return False
     return True
@@ -438,7 +456,7 @@ def brute_force_is_consistent(
     return any(
         all(e.members <= h.members for e in ini)
         and all(e.members & h.members for e in out)
-        for h in model.histories
+        for h in set_model_of(model).histories
     )
 
 
@@ -478,29 +496,32 @@ def brute_force_grade(model: CausalModel, ns: NSpread) -> GradeReport:
 
 def brute_force_covers(model: CausalModel, p: str) -> tuple[str, ...]:
     """Points q above ``p`` with no r strictly between, by testing every r."""
+    sm = set_model_of(model)
     return tuple(
         q
-        for q in sorted(model.above[p])
-        if not any(model.lt(p, r) and model.lt(r, q) for r in model.above[p])
+        for q in sorted(sm.above[p])
+        if not any(sm.lt(p, r) and sm.lt(r, q) for r in sm.above[p])
     )
 
 
 def brute_force_density_gaps(model: CausalModel) -> list[tuple[str, str]]:
     """Ordered pairs a < b with no point between, by testing every c < b."""
+    sm = set_model_of(model)
     return [
         (a, b)
-        for b in model.points
-        for a in sorted(model.below[b])
-        if not any(model.lt(a, c) and model.lt(c, b) for c in model.below[b])
+        for b in sm.points
+        for a in sorted(sm.below[b])
+        if not any(sm.lt(a, c) and sm.lt(c, b) for c in sm.below[b])
     ]
 
 
 def random_chain(model: CausalModel, rng: random.Random) -> frozenset[str]:
     """A nonempty chain grown from a random point by comparable points."""
-    pts = list(model.points)
+    sm = set_model_of(model)
+    pts = list(sm.points)
     chain = {rng.choice(pts)}
     for q in rng.sample(pts, len(pts)):
-        if rng.random() < 0.5 and all(model.comparable(q, c) for c in chain):
+        if rng.random() < 0.5 and all(sm.comparable(q, c) for c in chain):
             chain.add(q)
     return frozenset(chain)
 
@@ -528,7 +549,8 @@ def random_spread(
 
 def _maximal_chains(model: CausalModel) -> Iterator[tuple[str, ...]]:
     """All maximal chains, as cover paths from minimal to maximal points."""
-    minimal = [p for p in model.points if not model.below[p]]
+    sm = set_model_of(model)
+    minimal = [p for p in sm.points if not sm.below[p]]
 
     def extend(path: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
         nxt = brute_force_covers(model, path[-1])
@@ -552,25 +574,26 @@ def brute_force_infima_suprema_ok(model: CausalModel) -> bool:
     inside every history containing it.  Exponential in the width of the
     order: keep the models small.
     """
+    sm = set_model_of(model)
     for chain in _maximal_chains(model):
         for i, lo in enumerate(chain):
             for hi in chain[i:]:
-                span = [p for p in chain if model.le(lo, p) and model.le(p, hi)]
+                span = [p for p in chain if sm.le(lo, p) and sm.le(p, hi)]
                 lower = frozenset.intersection(
-                    *[model.down_closure(p) for p in span]
+                    *[sm.down_closure(p) for p in span]
                 )
-                greatest = [p for p in lower if not (model.above[p] & lower)]
+                greatest = [p for p in lower if not (sm.above[p] & lower)]
                 if sorted(greatest) != [lo]:
                     return False
-                for h in model.histories:
+                for h in sm.histories:
                     if not set(span) <= h.members:
                         continue
                     upper = frozenset(
                         u
                         for u in h.members
-                        if all(model.le(p, u) for p in span)
+                        if all(sm.le(p, u) for p in span)
                     )
-                    least = [u for u in upper if not (model.below[u] & upper)]
+                    least = [u for u in upper if not (sm.below[u] & upper)]
                     if sorted(least) != [hi]:
                         return False
     return True
@@ -581,11 +604,12 @@ def _not_below_pairs(
 ) -> list[tuple[str, str]]:
     """(p, q) with p in ``lower`` not strictly below q in ``upper``, by
     ``lt`` over every pair of sorted members."""
+    sm = set_model_of(model)
     return [
         (p, q)
         for p in sorted(lower.members)
         for q in sorted(upper.members)
-        if not model.lt(p, q)
+        if not sm.lt(p, q)
     ]
 
 
@@ -599,12 +623,13 @@ def reference_spread_report(
     point with every outcome point, and (ii) and (iii) test each history's
     member set.
     """
+    sm = set_model_of(model)
     name = f"spread {spread.initial.name}"
     roles = [(spread.initial, "initial")]
     roles += [(o, "outcome") for o in spread.outcomes]
     for event, role in roles:
         members = sorted(event.members)
-        if not all(model.comparable(a, b) for a in members for b in members):
+        if not all(sm.comparable(a, b) for a in members for b in members):
             return ValidationReport(
                 check=name,
                 status="fail",
@@ -616,7 +641,7 @@ def reference_spread_report(
         for o in spread.outcomes
         for p, q in _not_below_pairs(model, spread.initial, o)
     ]
-    for h in model.histories:
+    for h in sm.histories:
         hit = [o.name for o in spread.outcomes if o.members & h.members]
         if spread.initial.members <= h.members and not hit:
             violations.append(
@@ -677,8 +702,9 @@ def reference_cc_preconditions(model: CausalModel, ns: NSpread) -> None:
     for s in ns.spreads:
         if not reference_spread_report(model, s).ok:
             raise InvalidSpread(f"spread at {s.initial.name!r} is invalid")
+    sm = set_model_of(model)
     crossing = any(
-        model.lt(p, q)
+        sm.lt(p, q)
         for i, s in enumerate(ns.spreads)
         for j, other in enumerate(ns.spreads)
         if i != j

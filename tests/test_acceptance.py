@@ -136,7 +136,7 @@ def test_criterion_06_concrete_model_realizes_the_rule(ghz):
     model, structure = ghz
     assert len(model.points) == 53
     assert len(model.histories) == 32
-    assert all(len(h.members) == 10 for h in model.histories)
+    assert all(h.mask.bit_count() == 10 for h in model.histories)
     assert check_prior_choice(model).ok
     assert check_infima_suprema(model).ok
     assert check_density(model).status == "waived"
@@ -211,7 +211,7 @@ def test_criterion_10_histories_equal_maximal_directed_subsets():
     rng = random.Random(99173)
     for _ in range(50):
         m = seeded_model(rng, max_points=12)
-        fast = {h.members for h in m.histories}
+        fast = {frozenset(m.names(h.mask)) for h in m.histories}
         assert fast == brute_force_histories(m)
     stamp(10, "principal down-sets match brute force on 50 random models")
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from bstghz import common_cause, events, ghz
 from bstghz.common_cause import (
     _cc_conditions,
-    _nspread_masks,
     _require_cc_preconditions,
     atomic_spreads,
     check_common_cause,
@@ -303,7 +302,7 @@ class TestChecker:
         for _ in range(2):
             # a record of the n-spread's masks does not stand in for the
             # validation of its spreads
-            events._nspread_history_masks(model, ns)
+            events._nspread_record(model, ns)
             for call in (consistency_grade, _require_cc_preconditions):
                 with pytest.raises(InvalidSpread) as raised:
                     call(model, ns)
@@ -313,7 +312,7 @@ class TestChecker:
         misclassified = NSpread(spreads=(resolved.spreads["bad_outcome"],))
         for _ in range(2):
             with pytest.raises(MisclassifiedEvent):
-                events._nspread_history_masks(model, misclassified)
+                events._nspread_record(model, misclassified)
 
     @pytest.mark.parametrize("scenario", ["ghz", "toy"])
     def test_rebuilt_terms_screen_like_the_resolved_ones(self, scenario, toy):
@@ -401,8 +400,12 @@ class TestChecker:
             vector = OutcomeVector(
                 terms=tuple(rng.choice(s.outcomes) for s in ns.spreads)
             )
+            hist, _, by_outcome = events._nspread_record(m, ns)
+            pts = m.mask(
+                p for s in ns.spreads for o in s.outcomes for p in o.members
+            )
             assert _cc_conditions(
-                m, sigma, ns, vector, _nspread_masks(m, ns)
+                m, sigma, ns, vector, (pts, hist, by_outcome)
             ) == reference_cc_conditions(m, sigma, ns, vector)
 
 

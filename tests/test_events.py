@@ -46,10 +46,10 @@ def ev(*names):
 
 
 def broken_masks(model, ns):
-    """History masks no model has: the initials in no history together,
-    every outcome in all of them."""
+    """An n-spread record of history masks no model has: the initials in
+    no history together, every outcome in all of them."""
     every = (1 << len(model.histories)) - 1
-    return 0, tuple((every,) * len(s.outcomes) for s in ns.spreads)
+    return 0, tuple((every,) * len(s.outcomes) for s in ns.spreads), ()
 
 
 def fork():
@@ -373,7 +373,7 @@ class TestGrading:
     def test_broken_implication_chain_raises(self, toy, monkeypatch):
         # initials in no history, every outcome in all of them: maximal but
         # not 1-consistent, which no correct set of history masks allows
-        monkeypatch.setattr(events, "_nspread_history_masks", broken_masks)
+        monkeypatch.setattr(events, "_nspread_record", broken_masks)
         with pytest.raises(RuntimeError, match="implication chain"):
             consistency_grade(toy.model, toy.station_nspread)
 
@@ -384,9 +384,10 @@ class TestGrading:
 
             def broken_masks(model, ns):
                 every = (1 << len(model.histories)) - 1
-                return 0, tuple((every,) * len(s.outcomes) for s in ns.spreads)
+                outs = tuple((every,) * len(s.outcomes) for s in ns.spreads)
+                return 0, outs, ()
 
-            events._nspread_history_masks = broken_masks
+            events._nspread_record = broken_masks
             toy = build_toy_decay()
             try:
                 consistency_grade(toy.model, toy.station_nspread)

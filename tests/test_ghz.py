@@ -171,7 +171,7 @@ class TestConcreteModel:
     def test_point_and_history_counts(self, ghz_model):
         assert len(ghz_model.points) == 53
         assert len(ghz_model.histories) == 32
-        assert all(len(h.members) == 10 for h in ghz_model.histories)
+        assert all(h.mask.bit_count() == 10 for h in ghz_model.histories)
 
     def test_histories_topped_by_terminals(self, ghz_model):
         tops = {h.top for h in ghz_model.histories}

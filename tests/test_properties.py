@@ -11,7 +11,12 @@ from bstghz.ghz import (
     build_abstract_structure,
     refute_joint_common_cause,
 )
-from bstghz.model import build_model, check_prior_choice, choice_points
+from bstghz.model import (
+    bit_indices,
+    build_model,
+    check_prior_choice,
+    choice_points,
+)
 
 from .conftest import causal_models
 from .oracles import (
@@ -19,6 +24,7 @@ from .oracles import (
     brute_force_histories,
     brute_force_prior_choice_ok,
     fact1_violations,
+    set_model_of,
 )
 
 RELAXED = settings(deadline=None)
@@ -27,35 +33,39 @@ RELAXED = settings(deadline=None)
 @RELAXED
 @given(causal_models())
 def test_histories_match_subset_enumeration(model):
-    fast = {h.members for h in model.histories}
+    fast = {frozenset(model.names(h.mask)) for h in model.histories}
     assert fast == brute_force_histories(model)
 
 
 @RELAXED
 @given(causal_models())
 def test_histories_are_downward_closed_and_directed(model):
+    sm = set_model_of(model)
     for h in model.histories:
-        for p in h.members:
-            assert model.below[p] <= h.members
-        for a, b in itertools.combinations(sorted(h.members), 2):
-            assert any(
-                model.le(a, u) and model.le(b, u) for u in h.members
-            )
+        members = frozenset(model.names(h.mask))
+        for p in members:
+            assert sm.below[p] <= members
+        for a, b in itertools.combinations(sorted(members), 2):
+            assert any(sm.le(a, u) and sm.le(b, u) for u in members)
 
 
 @RELAXED
 @given(causal_models())
 def test_every_point_lies_in_some_history(model):
-    covered = frozenset().union(*(h.members for h in model.histories))
+    covered = frozenset(
+        p for h in model.histories for p in model.names(h.mask)
+    )
     assert covered == frozenset(model.points)
 
 
 @RELAXED
 @given(causal_models())
 def test_history_tops_are_their_unique_maxima(model):
+    sm = set_model_of(model)
     for h in model.histories:
-        assert model.maximal_in(h.members) == {h.top}
-        assert model.down_closure(h.top) == h.members
+        members = frozenset(model.names(h.mask))
+        assert sm.maximal_in(members) == {h.top}
+        assert sm.down_closure(h.top) == members
 
 
 @RELAXED
@@ -78,27 +88,31 @@ def test_choice_points_are_symmetric(model):
 def test_choice_points_are_maximal_in_the_intersection(model):
     hs = model.histories
     assume(len(hs) >= 2)
+    sm = set_model_of(model)
     for h1, h2 in itertools.combinations(hs, 2):
+        common = frozenset(model.names(h1.mask & h2.mask))
         for c in choice_points(model, h1, h2):
-            assert c in h1.members and c in h2.members
-            assert not (model.above[c] & h1.members & h2.members)
+            assert c in common
+            assert not (sm.above[c] & common)
 
 
 @RELAXED
 @given(causal_models())
 def test_transitivity_and_irreflexivity(model):
-    for p in model.points:
-        assert p not in model.below[p]
-        for q in model.above[p]:
-            assert model.above[q] <= model.above[p]
+    for i, up in enumerate(model.up):
+        assert not model.down[i] >> i & 1
+        for j in bit_indices(up):
+            assert not model.up[j] & ~up
 
 
 @RELAXED
 @given(causal_models())
 def test_order_pairs_rebuild_the_same_model(model):
-    rebuilt = build_model(model.points, model.order_pairs())
+    sm = set_model_of(model)
+    pairs = [(a, b) for b in sm.points for a in sorted(sm.below[b])]
+    rebuilt = build_model(model.points, pairs)
     assert rebuilt.points == model.points
-    assert rebuilt.order_pairs() == model.order_pairs()
+    assert (rebuilt.up, rebuilt.down) == (model.up, model.down)
 
 
 @RELAXED
@@ -141,7 +155,7 @@ def test_initial_consistency_never_exceeds_outcome_reach(model):
     # each history containing an atomic initial overlaps exactly one of
     # its outcomes; count them directly
     for spread in atomic_spreads(model):
-        for h in model.histories:
+        for h in set_model_of(model).histories:
             if spread.initial.members <= h.members:
                 hits = [
                     o for o in spread.outcomes if o.members & h.members

@@ -118,7 +118,28 @@ class TestBuildModel:
         assert m.points == ("a", "m", "z")
 
 
+def below(m, p, q):
+    # p < q, asked as a bit of q's down mask
+    return bool(m.down[m.index[q]] >> m.index[p] & 1)
+
+
 class TestOrderPrimitives:
+    def test_lt_le_comparable(self):
+        m = chain3()
+        assert below(m, "a", "b") and not below(m, "b", "a")
+        assert not below(m, "a", "a")
+        assert below(m, "a", "c")
+        assert m.up[m.index["a"]] >> m.index["c"] & 1
+        f = fork()
+        assert not below(f, "d-", "d+") and not below(f, "d+", "d-")
+
+    def test_down_closure(self):
+        m = chain3()
+        assert m.names(m.down[m.index["c"]] | m.mask(["c"])) == [
+            "a", "b", "c",
+        ]
+        assert m.names(m.down[m.index["a"]] | m.mask(["a"])) == ["a"]
+
     def test_covers_skip_redundant_pair(self):
         m = chain3()
         assert m.covers("a") == ("b",)
@@ -131,10 +152,21 @@ class TestOrderPrimitives:
         for p in m.points:
             assert m.covers(p) == brute_force_covers(m, p)
 
+    def test_maximal_points(self):
+        f, m = fork(), chain3()
+        assert f.names(f.maximal(f.mask(f.points))) == ["d+", "d-"]
+        assert m.names(m.maximal(m.mask(m.points))) == ["c"]
+
     def test_maximal_in(self):
         f = fork()
         assert f.names(f.maximal(f.mask({"d", "d-"}))) == ["d-"]
         assert f.maximal(f.mask(())) == 0
+
+    def test_order_pairs_full_relation(self):
+        m = chain3()
+        assert [
+            (p, q) for p, up in zip(m.points, m.up) for q in m.names(up)
+        ] == [("a", "b"), ("a", "c"), ("b", "c")]
 
     def test_require_points(self):
         with pytest.raises(UnknownPoint):

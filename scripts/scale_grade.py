@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the consistency grade of an n-spread, and the common-cause search
-over its inconsistent vectors, by its width.
+"""Time the consistency grade of an n-spread, the common-cause search
+over its inconsistent vectors, and one common-cause check, by its width.
 
 Usage, from the root of a checkout with ``src`` on ``PYTHONPATH``:
 
@@ -25,6 +25,13 @@ median milliseconds per grade (``grade_ms``), and the median over the
 rounds of the grade and search together (``search_ms``).  Each round's
 sum is at least its own grade time, so ``search_ms`` is never below
 ``grade_ms``.
+
+``check_ms`` is the median milliseconds, over ``repeats`` calls after one
+unrecorded call, of ``check_common_cause`` with the first station's
+spread as the candidate against the first inconsistent vector.  That
+station precedes no outcome of the other k - 1 stations, so cc1 fails
+with 2(k - 1) witnesses, which the check words.  With no inconsistent
+vector (k = 1) there is nothing to check and ``check_ms`` is null.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import statistics
 import sys
 import time
 
-from bstghz.common_cause import search_common_causes
+from bstghz.common_cause import check_common_cause, search_common_causes
 from bstghz.events import Event, NSpread, Spread, consistency_grade
 from bstghz.model import CausalModel, build_model
 
@@ -87,6 +94,25 @@ def timed_ms(
     return statistics.median(grades) * 1000, statistics.median(totals) * 1000
 
 
+def check_ms(
+    model: CausalModel, ns: NSpread, vectors: tuple, repeats: int
+) -> float | None:
+    """The median milliseconds, over ``repeats`` calls after an unrecorded
+    one, of ``check_common_cause`` with the first station's spread as the
+    candidate against the first of ``ns``'s inconsistent ``vectors``;
+    None when there is none."""
+    if not vectors:
+        return None
+    sigma, vector = ns.spreads[0], vectors[0]
+    check_common_cause(model, sigma, ns, vector)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        check_common_cause(model, sigma, ns, vector)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1000
+
+
 def measure(widths: list[int], repeats: int) -> list[dict]:
     rows = []
     for k in widths:
@@ -103,6 +129,9 @@ def measure(widths: list[int], repeats: int) -> list[dict]:
                 "inconsistent": len(grade.inconsistent_vectors),
                 "grade_ms": grade_ms,
                 "search_ms": search_ms,
+                "check_ms": check_ms(
+                    model, ns, grade.inconsistent_vectors, repeats
+                ),
             }
         )
     return rows

@@ -15,12 +15,16 @@ Each condition's verdict is one mask test on the model's bitsets, shared
 by the checker and the search: cc1 asks whether the outcome points of
 the n-spread lie inside the points above sigma's initial, cc2 and cc3
 AND history masks.  Witness lines are worded only for a report: cc1 and
-cc2 when the condition fails, cc3 per outcome of sigma.  The search
-(``search_common_causes``) reads the verdicts alone.  Its masks are
-memoised per model: the atomic candidates' once, and each n-spread's
-once its preconditions pass.  Those extend the n-spread's record in
-``events``, whose per-outcome maps give the checker and the search a
-vector's term masks by one lookup per term.
+cc2 when the condition fails, cc3 per outcome of sigma.  The cc1
+witnesses come from the point masks of the n-spread's outcomes, kept
+with its screening masks, by the walk that words condition (i) of a
+spread (``events._precedence_gaps``): no outcome's mask is built again
+per check.  The search (``search_common_causes``) reads the verdicts
+alone.  Its masks are memoised per model: the atomic candidates' once,
+and each n-spread's once its preconditions pass.  Those extend the
+n-spread's record in ``events``, whose per-outcome maps give the checker
+and the search a vector's term masks by one lookup per term, once per
+check.
 
 Passing all three does not *establish* a common cause, which is why the
 interesting direction is the refutation; the GHZ scenario's, which needs
@@ -48,8 +52,8 @@ from .events import (
     validate_spread,
     _above,
     _history_masks,
-    _not_below,
     _nspread_record,
+    _precedence_gaps,
     _one_consistent,
     _require_valid,
 )
@@ -86,13 +90,19 @@ class CommonCauseReport(_Record):
         return self.cc1.passed and self.cc2.passed and self.cc3.passed
 
 
-def _require_cc_preconditions(
-    model: CausalModel, ns: NSpread
-) -> tuple[int, int, tuple[dict[Event, int], ...]]:
+# The screening masks of an n-spread: the points of every outcome, the
+# histories containing all of its initials, per spread a map from each
+# outcome to its overlapping histories, and each outcome with its own
+# point mask, in spread and outcome order.
+_CCMasks = tuple[
+    int, int, tuple[dict[Event, int], ...], tuple[tuple[Event, int], ...]
+]
+
+
+def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> _CCMasks:
     """Check that ``ns`` is space-like and 1-consistent; return its
-    screening masks: the points of every outcome, the histories
-    containing all of its initials, and per spread each outcome's
-    overlapping histories by outcome, the last two read from its record.
+    screening masks, the histories and the outcome maps read from its
+    record.
 
     A pass is memoised on the model, keyed by the n-spread; a failing
     n-spread raises on every call.
@@ -106,10 +116,11 @@ def _require_cc_preconditions(
         if not _one_consistent(model, ns):
             raise PreconditionFailed("the n-spread is not 1-consistent")
         hist, _, by_outcome = _nspread_record(model, ns)
-        pts = model.mask(
-            p for s in ns.spreads for o in s.outcomes for p in o.members
+        points = tuple(
+            (o, model.mask(o.members)) for s in ns.spreads for o in s.outcomes
         )
-        masks = model.memo[key] = (pts, hist, by_outcome)
+        pts = functools.reduce(operator.or_, (m for _, m in points))
+        masks = model.memo[key] = (pts, hist, by_outcome, points)
     return masks
 
 
@@ -156,14 +167,12 @@ def _overlaps(
     return tuple(_history_masks(model, e, "outcome")[1] for e in events)
 
 
-# The three screening conditions as mask tests.  ``above`` and ``outs`` are
-# the candidate's (``_above``, ``_overlaps`` of its outcomes), ``pts`` and
-# ``hist`` the n-spread's (from ``_require_cc_preconditions``), ``terms``
-# the vector's ``_term_masks``.
-
-
-def _cc1(above: int, pts: int) -> bool:
-    return pts & ~above == 0
+# The screening conditions as mask tests.  ``outs`` is the candidate's
+# (``_overlaps`` of its outcomes), ``hist`` the n-spread's (from
+# ``_require_cc_preconditions``), ``terms`` the vector's ``_term_masks``.
+# cc1 is the test ``pts & ~above == 0`` on the n-spread's outcome points
+# and the points above the candidate's initial, written out where it is
+# asked.
 
 
 def _cc2(hist: int, outs: tuple[int, ...]) -> bool:
@@ -177,23 +186,28 @@ def _cc3(outs: tuple[int, ...], terms: tuple[int, ...]) -> bool:
 def _cc_conditions(
     model: CausalModel,
     sigma: Spread,
-    ns: NSpread,
     vector: OutcomeVector,
-    masks: tuple[int, int, tuple[dict[Event, int], ...]],
+    masks: _CCMasks,
+    terms: tuple[int, ...],
 ) -> CommonCauseReport:
     """The report of cc1..cc3: verdicts from the mask tests, cc1 and cc2
-    witnesses worded only on a failure, a cc3 line per candidate outcome.
-    ``masks`` are the n-spread's, as :func:`_require_cc_preconditions`
-    returns them."""
-    pts, hist, by_outcome = masks
+    witnesses worded only on a failure, a cc3 line per candidate outcome
+    from the walk that also gives cc3's verdict.  ``masks`` are the
+    n-spread's, as :func:`_require_cc_preconditions` returns them, and
+    ``terms`` the vector's ``_term_masks``.
+
+    The cc1 witnesses are read off the n-spread's per-outcome point masks
+    by :func:`events._precedence_gaps`, so no outcome's mask is built per
+    check: by outcome in spread order, then by initial point, then by
+    outcome point.
+    """
+    pts, hist, _, points = masks
     outs = _overlaps(model, sigma.outcomes)
-    terms = _term_masks(ns, vector, by_outcome)
-    cc1_ok = _cc1(_above(model, sigma.initial), pts)
+    above = _above(model, sigma.initial)
+    cc1_ok = pts & ~above == 0
     cc1_witnesses = () if cc1_ok else tuple(
         f"{p} is not strictly below {q} (outcome {o.name})"
-        for s in ns.spreads
-        for o in s.outcomes
-        for p, q in _not_below(model, sigma.initial, o)
+        for o, p, q in _precedence_gaps(model, sigma.initial, points, above)
     )
     cc2_ok = _cc2(hist, outs)
     cc2_witnesses = () if cc2_ok else tuple(
@@ -201,21 +215,23 @@ def _cc_conditions(
         for o, m in zip(sigma.outcomes, outs)
         if not hist & m
     )
+    cc3_ok = True
     cc3_witnesses = []
     for o, m in zip(sigma.outcomes, outs):
-        screen = next(
-            (t for t, tm in zip(vector.terms, terms) if not m & tm), None
-        )
-        cc3_witnesses.append(
-            f"{o.name} is consistent with every term of the vector"
-            if screen is None
-            else f"{o.name} is inconsistent with {screen.name}"
-        )
+        for t, tm in zip(vector.terms, terms):
+            if not m & tm:
+                cc3_witnesses.append(f"{o.name} is inconsistent with {t.name}")
+                break
+        else:
+            cc3_ok = False
+            cc3_witnesses.append(
+                f"{o.name} is consistent with every term of the vector"
+            )
     return CommonCauseReport(
         vector=vector.names,
         cc1=ConditionResult(cc1_ok, cc1_witnesses),
         cc2=ConditionResult(cc2_ok, cc2_witnesses),
-        cc3=ConditionResult(_cc3(outs, terms), tuple(cc3_witnesses)),
+        cc3=ConditionResult(cc3_ok, tuple(cc3_witnesses)),
     )
 
 
@@ -234,12 +250,13 @@ def check_common_cause(
     """
     _require_valid(model, (sigma,), "candidate spread")
     masks = _require_cc_preconditions(model, ns)
-    if functools.reduce(operator.and_, _term_masks(ns, vector, masks[2])):
+    terms = _term_masks(ns, vector, masks[2])
+    if functools.reduce(operator.and_, terms):
         raise NotInconsistencyType(
             f"vector {vector.label()} is consistent; the screening "
             "conditions apply to inconsistent vectors only"
         )
-    return _cc_conditions(model, sigma, ns, vector, masks)
+    return _cc_conditions(model, sigma, vector, masks, terms)
 
 
 def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
@@ -315,8 +332,9 @@ def search_common_causes(
     conditions for every listed pair.  An empty target list makes the
     search vacuous, which the result flags.
 
-    The verdicts are the mask tests ``_cc1``, ``_cc2`` and ``_cc3`` that
-    ``check_common_cause`` reports from, on the masks of each distinct
+    The verdicts are the mask tests that ``check_common_cause`` reports
+    from (cc1 inline, ``_cc2``, and ``_cc3``, the checker's cc3 walk
+    without its lines), on the masks of each distinct
     n-spread (told apart by identity) and each distinct vector, whose
     term masks are looked up in its n-spread's record; no witness is
     worded.  A candidate stops at its first failing test.
@@ -337,13 +355,13 @@ def search_common_causes(
                 "vectors call for a common cause"
             )
         targets.add(terms)
-    pts = functools.reduce(operator.or_, (p for p, _, _ in masks.values()), 0)
-    hists = {h for _, h, _ in masks.values()}
+    pts = functools.reduce(operator.or_, (m[0] for m in masks.values()), 0)
+    hists = {m[1] for m in masks.values()}
     candidates = atomic_spreads(model)
     passing = tuple(
         cand
         for cand, (above, outs) in zip(candidates, _candidate_masks(model))
-        if _cc1(above, pts)
+        if not pts & ~above
         and all(_cc2(h, outs) for h in hists)
         and all(_cc3(outs, terms) for terms in targets)
     )

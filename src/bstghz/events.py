@@ -35,11 +35,16 @@ when the AND of its events' masks is nonzero, and an event is stable
 when its AND equals its OR.  A one-point event is a chain and skips the
 check; a larger event's chain check runs once per model.  Each event's
 two history masks are memoised on the model, and so is each spread's
-validation and each n-spread's record of masks (``_nspread_record``:
+validation (``validate_spread`` records a pass, which ``_require_valid``
+reads) and each n-spread's record of masks (``_nspread_record``:
 the AND of its initials' containing masks, its outcomes' overlapping
 masks, and per spread a map from outcome to mask); only passes are kept,
 so a misclassified event or an invalid spread raises every time.
-Violations are worded only after a mask test has failed.
+Violations are worded only after a mask test has failed.  Precedence
+failures are named by one walk (``_precedence_gaps``) that spread
+validation and the common-cause checker share: it skips an outcome whose
+mask lies above the initial and names, per point p of the initial, the
+outcome's bits outside ``up[p]``.
 
 Grading an n-spread reads its record and makes no consistency query:
 the AND of its initials' containing masks decides minimal and
@@ -255,15 +260,27 @@ def _above(model: CausalModel, event: Event) -> int:
     )
 
 
-def _not_below(
-    model: CausalModel, lower: Event, upper: Event
-) -> Iterator[tuple[PointEventId, PointEventId]]:
-    """The pairs (p, q) of a point p of ``lower`` not strictly below a
-    point q of ``upper``, by p and then q, both in sorted order."""
-    target = model.mask(upper.members)
-    for i in bit_indices(model.mask(lower.members)):
-        for j in bit_indices(target & ~model.up[i]):
-            yield model.points[i], model.points[j]
+def _precedence_gaps(
+    model: CausalModel,
+    initial: Event,
+    outcomes: Iterable[tuple[Event, int]],
+    above: int,
+) -> Iterator[tuple[Event, PointEventId, PointEventId]]:
+    """The triples (o, p, q) of an outcome o, a point p of ``initial`` and
+    a point q of o that p does not strictly precede.
+
+    ``outcomes`` pairs each outcome with its point mask and ``above`` is
+    :func:`_above` of the initial.  An outcome inside ``above`` is skipped
+    unwalked; for each other, every point p of the initial names the bits
+    of the outcome's mask outside ``up[p]``.  The triples come by outcome
+    in the given order, then by p and by q, both sorted.
+    """
+    lower = bit_indices(model.mask(initial.members))
+    for o, om in outcomes:
+        if om & ~above:
+            for i in lower:
+                for j in bit_indices(om & ~model.up[i]):
+                    yield o, model.points[i], model.points[j]
 
 
 def is_consistent(
@@ -291,7 +308,8 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     (i) every point of the initial strictly precedes every point of every
     outcome; (ii) every history containing the initial overlaps some
     outcome; (iii) no history overlaps two distinct outcomes.  Failures
-    are reported, not raised.
+    are reported, not raised; a pass is recorded on the model, so
+    :func:`_require_valid` does not validate the spread again.
     """
     name = f"spread {spread.initial.name}"
     try:
@@ -307,13 +325,18 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     # (i) is one test, that the outcome points lie above the initial; its
     # failing pairs are worded only when it fails
     violations = []
+    above = _above(model, spread.initial)
     outcome_points = model.mask(p for o in spread.outcomes for p in o.members)
-    if outcome_points & ~_above(model, spread.initial):
+    if outcome_points & ~above:
         violations = [
             f"(i) initial point {p} does not strictly precede {q} of "
             f"outcome {o.name}"
-            for o in spread.outcomes
-            for p, q in _not_below(model, spread.initial, o)
+            for o, p, q in _precedence_gaps(
+                model,
+                spread.initial,
+                ((o, model.mask(o.members)) for o in spread.outcomes),
+                above,
+            )
         ]
     # histories overlapping some outcome, and overlapping two or more
     some = twice = 0
@@ -333,6 +356,8 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
             violations.append(
                 f"(iii) history {h.top} overlaps outcomes {', '.join(hit)}"
             )
+    if not violations:
+        model.memo[_require_valid, spread] = True
     return ValidationReport(
         check=name,
         status="fail" if violations else "pass",
@@ -343,8 +368,10 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
 def _require_valid(
     model: CausalModel, spreads: Iterable[Spread], noun: str = "spread"
 ) -> None:
-    """Raise :class:`InvalidSpread` at the first invalid spread; a pass
-    is memoised on the model, keyed by the spread."""
+    """Raise :class:`InvalidSpread` at the first invalid spread.  A pass
+    is memoised on the model, keyed by the spread, by
+    :func:`validate_spread` itself, so a spread validated before is not
+    validated again; a failure is not kept and raises on every call."""
     for s in spreads:
         if (_require_valid, s) in model.memo:
             continue
@@ -354,7 +381,6 @@ def _require_valid(
                 f"{noun} at {s.initial.name!r} is invalid: "
                 + "; ".join(report.violations)
             )
-        model.memo[_require_valid, s] = True
 
 
 def _nspread_record(

@@ -1,8 +1,10 @@
 """Screening conditions, the profile refutation, and determinism levels."""
 
 import collections
+import functools
 import itertools
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -58,7 +60,7 @@ from bstghz.ghz import (
     nspread_name,
     refute_joint_common_cause,
 )
-from bstghz.model import build_model
+from bstghz.model import CausalModel, build_model
 
 from .oracles import (
     brute_force_is_consistent,
@@ -264,6 +266,91 @@ class TestChecker:
             check_common_cause(model, sigma, ns, vector)
         assert calls == dict.fromkeys([*ns.spreads, sigma], 1)
 
+    def test_validation_then_a_grade_validates_each_spread_once(
+        self, monkeypatch
+    ):
+        model, structure = build_concrete_model()
+        ns = structure.nspreads[nspread_name(("x", "x", "y"))]
+        calls = collections.Counter()
+
+        def counting(model, spread):
+            calls[spread] += 1
+            return validate_spread(model, spread)
+
+        monkeypatch.setattr(events, "validate_spread", counting)
+        for s in ns.spreads:
+            assert events.validate_spread(model, s).ok
+        consistency_grade(model, ns)
+        assert calls == dict.fromkeys(ns.spreads, 1)
+
+    @pytest.mark.parametrize("nspread", ["Sigma_xxy", "Sigma_star_123"])
+    def test_cc1_witnesses_build_no_mask_per_outcome(
+        self, nspread, monkeypatch
+    ):
+        # once the n-spread's screening masks exist, a failing cc1 builds
+        # the candidate initial's mask twice (for the points above it and
+        # for its points), however many outcomes the n-spread has
+        model, structure = build_concrete_model()
+        ns, cand = structure.nspreads[nspread], structure.spreads["sigma_2"]
+        vector = consistency_grade(model, ns).inconsistent_vectors[0]
+        check_common_cause(model, cand, ns, vector)
+        calls = []
+        mask = CausalModel.mask
+
+        def counting(self, pts):
+            calls.append(1)
+            return mask(self, pts)
+
+        monkeypatch.setattr(CausalModel, "mask", counting)
+        report = check_common_cause(model, cand, ns, vector)
+        assert not report.cc1.passed and report.cc1.witnesses
+        assert len(calls) == 2
+
+    def test_cc1_witnesses_by_outcome_then_initial_point(self):
+        # the candidate's initial {a, b} precedes no point of the
+        # n-spread, whose first outcomes have two points each
+        model = build_model(
+            ["a", "b", "c-", "c+", "s", "u1", "u2", "v1", "v2",
+             "t", "x", "y", "m1", "m2"],
+            [("a", "b"), ("b", "c-"), ("b", "c+"),
+             ("s", "u1"), ("u1", "u2"), ("s", "v1"), ("v1", "v2"),
+             ("t", "x"), ("t", "y"),
+             ("u2", "m1"), ("x", "m1"), ("v2", "m2"), ("y", "m2")],
+        )
+
+        def event(name, *members):
+            return Event(name=name, members=frozenset(members or (name,)))
+
+        sigma = Spread(
+            initial=event("ab", "a", "b"),
+            outcomes=(event("c-"), event("c+")),
+        )
+        u, v = event("U", "u1", "u2"), event("V", "v1", "v2")
+        x, y = event("x"), event("y")
+        ns = NSpread(
+            spreads=(
+                Spread(initial=event("s"), outcomes=(u, v)),
+                Spread(initial=event("t"), outcomes=(x, y)),
+            )
+        )
+        vector = OutcomeVector(terms=(u, y))
+        report = check_common_cause(model, sigma, ns, vector)
+        assert report.cc1.witnesses == (
+            "a is not strictly below u1 (outcome U)",
+            "a is not strictly below u2 (outcome U)",
+            "b is not strictly below u1 (outcome U)",
+            "b is not strictly below u2 (outcome U)",
+            "a is not strictly below v1 (outcome V)",
+            "a is not strictly below v2 (outcome V)",
+            "b is not strictly below v1 (outcome V)",
+            "b is not strictly below v2 (outcome V)",
+            "a is not strictly below x (outcome x)",
+            "b is not strictly below x (outcome x)",
+            "a is not strictly below y (outcome y)",
+            "b is not strictly below y (outcome y)",
+        )
+        assert report == reference_cc_conditions(model, sigma, ns, vector)
+
     def test_each_nspread_reads_its_masks_once_per_model(self, monkeypatch):
         model, structure = build_concrete_model()
         ns = structure.nspreads[nspread_name(("x", "x", "y"))]
@@ -400,12 +487,16 @@ class TestChecker:
             vector = OutcomeVector(
                 terms=tuple(rng.choice(s.outcomes) for s in ns.spreads)
             )
+            # the screening masks as _require_cc_preconditions keeps them,
+            # built without its checks
             hist, _, by_outcome = events._nspread_record(m, ns)
-            pts = m.mask(
-                p for s in ns.spreads for o in s.outcomes for p in o.members
+            points = tuple(
+                (o, m.mask(o.members)) for s in ns.spreads for o in s.outcomes
             )
+            pts = functools.reduce(operator.or_, (om for _, om in points))
+            terms = tuple(d[t] for d, t in zip(by_outcome, vector.terms))
             assert _cc_conditions(
-                m, sigma, ns, vector, (pts, hist, by_outcome)
+                m, sigma, vector, (pts, hist, by_outcome, points), terms
             ) == reference_cc_conditions(m, sigma, ns, vector)
 
 

@@ -107,6 +107,9 @@ def test_scale_grade_prints_one_json_line_per_width():
     assert [row["inconsistent"] for row in rows] == [0, 1, 29]
     for row in rows:
         assert row["search_ms"] >= row["grade_ms"] >= 0
+    # width 1 has no inconsistent vector to check
+    assert rows[0]["check_ms"] is None
+    assert all(row["check_ms"] >= 0 for row in rows[1:])
 
 
 def test_scale_start_prints_one_json_line_per_command():

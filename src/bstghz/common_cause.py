@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .document import ModelDocument, SpreadDoc, resolve_document
 from .errors import NotInconsistencyType, PreconditionFailed
@@ -63,6 +63,7 @@ from .model import CausalModel, _Record
 class ConditionResult(_Record):
     __slots__ = ("passed", "witnesses")
 
+    # three per verdict, one per screening condition
     def __init__(self, passed: bool, witnesses: tuple[str, ...] = ()) -> None:
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "witnesses", witnesses)
@@ -72,18 +73,6 @@ class CommonCauseReport(_Record):
     """Verdict of the three screening conditions for one vector."""
 
     __slots__ = ("vector", "cc1", "cc2", "cc3")
-
-    def __init__(
-        self,
-        vector: tuple[str, ...],
-        cc1: ConditionResult,
-        cc2: ConditionResult,
-        cc3: ConditionResult,
-    ) -> None:
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "cc1", cc1)
-        object.__setattr__(self, "cc2", cc2)
-        object.__setattr__(self, "cc3", cc3)
 
     @property
     def passed(self) -> bool:
@@ -228,10 +217,10 @@ def _cc_conditions(
                 f"{o.name} is consistent with every term of the vector"
             )
     return CommonCauseReport(
-        vector=vector.names,
-        cc1=ConditionResult(cc1_ok, cc1_witnesses),
-        cc2=ConditionResult(cc2_ok, cc2_witnesses),
-        cc3=ConditionResult(cc3_ok, tuple(cc3_witnesses)),
+        vector.names,
+        ConditionResult(cc1_ok, cc1_witnesses),
+        ConditionResult(cc2_ok, cc2_witnesses),
+        ConditionResult(cc3_ok, tuple(cc3_witnesses)),
     )
 
 
@@ -290,20 +279,7 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
 
 class CommonCauseSearch(_Record):
     __slots__ = ("candidates_considered", "passing", "vacuous", "notes")
-
-    def __init__(
-        self,
-        candidates_considered: int,
-        passing: tuple[Spread, ...],
-        vacuous: bool,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(
-            self, "candidates_considered", candidates_considered
-        )
-        object.__setattr__(self, "passing", passing)
-        object.__setattr__(self, "vacuous", vacuous)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"notes": ()}
 
 
 def _candidate_masks(
@@ -371,12 +347,7 @@ def search_common_causes(
         if vacuous
         else ()
     )
-    return CommonCauseSearch(
-        candidates_considered=len(candidates),
-        passing=passing,
-        vacuous=vacuous,
-        notes=notes,
-    )
+    return CommonCauseSearch(len(candidates), passing, vacuous, notes)
 
 
 # -- determinism levels ---------------------------------------------------
@@ -393,18 +364,7 @@ class LevelReport(_Record):
     """
 
     __slots__ = ("level", "history_count", "level3_evidence", "notes")
-
-    def __init__(
-        self,
-        level: str,
-        history_count: int,
-        level3_evidence: bool,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "history_count", history_count)
-        object.__setattr__(self, "level3_evidence", level3_evidence)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"notes": ()}
 
 
 def classify_determinism(
@@ -473,20 +433,6 @@ class ToyDecayScenario(_Record):
     __slots__ = (
         "model", "events", "decay_spread", "station_nspread", "inconsistent"
     )
-
-    def __init__(
-        self,
-        model: CausalModel,
-        events: Mapping[str, Event],
-        decay_spread: Spread,
-        station_nspread: NSpread,
-        inconsistent: tuple[OutcomeVector, ...],
-    ) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "decay_spread", decay_spread)
-        object.__setattr__(self, "station_nspread", station_nspread)
-        object.__setattr__(self, "inconsistent", inconsistent)
 
 
 def toy_decay_document() -> ModelDocument:

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import ParseError, UnknownReference
 from .events import Event, NSpread, Spread
-from .model import CausalModel, build_model, _Record
+from .model import build_model, _Record
 
 SCHEMA_VERSION = 1
 
@@ -27,45 +27,14 @@ SCHEMA_VERSION = 1
 class SpreadDoc(_Record):
     __slots__ = ("initial", "outcomes")
 
-    def __init__(self, initial: str, outcomes: tuple[str, ...]) -> None:
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "outcomes", outcomes)
-
 
 class ModelDocument(_Record):
     __slots__ = ("points", "order", "events", "spreads", "nspreads", "version")
-
-    def __init__(
-        self,
-        points: tuple[str, ...],
-        order: tuple[tuple[str, str], ...],
-        events: Mapping[str, tuple[str, ...]],
-        spreads: Mapping[str, SpreadDoc],
-        nspreads: Mapping[str, tuple[str, ...]],
-        version: int = SCHEMA_VERSION,
-    ) -> None:
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "spreads", spreads)
-        object.__setattr__(self, "nspreads", nspreads)
-        object.__setattr__(self, "version", version)
+    _defaults = {"version": SCHEMA_VERSION}
 
 
 class ResolvedModel(_Record):
     __slots__ = ("model", "events", "spreads", "nspreads")
-
-    def __init__(
-        self,
-        model: CausalModel,
-        events: Mapping[str, Event],
-        spreads: Mapping[str, Spread],
-        nspreads: Mapping[str, NSpread],
-    ) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "spreads", spreads)
-        object.__setattr__(self, "nspreads", nspreads)
 
 
 def _string_list(raw: Any, where: str, *names: str) -> tuple[str, ...]:
@@ -143,7 +112,7 @@ def parse_document(text: str) -> ModelDocument:
         if not isinstance(body["initial"], str):
             raise ParseError(f"spread {name!r}: initial must name an event")
         outcomes = _string_list(body["outcomes"], "spread {!r} outcomes", name)
-        spreads[name] = SpreadDoc(initial=body["initial"], outcomes=outcomes)
+        spreads[name] = SpreadDoc(body["initial"], outcomes)
 
     nspreads = {
         name: _string_list(body, "nspread {!r}", name)
@@ -151,11 +120,7 @@ def parse_document(text: str) -> ModelDocument:
     }
 
     return ModelDocument(
-        points=points,
-        order=tuple(order),
-        events=events,
-        spreads=spreads,
-        nspreads=nspreads,
+        points, tuple(order), events, spreads, nspreads, SCHEMA_VERSION
     )
 
 
@@ -219,7 +184,5 @@ def resolve_document(doc: ModelDocument) -> ResolvedModel:
         _check_references(members, spreads, "nspread", name, "spread")
         nspreads[name] = NSpread(tuple(map(spreads.__getitem__, members)))
 
-    return ResolvedModel(
-        model=model, events=events, spreads=spreads, nspreads=nspreads
-    )
+    return ResolvedModel(model, events, spreads, nspreads)
 

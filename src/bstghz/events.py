@@ -102,13 +102,6 @@ class Event(_Record):
 class EventClassification(_Record):
     __slots__ = ("is_initial", "is_outcome", "is_stable")
 
-    def __init__(
-        self, is_initial: bool, is_outcome: bool, is_stable: bool
-    ) -> None:
-        object.__setattr__(self, "is_initial", is_initial)
-        object.__setattr__(self, "is_outcome", is_outcome)
-        object.__setattr__(self, "is_stable", is_stable)
-
 
 class Spread(_Record):
     """One initial event branching into mutually exclusive outcome events.
@@ -161,6 +154,7 @@ class OutcomeVector(_Record):
 
     __slots__ = ("terms",)
 
+    # the grade builds one per inconsistent vector
     def __init__(self, terms: tuple[Event, ...]) -> None:
         object.__setattr__(self, "terms", terms)
 
@@ -187,22 +181,6 @@ class GradeReport(_Record):
         "vector_count",
         "inconsistent_vectors",
     )
-
-    def __init__(
-        self,
-        minimal: bool,
-        one_consistent: bool,
-        maximal: bool,
-        vector_count: int,
-        inconsistent_vectors: tuple[OutcomeVector, ...],
-    ) -> None:
-        object.__setattr__(self, "minimal", minimal)
-        object.__setattr__(self, "one_consistent", one_consistent)
-        object.__setattr__(self, "maximal", maximal)
-        object.__setattr__(self, "vector_count", vector_count)
-        object.__setattr__(
-            self, "inconsistent_vectors", inconsistent_vectors
-        )
 
 
 def classify_event(model: CausalModel, event: Event) -> EventClassification:
@@ -318,9 +296,7 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
             _history_masks(model, o, "outcome")[1] for o in spread.outcomes
         ]
     except MisclassifiedEvent as exc:
-        return ValidationReport(
-            check=name, status="fail", violations=(str(exc),)
-        )
+        return ValidationReport(name, "fail", (str(exc),), ())
 
     # (i) is one test, that the outcome points lie above the initial; its
     # failing pairs are worded only when it fails
@@ -359,9 +335,7 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     if not violations:
         model.memo[_require_valid, spread] = True
     return ValidationReport(
-        check=name,
-        status="fail" if violations else "pass",
-        violations=tuple(violations),
+        name, "fail" if violations else "pass", tuple(violations), ()
     )
 
 
@@ -464,13 +438,7 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
             "internal error: consistency grade breaks the implication chain "
             f"maximal => 1-consistent => minimal ({maximal}, {one}, {minimal})"
         )
-    return GradeReport(
-        minimal=minimal,
-        one_consistent=one,
-        maximal=maximal,
-        vector_count=count,
-        inconsistent_vectors=inconsistent,
-    )
+    return GradeReport(minimal, one, maximal, count, inconsistent)
 
 
 def is_spacelike(model: CausalModel, ns: NSpread) -> bool:

@@ -292,18 +292,6 @@ class ValueSearchResult(_Record):
 
     __slots__ = ("constraints", "total", "satisfying", "witnesses")
 
-    def __init__(
-        self,
-        constraints: tuple[tuple[Context, int], ...],
-        total: int,
-        satisfying: int,
-        witnesses: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "satisfying", satisfying)
-        object.__setattr__(self, "witnesses", witnesses)
-
     @staticmethod
     def assignment_keys() -> tuple[tuple[int, str], ...]:
         return tuple((i, a) for i in STATIONS for a in AXES)
@@ -352,18 +340,6 @@ class ContextualSearchResult(_Record):
     """
 
     __slots__ = ("constraints", "total", "satisfying", "witness")
-
-    def __init__(
-        self,
-        constraints: tuple[tuple[Context, int], ...],
-        total: int,
-        satisfying: int,
-        witness: tuple[SignVector, ...] | None,
-    ) -> None:
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "satisfying", satisfying)
-        object.__setattr__(self, "witness", witness)
 
 
 def contextual_assignment_search(
@@ -420,14 +396,6 @@ class TraceStep(_Record):
     # rule: "cc2-existence" | "cc3-screening" | "case-split" | "contradiction"
     __slots__ = ("rule", "context", "detail", "conclusion")
 
-    def __init__(
-        self, rule: str, context: str, detail: str, conclusion: str
-    ) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "conclusion", conclusion)
-
     def as_dict(self) -> dict[str, str]:
         """The fields by name, for the JSON report."""
         return {f: getattr(self, f) for f in self._fields}
@@ -443,10 +411,6 @@ class ReductioTrace(_Record):
     ``complete`` means every branch of this one derivation closes."""
 
     __slots__ = ("steps", "complete")
-
-    def __init__(self, steps: tuple[TraceStep, ...], complete: bool) -> None:
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "complete", complete)
 
 
 class _Fact:
@@ -759,29 +723,14 @@ def _derivation(
     steps = [fact] + _derive(
         screens, stables, sum(flags), 0, why, frozenset({fact})
     )
-    return ReductioTrace(steps=tuple(n.step for n in steps), complete=True)
+    return ReductioTrace(tuple(n.step for n in steps), True)
 
 
 class RefutationResult(_Record):
     __slots__ = (
         "contexts", "profile_count", "survivors", "witness", "trace", "notes"
     )
-
-    def __init__(
-        self,
-        contexts: tuple[Context, ...],
-        profile_count: int,
-        survivors: tuple[CandidateProfile, ...],
-        witness: CandidateProfile | None,
-        trace: ReductioTrace | None,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "contexts", contexts)
-        object.__setattr__(self, "profile_count", profile_count)
-        object.__setattr__(self, "survivors", survivors)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"notes": ()}
 
 
 def refute_joint_common_cause(
@@ -822,10 +771,10 @@ def refute_joint_common_cause(
             "every profile violates the existence or screening constraints"
         )
     return RefutationResult(
-        contexts=tuple(ctx_list),
-        profile_count=2 ** len(OUTCOME_EVENT_ORDER),
-        survivors=survivors,
-        witness=survivors[0] if survivors else None,
-        trace=trace,
-        notes=tuple(notes),
+        tuple(ctx_list),
+        2 ** len(OUTCOME_EVENT_ORDER),
+        survivors,
+        survivors[0] if survivors else None,
+        trace,
+        tuple(notes),
     )

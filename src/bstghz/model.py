@@ -54,9 +54,22 @@ def bit_indices(mask: int) -> list[int]:
 class _Record:
     """An immutable record: the base of the package's result types.
 
-    A subclass's fields are its public ``__slots__``, in declared order;
-    its own ``__init__`` sets them through ``object.__setattr__``.  The
-    fields decide equality, hash and repr, as in a frozen dataclass:
+    A subclass's fields are its public ``__slots__``, in declared order,
+    and its constructor takes them as a function with that signature
+    would: positionally, by keyword, or both.  A field missing from the
+    call takes its value from the class's ``_defaults``, a dict from
+    field name to value (empty unless the class sets it; only trailing
+    fields have one); a field still missing, one given twice, an unknown
+    keyword or one positional too many raise :class:`TypeError`.  Each
+    field is set through its slot's own setter, which
+    ``__init_subclass__`` caches per class, since ``__setattr__`` refuses.
+    A record defines its own ``__init__`` only when it does more than
+    set its fields (it checks them, caches a hash or fills a default that
+    must be fresh per call), or when a benchmarked path builds it many
+    times per operation; a call that passes every field positionally is
+    the fast path.
+
+    The fields decide equality, hash and repr, as in a frozen dataclass:
     records of one class are equal when their fields are, the hash is
     that of the field tuple, and the repr is ``Name(field=value, ...)``.
     A record refuses assignment and deletion, and pickles and copies as
@@ -64,9 +77,48 @@ class _Record:
     """
 
     __slots__ = ()
+    _defaults: Mapping[str, Any] = {}
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for put, value in zip(setters, args):
+            put(self, value)
+
+    @classmethod
+    def _bind(
+        cls, args: tuple[Any, ...], kwargs: dict[str, Any]
+    ) -> list[Any]:
+        """The field values of a call, in declared order."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} arguments but {len(args)} "
+                "were given"
+            )
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(
+                    f"{name}() got an unexpected keyword argument {key!r}"
+                )
+            if fields.index(key) < len(args):
+                raise TypeError(
+                    f"{name}() got multiple values for argument {key!r}"
+                )
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs[field])
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        return values
 
     def _values(self) -> tuple[Any, ...]:
         return tuple([getattr(self, f) for f in self._fields])
@@ -102,10 +154,6 @@ class History(_Record):
 
     __slots__ = ("top", "mask")
 
-    def __init__(self, top: PointEventId, mask: int) -> None:
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "mask", mask)
-
 
 class ValidationReport(_Record):
     """Outcome of one structural check.
@@ -117,18 +165,7 @@ class ValidationReport(_Record):
     """
 
     __slots__ = ("check", "status", "violations", "notes")
-
-    def __init__(
-        self,
-        check: str,
-        status: str,
-        violations: tuple[str, ...] = (),
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"violations": (), "notes": ()}
 
     @property
     def ok(self) -> bool:
@@ -150,20 +187,6 @@ class CausalModel(_Record):
     __slots__ = ("points", "index", "up", "down", "cover", "__dict__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        points: tuple[PointEventId, ...],
-        index: Mapping[PointEventId, int],
-        up: tuple[int, ...],
-        down: tuple[int, ...],
-        cover: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "cover", cover)
 
     # -- masks ------------------------------------------------------------
 
@@ -198,7 +221,7 @@ class CausalModel(_Record):
     def histories(self) -> tuple[History, ...]:
         """Maximal directed subsets, as principal down-sets of maxima."""
         return tuple(
-            History(top=p, mask=self.down[i] | 1 << i)
+            History(p, self.down[i] | 1 << i)
             for i, p in enumerate(self.points)
             if not self.up[i]
         )
@@ -292,11 +315,7 @@ def build_model(
         cover[i] = direct & ~beyond
 
     return CausalModel(
-        points=ordered,
-        index=index,
-        up=tuple(up),
-        down=tuple(down),
-        cover=tuple(cover),
+        ordered, index, tuple(up), tuple(down), tuple(cover)
     )
 
 
@@ -401,10 +420,10 @@ def check_prior_choice(model: CausalModel) -> ValidationReport:
                 )
     status = "fail" if violations else "pass"
     return ValidationReport(
-        check="prior-choice",
-        status=status,
-        violations=tuple(violations),
-        notes=(
+        "prior-choice",
+        status,
+        tuple(violations),
+        (
             "finite chains have minima, so single points stand in for all "
             "chains in the difference of two histories",
         ),
@@ -423,9 +442,10 @@ def check_infima_suprema(model: CausalModel) -> ValidationReport:
     is taken only to keep the signature of the other checks.
     """
     return ValidationReport(
-        check="infima-suprema",
-        status="pass",
-        notes=(
+        "infima-suprema",
+        "pass",
+        (),
+        (
             "finite chains have a least and a greatest member, which are "
             "their infimum and their supremum in every history containing "
             "them; the postulate holds in every finite model",
@@ -445,17 +465,18 @@ def check_density(model: CausalModel) -> ValidationReport:
     gaps = sum(c.bit_count() for c in model.cover)
     if not gaps:
         return ValidationReport(
-            check="density",
-            status="pass",
-            notes=("order relation is empty; density holds vacuously",),
+            "density",
+            "pass",
+            (),
+            ("order relation is empty; density holds vacuously",),
         )
     i, c = next((i, c) for i, c in enumerate(model.cover) if c)
     a, b = model.points[i], model.points[(c & -c).bit_length() - 1]
     return ValidationReport(
-        check="density",
-        status="waived",
-        violations=(f"no point strictly between {a} and {b}",),
-        notes=(
+        "density",
+        "waived",
+        (f"no point strictly between {a} and {b}",),
+        (
             f"finite models with a nonempty order are never dense; "
             f"{gaps} immediate gaps in total",
         ),

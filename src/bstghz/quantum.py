@@ -54,12 +54,6 @@ class QubitState(_Record):
 
     __slots__ = ("amplitudes", "sqrt2_power")
 
-    def __init__(
-        self, amplitudes: tuple[Gaussian, ...], sqrt2_power: int
-    ) -> None:
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "sqrt2_power", sqrt2_power)
-
 
 def ghz_state() -> QubitState:
     """The entangled three-qubit state (|000> - |111>)/sqrt(2)."""
@@ -131,16 +125,6 @@ def commute(a: ObservableSpec, b: ObservableSpec) -> bool:
 class EigencheckResult(_Record):
     __slots__ = ("operators", "product_eigenvalue", "pairwise_commuting")
 
-    def __init__(
-        self,
-        operators: tuple[tuple[ObservableSpec, int], ...],
-        product_eigenvalue: int,
-        pairwise_commuting: bool,
-    ) -> None:
-        object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "product_eigenvalue", product_eigenvalue)
-        object.__setattr__(self, "pairwise_commuting", pairwise_commuting)
-
 
 def omega_eigencheck() -> EigencheckResult:
     """Eigenvalues of the four product observables and of their product.
@@ -206,24 +190,9 @@ class Discrepancy(_Record):
 
     __slots__ = ("vector", "stipulated_consistent", "probability")
 
-    def __init__(
-        self,
-        vector: GhzVector,
-        stipulated_consistent: bool,
-        probability: Fraction,
-    ) -> None:
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(
-            self, "stipulated_consistent", stipulated_consistent
-        )
-        object.__setattr__(self, "probability", probability)
-
 
 class DiscrepancyReport(_Record):
     __slots__ = ("disagreements",)
-
-    def __init__(self, disagreements: tuple[Discrepancy, ...]) -> None:
-        object.__setattr__(self, "disagreements", disagreements)
 
     def count_for(self, context: Context) -> int:
         return sum(

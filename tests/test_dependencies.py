@@ -6,7 +6,8 @@ the GHZ scenario, the quantum oracle nor the command line.  Each entry
 point loads only the modules it uses: ``import bstghz`` loads none, and
 each exported name loads its own module on first use.  No entry point
 loads ``dataclasses``: the package's records are plain ``__slots__``
-classes.
+classes, and no module builds code from text (no ``exec``, ``eval``,
+``compile`` or ``types.FunctionType``).
 """
 
 import ast
@@ -229,6 +230,49 @@ def test_source_imports_no_dataclasses():
                 continue
             if any(n.split(".")[0] == "dataclasses" for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+# builtins that run or build code from text, and the function constructor
+GENERATORS = {"exec", "eval", "compile", "FunctionType"}
+
+
+def generated_code(source):
+    """The lines of ``source`` that call a code generator, bare or as a
+    module attribute (``types.FunctionType``, ``builtins.exec``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in GENERATORS:
+            found.append(node.lineno)
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in GENERATORS
+            and isinstance(func.value, ast.Name)
+            and func.value.id in {"types", "builtins"}
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_records_are_built_without_generated_code():
+    probe = (
+        "exec('x = 1')\n"
+        "eval('1')\n"
+        "compile('1', '<probe>', 'eval')\n"
+        "types.FunctionType(code, {})\n"
+        "builtins.exec('x = 1')\n"
+        "re.compile('x')\n"
+        "_compile(contexts)\n"
+    )
+    assert generated_code(probe) == [1, 2, 3, 4, 5]
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in generated_code(path.read_text(encoding="utf-8"))
+    ]
     assert offenders == []
 
 

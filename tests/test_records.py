@@ -9,6 +9,13 @@ give an equal record, and no attribute can be assigned or deleted.
 recorded from the dataclass implementation, so a change to the records
 keeps them.
 
+A record's constructor binds its fields as a function with the fields
+as parameters would: positionally, by keyword or both, with a trailing
+field's default when it is left out.  A missing field, one positional
+too many, an unknown keyword and a field given twice raise
+``TypeError``.  Only the records in ``OWN_INIT`` write their own
+``__init__``.
+
 ``facts`` reports rather than asserts, so the same checks run under
 ``python -O`` in a fresh process.
 """
@@ -50,7 +57,7 @@ from bstghz.ghz import (
     TraceStep,
     ValueSearchResult,
 )
-from bstghz.model import CausalModel, History, ValidationReport
+from bstghz.model import CausalModel, History, ValidationReport, _Record
 from bstghz.quantum import (
     Discrepancy,
     DiscrepancyReport,
@@ -170,6 +177,25 @@ CASES = {
         command="validate", status="pass", findings=("ok",),
         payload={"k": [1]},
     )),
+}
+
+# the value a record takes for each field a call may leave out
+DEFAULTS = {
+    "ValidationReport": dict(violations=(), notes=()),
+    "ModelDocument": dict(version=1),
+    "ConditionResult": dict(witnesses=()),
+    "CommonCauseSearch": dict(notes=()),
+    "LevelReport": dict(notes=()),
+    "RefutationResult": dict(notes=()),
+    "Report": dict(payload={}),
+}
+
+# the records that write their own ``__init__``: they check their fields,
+# cache a hash or fill a fresh default, or a benchmarked path builds them
+# many times per operation
+OWN_INIT = {
+    "Event", "Spread", "NSpread", "GhzVector", "CandidateProfile",
+    "ObservableSpec", "Report", "OutcomeVector", "ConditionResult",
 }
 
 REPRS = {
@@ -325,6 +351,53 @@ def refuses(record, attempt):
     return False
 
 
+def raised(call):
+    """The name of the exception ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc).__name__
+    return None
+
+
+def binding(name):
+    """How the constructor binds its arguments, as JSON-able values."""
+    cls, kwargs = CASES[name]
+    values = tuple(kwargs.values())
+    rest = dict(list(kwargs.items())[1:])
+    defaults = DEFAULTS.get(name, {})
+    required = {k: v for k, v in kwargs.items() if k not in defaults}
+
+    def without(key):
+        return {k: v for k, v in kwargs.items() if k != key}
+
+    bare = cls(**required)
+    return {
+        "positional": repr(cls(*values)) == repr(cls(**kwargs)),
+        "mixed": repr(cls(values[0], **rest)) == repr(cls(**kwargs)),
+        "missing": [raised(lambda: cls(**without(k))) for k in required],
+        "too_many": raised(lambda: cls(*values, None)),
+        "unknown_keyword": raised(lambda: cls(**kwargs, extra=None)),
+        "twice": raised(lambda: cls(values[0], **kwargs)),
+        "defaults": {
+            key: getattr(bare, key) == value for key, value in defaults.items()
+        },
+    }
+
+
+def expected_binding(name):
+    required = [k for k in CASES[name][1] if k not in DEFAULTS.get(name, {})]
+    return {
+        "positional": True,
+        "mixed": True,
+        "missing": ["TypeError"] * len(required),
+        "too_many": "TypeError",
+        "unknown_keyword": "TypeError",
+        "twice": "TypeError",
+        "defaults": {key: True for key in DEFAULTS.get(name, {})},
+    }
+
+
 def holds_model(name):
     """Whether a copy of the record holds a copy of a model, which
     compares unequal to the original by identity."""
@@ -356,6 +429,7 @@ def facts(name):
         ] + [
             refuses(record, lambda r: delattr(r, key)) for key in kwargs
         ],
+        "binding": binding(name),
     }
     if not holds_model(name):
         out["copies_equal"] = [c == record for c in copies]
@@ -378,6 +452,7 @@ def expected(name):
         "copies_repr": [True] * 3,
         "copies_type": [True] * 3,
         "refuses": [True] * (2 * len(CASES[name][1]) + 1),
+        "binding": expected_binding(name),
     }
     if not holds_model(name):
         out["copies_equal"] = [True] * 3
@@ -429,3 +504,31 @@ def test_the_model_and_its_histories_are_their_masks():
         "histories", "history_bits", "memo",
     }
     assert public_names(History) == {"top", "mask"}
+
+
+def record_classes(base=_Record):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from record_classes(cls)
+
+
+def test_every_record_is_a_case():
+    assert sorted(cls.__name__ for cls in record_classes()) == sorted(CASES)
+
+
+def test_only_records_that_do_more_than_set_fields_write_an_init():
+    # a record that only sets its fields takes the base's constructor
+    own = {n for n, (cls, _) in CASES.items() if "__init__" in vars(cls)}
+    assert own == OWN_INIT
+
+
+def test_binding_errors_name_the_record_and_the_field():
+    missing = r"^History\(\) missing argument 'mask'"
+    with pytest.raises(TypeError, match=missing):
+        History("b")
+    with pytest.raises(TypeError, match=r"^History\(\) takes 2 arguments"):
+        History("b", 3, 4)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'size'"):
+        History("b", 3, size=2)
+    with pytest.raises(TypeError, match="multiple values for argument 'top'"):
+        History("b", 3, top="b")

@@ -62,11 +62,7 @@ from .model import CausalModel, _Record
 
 class ConditionResult(_Record):
     __slots__ = ("passed", "witnesses")
-
-    # three per verdict, one per screening condition
-    def __init__(self, passed: bool, witnesses: tuple[str, ...] = ()) -> None:
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witnesses", witnesses)
+    _defaults = {"witnesses": ()}
 
 
 class CommonCauseReport(_Record):

@@ -120,7 +120,11 @@ def parse_document(text: str) -> ModelDocument:
     }
 
     return ModelDocument(
-        points, tuple(order), events, spreads, nspreads, SCHEMA_VERSION
+        points=points,
+        order=tuple(order),
+        events=events,
+        spreads=spreads,
+        nspreads=nspreads,
     )
 
 
@@ -184,5 +188,7 @@ def resolve_document(doc: ModelDocument) -> ResolvedModel:
         _check_references(members, spreads, "nspread", name, "spread")
         nspreads[name] = NSpread(tuple(map(spreads.__getitem__, members)))
 
-    return ResolvedModel(model, events, spreads, nspreads)
+    return ResolvedModel(
+        model=model, events=events, spreads=spreads, nspreads=nspreads
+    )
 

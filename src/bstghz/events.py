@@ -154,10 +154,6 @@ class OutcomeVector(_Record):
 
     __slots__ = ("terms",)
 
-    # the grade builds one per inconsistent vector
-    def __init__(self, terms: tuple[Event, ...]) -> None:
-        object.__setattr__(self, "terms", terms)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.terms)
@@ -296,7 +292,9 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
             _history_masks(model, o, "outcome")[1] for o in spread.outcomes
         ]
     except MisclassifiedEvent as exc:
-        return ValidationReport(name, "fail", (str(exc),), ())
+        return ValidationReport(
+            check=name, status="fail", violations=(str(exc),)
+        )
 
     # (i) is one test, that the outcome points lie above the initial; its
     # failing pairs are worded only when it fails
@@ -426,7 +424,7 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
         }
     count = math.prod(len(ms) for ms in outs)
     inconsistent = tuple(
-        OutcomeVector(terms=combo)
+        OutcomeVector(combo)
         for rank, combo in enumerate(
             itertools.product(*[s.outcomes for s in ns.spreads])
         )

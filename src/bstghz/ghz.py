@@ -723,7 +723,7 @@ def _derivation(
     steps = [fact] + _derive(
         screens, stables, sum(flags), 0, why, frozenset({fact})
     )
-    return ReductioTrace(tuple(n.step for n in steps), True)
+    return ReductioTrace(steps=tuple(n.step for n in steps), complete=True)
 
 
 class RefutationResult(_Record):

@@ -191,11 +191,10 @@ DEFAULTS = {
 }
 
 # the records that write their own ``__init__``: they check their fields,
-# cache a hash or fill a fresh default, or a benchmarked path builds them
-# many times per operation
+# cache a hash or fill a fresh default
 OWN_INIT = {
     "Event", "Spread", "NSpread", "GhzVector", "CandidateProfile",
-    "ObservableSpec", "Report", "OutcomeVector", "ConditionResult",
+    "ObservableSpec", "Report",
 }
 
 REPRS = {

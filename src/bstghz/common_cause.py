@@ -62,7 +62,12 @@ from .model import CausalModel, _Record
 
 class ConditionResult(_Record):
     __slots__ = ("passed", "witnesses")
-    _defaults = {"witnesses": ()}
+
+    # Three per verdict, 4.5 per ghz-checkcc operation, and this __init__
+    # is 0.4 us a call faster than the shared one (BENCH_26.json).
+    def __init__(self, passed: bool, witnesses: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 class CommonCauseReport(_Record):

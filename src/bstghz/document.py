@@ -120,11 +120,7 @@ def parse_document(text: str) -> ModelDocument:
     }
 
     return ModelDocument(
-        points=points,
-        order=tuple(order),
-        events=events,
-        spreads=spreads,
-        nspreads=nspreads,
+        points, tuple(order), events, spreads, nspreads, SCHEMA_VERSION
     )
 
 
@@ -188,7 +184,5 @@ def resolve_document(doc: ModelDocument) -> ResolvedModel:
         _check_references(members, spreads, "nspread", name, "spread")
         nspreads[name] = NSpread(tuple(map(spreads.__getitem__, members)))
 
-    return ResolvedModel(
-        model=model, events=events, spreads=spreads, nspreads=nspreads
-    )
+    return ResolvedModel(model, events, spreads, nspreads)
 

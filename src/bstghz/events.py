@@ -154,6 +154,12 @@ class OutcomeVector(_Record):
 
     __slots__ = ("terms",)
 
+    # The grade builds one per inconsistent vector, 9 per ghz-checkcc
+    # operation, and this __init__ is 0.4 us a call faster than the
+    # shared one (BENCH_26.json).
+    def __init__(self, terms: tuple[Event, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.terms)
@@ -424,7 +430,7 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
         }
     count = math.prod(len(ms) for ms in outs)
     inconsistent = tuple(
-        OutcomeVector(combo)
+        OutcomeVector(terms=combo)
         for rank, combo in enumerate(
             itertools.product(*[s.outcomes for s in ns.spreads])
         )

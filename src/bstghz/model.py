@@ -64,11 +64,13 @@ class _Record:
     field is set through its slot's own setter, which
     ``__init_subclass__`` caches per class, since ``__setattr__`` refuses.
     A record defines its own ``__init__`` only when it does more than
-    set its fields: it checks them, caches a hash or fills a default that
-    must be fresh per call.  A call that passes every field positionally
-    skips the binding; the package calls so only where a benchmarked
-    operation builds the record per item, or where the binding would
-    cost the operation a measurable share of its time.
+    set its fields (it checks them, caches a hash or fills a default that
+    must be fresh per call), or when a benchmarked operation builds it
+    several times and a hand-written one is measurably faster.  A call
+    that passes every field positionally skips the binding, which costs
+    a keyword call one to two microseconds more; the package's calls on
+    benchmarked operations pass fields so where that cost showed in the
+    operation's time, and by keyword elsewhere.
 
     The fields decide equality, hash and repr, as in a frozen dataclass:
     records of one class are equal when their fields are, the hash is
@@ -316,11 +318,7 @@ def build_model(
         cover[i] = direct & ~beyond
 
     return CausalModel(
-        points=ordered,
-        index=index,
-        up=tuple(up),
-        down=tuple(down),
-        cover=tuple(cover),
+        ordered, index, tuple(up), tuple(down), tuple(cover)
     )
 
 
@@ -425,10 +423,10 @@ def check_prior_choice(model: CausalModel) -> ValidationReport:
                 )
     status = "fail" if violations else "pass"
     return ValidationReport(
-        check="prior-choice",
-        status=status,
-        violations=tuple(violations),
-        notes=(
+        "prior-choice",
+        status,
+        tuple(violations),
+        (
             "finite chains have minima, so single points stand in for all "
             "chains in the difference of two histories",
         ),
@@ -447,9 +445,10 @@ def check_infima_suprema(model: CausalModel) -> ValidationReport:
     is taken only to keep the signature of the other checks.
     """
     return ValidationReport(
-        check="infima-suprema",
-        status="pass",
-        notes=(
+        "infima-suprema",
+        "pass",
+        (),
+        (
             "finite chains have a least and a greatest member, which are "
             "their infimum and their supremum in every history containing "
             "them; the postulate holds in every finite model",
@@ -469,17 +468,18 @@ def check_density(model: CausalModel) -> ValidationReport:
     gaps = sum(c.bit_count() for c in model.cover)
     if not gaps:
         return ValidationReport(
-            check="density",
-            status="pass",
-            notes=("order relation is empty; density holds vacuously",),
+            "density",
+            "pass",
+            (),
+            ("order relation is empty; density holds vacuously",),
         )
     i, c = next((i, c) for i, c in enumerate(model.cover) if c)
     a, b = model.points[i], model.points[(c & -c).bit_length() - 1]
     return ValidationReport(
-        check="density",
-        status="waived",
-        violations=(f"no point strictly between {a} and {b}",),
-        notes=(
+        "density",
+        "waived",
+        (f"no point strictly between {a} and {b}",),
+        (
             f"finite models with a nonempty order are never dense; "
             f"{gaps} immediate gaps in total",
         ),

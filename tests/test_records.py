@@ -191,10 +191,11 @@ DEFAULTS = {
 }
 
 # the records that write their own ``__init__``: they check their fields,
-# cache a hash or fill a fresh default
+# cache a hash or fill a fresh default, or a benchmarked path builds them
+# many times per operation
 OWN_INIT = {
     "Event", "Spread", "NSpread", "GhzVector", "CandidateProfile",
-    "ObservableSpec", "Report",
+    "ObservableSpec", "Report", "OutcomeVector", "ConditionResult",
 }
 
 REPRS = {

@@ -64,7 +64,7 @@ class ConditionResult(_Record):
     __slots__ = ("passed", "witnesses")
 
     # Three per verdict, 4.5 per ghz-checkcc operation, and this __init__
-    # is 0.4 us a call faster than the shared one (BENCH_26.json).
+    # is about 0.25 us a call faster than the shared one (BENCH_26.json).
     def __init__(self, passed: bool, witnesses: tuple[str, ...] = ()) -> None:
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "witnesses", witnesses)

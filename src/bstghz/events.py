@@ -155,7 +155,7 @@ class OutcomeVector(_Record):
     __slots__ = ("terms",)
 
     # The grade builds one per inconsistent vector, 9 per ghz-checkcc
-    # operation, and this __init__ is 0.4 us a call faster than the
+    # operation, and this __init__ is about 0.3 us a call faster than the
     # shared one (BENCH_26.json).
     def __init__(self, terms: tuple[Event, ...]) -> None:
         object.__setattr__(self, "terms", terms)

@@ -14,17 +14,18 @@ vector c of a space-like, 1-consistent n-spread:
 Each condition's verdict is one mask test on the model's bitsets, shared
 by the checker and the search: cc1 asks whether the outcome points of
 the n-spread lie inside the points above sigma's initial, cc2 and cc3
-AND history masks.  Witness lines are worded only for a report: cc1 and
-cc2 when the condition fails, cc3 per outcome of sigma.  The cc1
-witnesses come from the point masks of the n-spread's outcomes, kept
-with its screening masks, by the walk that words condition (i) of a
-spread (``events._precedence_gaps``): no outcome's mask is built again
-per check.  The search (``search_common_causes``) reads the verdicts
-alone.  Its masks are memoised per model: the atomic candidates' once,
-and each n-spread's once its preconditions pass.  Those extend the
-n-spread's record in ``events``, whose per-outcome maps give the checker
-and the search a vector's term masks by one lookup per term, once per
-check.
+AND history masks, each read from an event's record of masks
+(``events._event_masks``), sigma's included.  Witness lines are worded
+only for a report: cc1 and cc2 when the condition fails, cc3 per outcome
+of sigma.  The cc1 witnesses come from the point masks of the n-spread's
+outcomes, which its record in ``events`` keeps, by the walk that words
+condition (i) of a spread (``events._precedence_gaps``): a repeated
+check builds no point mask.  The search (``search_common_causes``) reads
+the verdicts alone.  Its masks are memoised per model: the atomic
+candidates' once, and each n-spread's once its preconditions pass.
+Those extend the n-spread's record in ``events``, whose per-outcome maps
+give the checker and the search a vector's term masks by one lookup per
+term, once per check.
 
 Passing all three does not *establish* a common cause, which is why the
 interesting direction is the refutation; the GHZ scenario's, which needs
@@ -51,7 +52,7 @@ from .events import (
     is_spacelike,
     validate_spread,
     _above,
-    _history_masks,
+    _event_masks,
     _nspread_record,
     _precedence_gaps,
     _one_consistent,
@@ -91,8 +92,8 @@ _CCMasks = tuple[
 
 def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> _CCMasks:
     """Check that ``ns`` is space-like and 1-consistent; return its
-    screening masks, the histories and the outcome maps read from its
-    record.
+    screening masks, all but the union of its outcome points read from
+    its record.
 
     A pass is memoised on the model, keyed by the n-spread; a failing
     n-spread raises on every call.
@@ -105,10 +106,7 @@ def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> _CCMasks:
         # is_spacelike validated the spreads and found the initials consistent
         if not _one_consistent(model, ns):
             raise PreconditionFailed("the n-spread is not 1-consistent")
-        hist, _, by_outcome = _nspread_record(model, ns)
-        points = tuple(
-            (o, model.mask(o.members)) for s in ns.spreads for o in s.outcomes
-        )
+        hist, _, by_outcome, points = _nspread_record(model, ns)
         pts = functools.reduce(operator.or_, (m for _, m in points))
         masks = model.memo[key] = (pts, hist, by_outcome, points)
     return masks
@@ -154,7 +152,7 @@ def _overlaps(
     model: CausalModel, events: Iterable[Event]
 ) -> tuple[int, ...]:
     """Per event, the histories overlapping it."""
-    return tuple(_history_masks(model, e, "outcome")[1] for e in events)
+    return tuple(_event_masks(model, e, "outcome")[2] for e in events)
 
 
 # The screening conditions as mask tests.  ``outs`` is the candidate's

@@ -32,14 +32,17 @@ masks: the AND of an event's member masks holds the histories containing
 it in full, which realize it as an initial, and the OR the histories
 overlapping it, which realize it as an outcome.  A query is consistent
 when the AND of its events' masks is nonzero, and an event is stable
-when its AND equals its OR.  A one-point event is a chain and skips the
-check; a larger event's chain check runs once per model.  Each event's
-two history masks are memoised on the model, and so is each spread's
-validation (``validate_spread`` records a pass, which ``_require_valid``
-reads) and each n-spread's record of masks (``_nspread_record``:
-the AND of its initials' containing masks, its outcomes' overlapping
-masks, and per spread a map from outcome to mask); only passes are kept,
-so a misclassified event or an invalid spread raises every time.
+when its AND equals its OR.  Each event's record, memoised on the model
+by ``_event_masks``, holds its point mask, its containing mask and its
+overlapping mask, and every reader of an event's masks reads it; a
+one-point event is a chain and takes one index lookup, and a larger
+event's chain check runs on its point mask, once per model.  Each
+spread's validation is memoised too (``validate_spread`` records a pass,
+which ``_require_valid`` reads), and so is each n-spread's record of
+masks (``_nspread_record``: the AND of its initials' containing masks,
+its outcomes' overlapping and point masks, and per spread a map from
+outcome to mask); only passes are kept, so an unknown point, a
+misclassified event or an invalid spread raises every time.
 Violations are worded only after a mask test has failed.  Precedence
 failures are named by one walk (``_precedence_gaps``) that spread
 validation and the common-cause checker share: it skips an outcome whose
@@ -76,7 +79,7 @@ from .model import (
     PointEventId,
     ValidationReport,
     bit_indices,
-    is_chain,
+    _is_chain_mask,
     _Record,
 )
 
@@ -194,7 +197,7 @@ def classify_event(model: CausalModel, event: Event) -> EventClassification:
     it contains it.
     """
     try:
-        contain, overlap = _history_masks(model, event, "initial")
+        _, contain, overlap = _event_masks(model, event, "initial")
     except MisclassifiedEvent:
         return EventClassification(False, False, False)
     return EventClassification(
@@ -202,42 +205,50 @@ def classify_event(model: CausalModel, event: Event) -> EventClassification:
     )
 
 
-def _history_masks(
+def _event_masks(
     model: CausalModel, event: Event, role: str
-) -> tuple[int, int]:
-    """The histories containing ``event`` and those overlapping it.
+) -> tuple[int, int, int]:
+    """The event's record: its points, the histories containing it and
+    those overlapping it, as masks.
 
-    The first mask realizes the event as an initial, the second as an
-    outcome.  A one-point event is a chain, so only a larger one is
-    checked, once per model: the masks are memoised on the model, keyed by
-    the members, only after the check passed, so a misclassified event or
-    an unknown point raises on every call.  ``role`` words the
+    The second mask realizes the event as an initial, the third as an
+    outcome.  A one-point event is a chain and is read off its point's
+    index and history mask; a larger one is checked on its point mask,
+    once per model.  The record is memoised on the model, keyed by the
+    members, only after the check passed, so a misclassified event or an
+    unknown point raises on every call.  ``role`` words the
     :class:`MisclassifiedEvent` message.
     """
-    memo = model.memo
-    if event.members in memo:
-        return memo[event.members]
-    if len(event.members) > 1 and not is_chain(model, event.members):
-        raise MisclassifiedEvent(f"{event.name!r} is not an {role} event")
-    try:
-        bits = [model.history_bits[p] for p in event.members]
-    except KeyError:
-        model.mask(event.members)  # raises UnknownPoint
-        raise
-    masks = (
-        functools.reduce(operator.and_, bits),
-        functools.reduce(operator.or_, bits),
-    )
-    memo[event.members] = masks
-    return masks
+    members = event.members
+    record = model.memo.get(members)
+    if record is None:
+        if len(members) == 1:
+            (p,) = members
+            i = model.index.get(p)
+            if i is None:
+                model.mask(members)  # raises UnknownPoint
+            h = model.history_bits[p]
+            record = (1 << i, h, h)
+        else:
+            points = model.mask(members)
+            if not _is_chain_mask(model, points):
+                raise MisclassifiedEvent(
+                    f"{event.name!r} is not an {role} event"
+                )
+            bits = [model.history_bits[p] for p in members]
+            record = (
+                points,
+                functools.reduce(operator.and_, bits),
+                functools.reduce(operator.or_, bits),
+            )
+        model.memo[members] = record
+    return record
 
 
 def _above(model: CausalModel, event: Event) -> int:
-    """The points strictly above every point of ``event``."""
-    return functools.reduce(
-        operator.and_,
-        (model.up[i] for i in bit_indices(model.mask(event.members))),
-    )
+    """The points strictly above every point of the initial ``event``."""
+    lower = bit_indices(_event_masks(model, event, "initial")[0])
+    return functools.reduce(operator.and_, (model.up[i] for i in lower))
 
 
 def _precedence_gaps(
@@ -255,7 +266,7 @@ def _precedence_gaps(
     of the outcome's mask outside ``up[p]``.  The triples come by outcome
     in the given order, then by p and by q, both sorted.
     """
-    lower = bit_indices(model.mask(initial.members))
+    lower = bit_indices(_event_masks(model, initial, "initial")[0])
     for o, om in outcomes:
         if om & ~above:
             for i in lower:
@@ -276,9 +287,9 @@ def is_consistent(
     """
     acc = (1 << len(model.histories)) - 1
     for e in initials:
-        acc &= _history_masks(model, e, "initial")[0]
+        acc &= _event_masks(model, e, "initial")[1]
     for e in outcomes:
-        acc &= _history_masks(model, e, "outcome")[1]
+        acc &= _event_masks(model, e, "outcome")[2]
     return acc != 0
 
 
@@ -293,10 +304,8 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     """
     name = f"spread {spread.initial.name}"
     try:
-        initial = _history_masks(model, spread.initial, "initial")[0]
-        masks = [
-            _history_masks(model, o, "outcome")[1] for o in spread.outcomes
-        ]
+        initial = _event_masks(model, spread.initial, "initial")[1]
+        records = [_event_masks(model, o, "outcome") for o in spread.outcomes]
     except MisclassifiedEvent as exc:
         return ValidationReport(
             check=name, status="fail", violations=(str(exc),)
@@ -306,19 +315,19 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     # failing pairs are worded only when it fails
     violations = []
     above = _above(model, spread.initial)
-    outcome_points = model.mask(p for o in spread.outcomes for p in o.members)
-    if outcome_points & ~above:
+    if functools.reduce(operator.or_, (r[0] for r in records)) & ~above:
         violations = [
             f"(i) initial point {p} does not strictly precede {q} of "
             f"outcome {o.name}"
             for o, p, q in _precedence_gaps(
                 model,
                 spread.initial,
-                ((o, model.mask(o.members)) for o in spread.outcomes),
+                ((o, r[0]) for o, r in zip(spread.outcomes, records)),
                 above,
             )
         ]
     # histories overlapping some outcome, and overlapping two or more
+    masks = [r[2] for r in records]
     some = twice = 0
     for m in masks:
         twice |= some & m
@@ -363,41 +372,50 @@ def _require_valid(
 
 def _nspread_record(
     model: CausalModel, ns: NSpread
-) -> tuple[int, tuple[tuple[int, ...], ...], tuple[dict[Event, int], ...]]:
-    """The n-spread's history masks: the histories containing every
-    initial, per spread the histories overlapping each of its outcomes in
-    declared order, and per spread a map from each outcome to that mask.
+) -> tuple[
+    int,
+    tuple[tuple[int, ...], ...],
+    tuple[dict[Event, int], ...],
+    tuple[tuple[Event, int], ...],
+]:
+    """The n-spread's masks: the histories containing every initial, per
+    spread the histories overlapping each of its outcomes in declared
+    order, per spread a map from each outcome to that mask, and each
+    outcome with its point mask, in spread and outcome order.
 
-    Read from the masks :func:`_history_masks` memoises, and memoised on
-    the model, keyed by the n-spread, once every one of them was read
-    without raising: an n-spread with a misclassified event raises on
-    every call.  The maps turn an outcome vector into its terms' masks
-    with one lookup per term.
+    Read from the records :func:`_event_masks` memoises, each once, and
+    memoised on the model, keyed by the n-spread, once every one of them
+    was read without raising: an n-spread with a misclassified event
+    raises on every call.  The maps turn an outcome vector into its
+    terms' masks with one lookup per term.
     """
     memo = model.memo
     record = memo.get(ns)
     if record is None:
         hist = functools.reduce(
             operator.and_,
-            (
-                _history_masks(model, s.initial, "initial")[0]
-                for s in ns.spreads
-            ),
+            (_event_masks(model, s.initial, "initial")[1] for s in ns.spreads),
         )
-        outs = tuple(
-            tuple(_history_masks(model, o, "outcome")[1] for o in s.outcomes)
+        records = [
+            [_event_masks(model, o, "outcome") for o in s.outcomes]
             for s in ns.spreads
-        )
+        ]
+        outs = tuple(tuple(r[2] for r in rs) for rs in records)
         by_outcome = tuple(
             dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
         )
-        record = memo[ns] = (hist, outs, by_outcome)
+        points = tuple(
+            (o, r[0])
+            for s, rs in zip(ns.spreads, records)
+            for o, r in zip(s.outcomes, rs)
+        )
+        record = memo[ns] = (hist, outs, by_outcome, points)
     return record
 
 
 def _one_consistent(model: CausalModel, ns: NSpread) -> bool:
     """Each outcome of each spread is consistent with all the initials."""
-    hist, outs, _ = _nspread_record(model, ns)
+    hist, outs = _nspread_record(model, ns)[:2]
     return all(hist & m for ms in outs for m in ms)
 
 
@@ -416,7 +434,7 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     and raises ``RuntimeError``, also under ``python -O``.
     """
     _require_valid(model, ns.spreads)
-    hist, outs, _ = _nspread_record(model, ns)
+    hist, outs = _nspread_record(model, ns)[:2]
     minimal = hist != 0
     one = minimal and all(hist & m for ms in outs for m in ms)
     # rank of each consistent prefix -> the histories realizing it
@@ -456,7 +474,9 @@ def is_spacelike(model: CausalModel, ns: NSpread) -> bool:
     _require_valid(model, ns.spreads)
     if not _nspread_record(model, ns)[0]:
         return False
-    initials = [model.mask(s.initial.members) for s in ns.spreads]
+    initials = [
+        _event_masks(model, s.initial, "initial")[0] for s in ns.spreads
+    ]
     # per spread, the points strictly below some point of some outcome
     preceding = [
         functools.reduce(

@@ -5,7 +5,7 @@ A model is a nonempty finite set of point events together with a strict
 subsets: a set of points is directed when any two of its members have a
 common upper bound *within the set*.  In a finite model every maximal
 directed subset is automatically downward closed and is the down-closure
-of a unique maximal point, so ``compute_histories`` simply takes the
+of a unique maximal point, so ``build_model`` simply takes the
 principal down-set of each maximal point.  The test suite re-verifies
 that characterization against a brute-force enumeration of directed
 subsets.
@@ -20,11 +20,14 @@ topological order.  A history is a mask too, and every order question
 answered by integer arithmetic on these masks.  Naming a mask's members
 walks its bits in index order, so names come out sorted.
 
-Consistency questions are answered from one cached bitmask per point,
+Consistency questions are answered from one bitmask per point,
 ``history_bits``: bit k is set when ``histories[k]`` contains the point.
-It is built once, lazily, like the histories.  ``memo`` holds the
-derived results of the layers above (passed role checks, candidate
-spreads), so they live and die with the model.
+``build_model`` fills both in its pass back over the topological order:
+a maximal point has its own history bit (the maxima are numbered in
+index order), and any other point's mask is the OR of its successors'.
+``memo`` holds the derived results of the layers above (event masks,
+passed role checks, candidate spreads), so they live and die with the
+model.
 
 The postulate checks (`check_prior_choice`, `check_infima_suprema`,
 `check_density`) return reports instead of raising: a malformed *input*
@@ -182,12 +185,18 @@ class CausalModel(_Record):
     ``up[i]``, ``down[i]`` and ``cover[i]`` are masks over those
     positions: the points strictly above ``points[i]``, strictly below
     it (both under the full transitive relation, not just the supplied
-    pairs), and immediately above it.  Instances are built through
-    :func:`build_model` and treated as immutable; identity comparison is
-    intentional.
+    pairs), and immediately above it.  ``histories`` are the maximal
+    directed subsets, the principal down-sets of the maximal points in
+    index order, and ``history_bits`` maps each point to the histories
+    containing it as a mask: bit k stands for ``histories[k]``.
+    Instances are built through :func:`build_model` and treated as
+    immutable; identity comparison is intentional.
     """
 
-    __slots__ = ("points", "index", "up", "down", "cover", "__dict__")
+    __slots__ = (
+        "points", "index", "up", "down", "cover", "histories",
+        "history_bits", "__dict__",
+    )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -218,30 +227,6 @@ class CausalModel(_Record):
         """Immediate successors of ``p``: q > p with nothing in between."""
         return tuple(self.names(self.cover[self.index[p]]))
 
-    # -- histories --------------------------------------------------------
-
-    @cached_property
-    def histories(self) -> tuple[History, ...]:
-        """Maximal directed subsets, as principal down-sets of maxima."""
-        return tuple(
-            History(p, self.down[i] | 1 << i)
-            for i, p in enumerate(self.points)
-            if not self.up[i]
-        )
-
-    @cached_property
-    def history_bits(self) -> Mapping[PointEventId, int]:
-        """Per point, the histories containing it as a bitmask.
-
-        Bit k stands for ``histories[k]``.  Consistency queries are
-        answered from these masks by integer arithmetic.
-        """
-        bits = [0] * len(self.points)
-        for k, h in enumerate(self.histories):
-            for i in bit_indices(h.mask):
-                bits[i] |= 1 << k
-        return dict(zip(self.points, bits))
-
     @cached_property
     def memo(self) -> dict[Any, Any]:
         """Memo of the layers above, filled by ``events`` and ``common_cause``.
@@ -260,7 +245,8 @@ def build_model(
 
     The supplied pairs may be any generating set; the transitive closure is
     computed here, as bitsets, in one pass over a topological order for
-    the predecessors and one pass back for the successors and covers.
+    the predecessors and one pass back for the successors, the covers
+    and the histories containing each point.
     Raises :class:`EmptyModel`, :class:`UnknownPoint` for a pair
     mentioning an undeclared id, :class:`CycleDetected` naming the first
     point, in input order, that lies on a cycle, and ``ValueError`` for
@@ -307,18 +293,29 @@ def build_model(
         p = _first_on_cycle(pts, index, succ, set(range(n)) - set(topo))
         raise CycleDetected(f"ordering cycle through point {p!r}")
 
+    # Sinks first: the k-th maximal point tops history k and lies in it
+    # alone; every other point lies in the histories of its successors.
+    tops = [i for i, s in enumerate(succ) if not s]
     up = [0] * n
     cover = [0] * n
+    reach = [0] * n
+    for k, i in enumerate(tops):
+        reach[i] = 1 << k
     for i in reversed(topo):
         direct = beyond = 0
+        hist = reach[i]
         for j in succ[i]:
             direct |= 1 << j
             beyond |= up[j]
+            hist |= reach[j]
         up[i] = direct | beyond
         cover[i] = direct & ~beyond
+        reach[i] = hist
 
+    histories = tuple(History(ordered[i], down[i] | 1 << i) for i in tops)
     return CausalModel(
-        ordered, index, tuple(up), tuple(down), tuple(cover)
+        ordered, index, tuple(up), tuple(down), tuple(cover), histories,
+        dict(zip(ordered, reach)),
     )
 
 
@@ -354,6 +351,11 @@ def is_chain(model: CausalModel, pts: Iterable[PointEventId]) -> bool:
     members = model.mask(pts)
     if not members:
         raise ValueError("a chain must be nonempty")
+    return _is_chain_mask(model, members)
+
+
+def _is_chain_mask(model: CausalModel, members: int) -> bool:
+    """True when the points of the mask ``members`` are pairwise comparable."""
     return all(
         not members & ~(model.up[i] | model.down[i] | 1 << i)
         for i in bit_indices(members)
@@ -361,7 +363,7 @@ def is_chain(model: CausalModel, pts: Iterable[PointEventId]) -> bool:
 
 
 def compute_histories(model: CausalModel) -> tuple[History, ...]:
-    """All histories of the model (cached on the model)."""
+    """All histories of the model (built with it)."""
     return model.histories
 
 

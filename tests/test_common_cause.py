@@ -287,9 +287,9 @@ class TestChecker:
     def test_cc1_witnesses_build_no_mask_per_outcome(
         self, nspread, monkeypatch
     ):
-        # once the n-spread's screening masks exist, a failing cc1 builds
-        # the candidate initial's mask twice (for the points above it and
-        # for its points), however many outcomes the n-spread has
+        # once the n-spread's screening masks and the candidate's event
+        # records exist, a repeated failing cc1 builds no point mask,
+        # however many outcomes the n-spread has
         model, structure = build_concrete_model()
         ns, cand = structure.nspreads[nspread], structure.spreads["sigma_2"]
         vector = consistency_grade(model, ns).inconsistent_vectors[0]
@@ -304,7 +304,7 @@ class TestChecker:
         monkeypatch.setattr(CausalModel, "mask", counting)
         report = check_common_cause(model, cand, ns, vector)
         assert not report.cc1.passed and report.cc1.witnesses
-        assert len(calls) == 2
+        assert not calls
 
     def test_cc1_witnesses_by_outcome_then_initial_point(self):
         # the candidate's initial {a, b} precedes no point of the
@@ -364,15 +364,15 @@ class TestChecker:
         search_common_causes(model, [], [])
         outcomes = {o for s in ns.spreads for o in s.outcomes}
         reads = collections.Counter()
-        history_masks = events._history_masks
+        event_masks = events._event_masks
 
         def counting(model, event, role):
             if event in outcomes:
                 reads[event] += 1
-            return history_masks(model, event, role)
+            return event_masks(model, event, role)
 
         for module in (events, common_cause):
-            monkeypatch.setattr(module, "_history_masks", counting)
+            monkeypatch.setattr(module, "_event_masks", counting)
         for _ in range(2):
             _require_cc_preconditions(model, ns)
             targets = consistency_grade(model, ns).inconsistent_vectors
@@ -489,7 +489,7 @@ class TestChecker:
             )
             # the screening masks as _require_cc_preconditions keeps them,
             # built without its checks
-            hist, _, by_outcome = events._nspread_record(m, ns)
+            hist, _, by_outcome, _ = events._nspread_record(m, ns)
             points = tuple(
                 (o, m.mask(o.members)) for s in ns.spreads for o in s.outcomes
             )

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bstghz import events
+from bstghz.common_cause import check_common_cause
 from bstghz.errors import InvalidSpread, MisclassifiedEvent, UnknownPoint
 from bstghz.events import (
     Event,
@@ -265,22 +266,36 @@ class TestIsConsistent:
             with pytest.raises(UnknownPoint):
                 is_consistent(fork(), [stray], ())
 
-    def test_undeclared_one_point_event_raises_alike_on_every_call(self):
-        """A one-point event skips the chain check, and its masks are
-        read per point; an undeclared point still raises the same
-        :class:`UnknownPoint` on one model, call after call."""
+    def test_undeclared_one_point_event_raises_alike_on_every_call(
+        self, toy
+    ):
+        """A one-point event skips the chain check, and its record is
+        read off its point's index; an undeclared point still raises the
+        same :class:`UnknownPoint` on one model, call after call, from
+        every reader of the record, and the memo never holds it."""
         f = fork()
         (stray,) = ev("zz")
+        d, dm = ev("d", "d-")
+        candidate = Spread(initial=stray, outcomes=toy.decay_spread.outcomes)
+        calls = [
+            lambda: is_consistent(f, [stray], ()),
+            lambda: is_consistent(f, (), [stray]),
+            lambda: classify_event(f, stray),
+            lambda: validate_spread(f, Spread(initial=stray, outcomes=(dm,))),
+            lambda: validate_spread(f, Spread(initial=d, outcomes=(stray,))),
+            lambda: check_common_cause(
+                toy.model, candidate, toy.station_nspread, toy.inconsistent[0]
+            ),
+        ]
         messages = []
         for _ in range(2):
-            for initials, outcomes in (([stray], ()), ((), [stray])):
+            for call in calls:
                 with pytest.raises(UnknownPoint) as caught:
-                    is_consistent(f, initials, outcomes)
+                    call()
                 messages.append(str(caught.value))
-            with pytest.raises(UnknownPoint) as caught:
-                classify_event(f, stray)
-            messages.append(str(caught.value))
-        assert messages == ["unknown point id: 'zz'"] * 6
+        assert messages == ["unknown point id: 'zz'"] * 12
+        assert stray.members not in f.memo
+        assert stray.members not in toy.model.memo
 
     def test_role_checks_are_not_shared_between_models(self):
         e = Event(name="e", members=frozenset({"a", "b"}))

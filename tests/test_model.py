@@ -30,6 +30,7 @@ from .oracles import (
     set_check_prior_choice,
     set_is_chain,
     set_model,
+    set_model_of,
 )
 
 EDGE_PROBS = st.sampled_from([0.05, 0.15, 0.35, 0.6])
@@ -191,14 +192,69 @@ class TestHistories:
         assert {h.top for h in m.histories} == {"a", "b", "c"}
         assert all(len(m.names(h.mask)) == 1 for h in m.histories)
 
-    def test_compute_histories_is_the_cached_property(self):
+    def test_compute_histories_is_the_models_histories(self):
         f = fork()
-        assert compute_histories(f) == f.histories
+        assert compute_histories(f) is f.histories
 
     def test_agrees_with_brute_force(self):
         for m in (fork(), chain3(), build_model(["a", "b"], [])):
             fast = {frozenset(m.names(h.mask)) for h in m.histories}
             assert fast == brute_force_histories(m)
+
+    @staticmethod
+    def assert_history_masks_from_sets(m):
+        """``histories`` and ``history_bits`` equal the ones read off the
+        order closed again over sets."""
+        slow = set_model_of(m)
+        assert [
+            (h.top, frozenset(m.names(h.mask))) for h in m.histories
+        ] == list(slow.histories)
+        assert m.history_bits == {
+            p: sum(
+                1 << k for k, h in enumerate(slow.histories) if p in h.members
+            )
+            for p in slow.points
+        }
+
+    @pytest.mark.parametrize(
+        "points, pairs",
+        [
+            # transitive pairs beside the covers, given before them
+            ("abcde", [("a", "c"), ("a", "e"), ("b", "e"), ("a", "b"),
+                       ("b", "c"), ("c", "d"), ("a", "d")]),
+            # several maxima, met by the pass back out of index order,
+            # and isolated points
+            ("abcdefg", [("g", "a"), ("g", "c"), ("f", "b"), ("f", "g")]),
+            ("x", []),
+        ],
+        ids=["transitive-pairs", "maxima-and-isolated", "one-point"],
+    )
+    def test_masks_from_the_topological_pass(self, points, pairs):
+        self.assert_history_masks_from_sets(build_model(list(points), pairs))
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        EDGE_PROBS,
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_masks_from_the_topological_pass_on_seeded_models(
+        self, seed, edge_prob, closed, downward
+    ):
+        # ``closed`` gives every pair of the closure, so most generating
+        # pairs are not covers; ``downward`` names the points so that the
+        # order runs against the index order
+        rng = random.Random(seed)
+        names, pairs = seeded_order(rng, max_points=14, edge_prob=edge_prob)
+        if closed:
+            below = set_model(names, pairs).below
+            pairs = [(a, b) for b in names for a in below[b]]
+        if downward:
+            flip = {p: f"q{len(names) - i:02d}" for i, p in enumerate(names)}
+            names = [flip[p] for p in names]
+            pairs = [(flip[a], flip[b]) for a, b in pairs]
+        self.assert_history_masks_from_sets(build_model(names, pairs))
 
 
 class TestChoicePoints:

@@ -73,7 +73,13 @@ CACHED_HASH = (Event, Spread, NSpread)
 
 MODEL = dict(
     points=("a", "b"), index={"a": 0, "b": 1}, up=(2, 0), down=(0, 1),
-    cover=(2, 0),
+    cover=(2, 0), histories=(History(top="b", mask=3),),
+    history_bits={"a": 1, "b": 1},
+)
+MODEL_REPR = (
+    "CausalModel(points=('a', 'b'), index={'a': 0, 'b': 1}, up=(2, 0), "
+    "down=(0, 1), cover=(2, 0), histories=(History(top='b', mask=3),), "
+    "history_bits={'a': 1, 'b': 1})"
 )
 _model = CausalModel(**MODEL)
 _d, _dm, _dp = (
@@ -203,10 +209,7 @@ REPRS = {
         "CandidateProfile(flags=(False, True, False, True, False, True, "
         "False, True, False, True, False, True))"
     ),
-    "CausalModel": (
-        "CausalModel(points=('a', 'b'), index={'a': 0, 'b': 1}, up=(2, 0), "
-        "down=(0, 1), cover=(2, 0))"
-    ),
+    "CausalModel": MODEL_REPR,
     "CommonCauseReport": (
         "CommonCauseReport(vector=('d-',), cc1=ConditionResult(passed=False, "
         "witnesses=('w',)), cc2=ConditionResult(passed=False, "
@@ -289,8 +292,7 @@ REPRS = {
         "payload={'k': [1]})"
     ),
     "ResolvedModel": (
-        "ResolvedModel(model=CausalModel(points=('a', 'b'), index={'a': 0, "
-        "'b': 1}, up=(2, 0), down=(0, 1), cover=(2, 0)), events={'d': "
+        f"ResolvedModel(model={MODEL_REPR}, events={{'d': "
         "Event(name='d', members=frozenset({'d'}))}, spreads={'s': "
         "Spread(initial=Event(name='d', members=frozenset({'d'})), "
         "outcomes=(Event(name='d-', members=frozenset({'d-'})), "
@@ -307,8 +309,7 @@ REPRS = {
     ),
     "SpreadDoc": "SpreadDoc(initial='d', outcomes=('d-', 'd+'))",
     "ToyDecayScenario": (
-        "ToyDecayScenario(model=CausalModel(points=('a', 'b'), index={'a': 0,"
-        " 'b': 1}, up=(2, 0), down=(0, 1), cover=(2, 0)), events={'d': "
+        f"ToyDecayScenario(model={MODEL_REPR}, events={{'d': "
         "Event(name='d', members=frozenset({'d'}))}, "
         "decay_spread=Spread(initial=Event(name='d', "
         "members=frozenset({'d'})), outcomes=(Event(name='d-', "

@@ -73,7 +73,7 @@ def test_scale_order_prints_one_json_line_per_size():
     row = json.loads(line)
     assert (row["points"], row["histories"]) == (261, 16)
     assert row["prior_choice"] == "pass"
-    for layer in ("build_model", "histories", "prior_choice", "density"):
+    for layer in ("build_model", "history_bits", "prior_choice", "density"):
         assert row[f"{layer}_s"] >= 0
 
 

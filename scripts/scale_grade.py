@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time the consistency grade of an n-spread, the common-cause search
-over its inconsistent vectors, and one common-cause check, by its width.
+against every inconsistent vector of it, and one common-cause check, by
+its width.
 
 Usage, from the root of a checkout with ``src`` on ``PYTHONPATH``:
 
-    python3 scripts/scale_grade.py              # widths 8 12 14 16, 5 times
+    python3 scripts/scale_grade.py              # widths 8 to 64, 5 times
     python3 scripts/scale_grade.py 20           # the same widths, 20 times
     python3 scripts/scale_grade.py 3 4 6 8      # widths 4, 6 and 8, 3 times
 
@@ -12,45 +13,63 @@ The model of width k has a root below k stations; each station branches
 into a ``-`` and a ``+`` outcome, and three terminals join one outcome of
 every station: all ``+``, all ``-``, and ``+`` and ``-`` alternating.  So
 the model has 3 histories, and the n-spread of the k stations has 2^k
-outcome vectors, of which 3 are consistent (2 when k is 1).
+outcome vectors, of which 3 are consistent (2 when k is 1).  The model
+is declared as a document (``width_document``), so ``bstghz check-cc
+FILE --search --nspread Sigma`` runs on it as written by
+``bstghz.document.dump_document``.
 
-For each width the n-spread is graded and searched once, unrecorded,
-which pays the per-model chain checks, spread validations and candidate
-spreads.  Then each of ``repeats`` rounds times, with
-``time.perf_counter``, a grade and then ``search_common_causes`` over
-that grade's inconsistent vectors, which is what ``bstghz check-cc
---search`` does.  The script prints one JSON line per width: the number
-of points, the vector count, the number of inconsistent vectors, the
-median milliseconds per grade (``grade_ms``), and the median over the
-rounds of the grade and search together (``search_ms``).  Each round's
-sum is at least its own grade time, so ``search_ms`` is never below
-``grade_ms``.
+For each width the n-spread is searched once, unrecorded, which pays
+the per-model chain checks, spread validations and candidate spreads.
+Then ``search_ms`` is the median milliseconds, over ``repeats`` calls
+timed with ``time.perf_counter``, of the search against every
+inconsistent vector by the box test (``_search_every_vector``), which is
+what ``bstghz check-cc --search`` does; it lists no vector.  The script
+prints one JSON line per width: the number of points and histories, the
+vector count, the number of inconsistent vectors (the vector count less
+the consistent ones the box walk finds), ``search_ms``, ``grade_ms`` and
+``check_ms``.
+
+``grade_ms`` is the median milliseconds, over ``repeats`` calls, of
+``consistency_grade``, which lists every inconsistent vector; it is null
+above width ``GRADE_MAX_WIDTH``, where that list would not fit in a
+modest memory.
 
 ``check_ms`` is the median milliseconds, over ``repeats`` calls after one
 unrecorded call, of ``check_common_cause`` with the first station's
-spread as the candidate against the first inconsistent vector.  That
-station precedes no outcome of the other k - 1 stations, so cc1 fails
-with 2(k - 1) witnesses, which the check words.  With no inconsistent
-vector (k = 1) there is nothing to check and ``check_ms`` is null.
+spread as the candidate against the first inconsistent vector in
+lexicographic order.  That station precedes no outcome of the other
+k - 1 stations, so cc1 fails with 2(k - 1) witnesses, which the check
+words.  With no inconsistent vector (k = 1) there is nothing to check
+and ``check_ms`` is null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import sys
 import time
 
-from bstghz.common_cause import check_common_cause, search_common_causes
-from bstghz.events import Event, NSpread, Spread, consistency_grade
-from bstghz.model import CausalModel, build_model
+from bstghz.common_cause import _search_every_vector, check_common_cause
+from bstghz.document import ModelDocument, SpreadDoc, resolve_document
+from bstghz.events import (
+    NSpread,
+    OutcomeVector,
+    consistency_grade,
+    _box_ranks,
+    _nspread_record,
+)
+from bstghz.model import CausalModel
 
 REPEATS = 5
-WIDTHS = (8, 12, 14, 16)
+WIDTHS = (8, 12, 16, 20, 24, 32, 40, 48, 56, 64)
+# 2^16 vectors: the widest n-spread whose grade is timed
+GRADE_MAX_WIDTH = 16
 
 
-def width_model(k: int) -> tuple[CausalModel, NSpread]:
-    """The width-``k`` model and the n-spread of its stations."""
+def width_document(k: int) -> ModelDocument:
+    """The width-``k`` model as a document; its n-spread is ``Sigma``."""
     stations = [f"s{i:02d}" for i in range(k)]
     terminals = {
         "t+": [f"{s}+" for s in stations],
@@ -59,79 +78,94 @@ def width_model(k: int) -> tuple[CausalModel, NSpread]:
     }
     points = ["r", *stations, *terminals]
     pairs = []
+    named = []
     for s in stations:
         points += [f"{s}-", f"{s}+"]
         pairs += [("r", s), (s, f"{s}-"), (s, f"{s}+")]
+        named += [s, f"{s}-", f"{s}+"]
     pairs += [(o, t) for t, outs in terminals.items() for o in outs]
-
-    def event(name: str) -> Event:
-        return Event(name=name, members=frozenset({name}))
-
-    ns = NSpread(
-        spreads=tuple(
-            Spread(initial=event(s), outcomes=(event(f"{s}-"), event(f"{s}+")))
-            for s in stations
-        )
+    return ModelDocument(
+        points=tuple(points),
+        order=tuple(pairs),
+        events={n: (n,) for n in named},
+        spreads={s: SpreadDoc(s, (f"{s}-", f"{s}+")) for s in stations},
+        nspreads={"Sigma": tuple(stations)},
     )
-    return build_model(points, pairs), ns
 
 
-def timed_ms(
-    model: CausalModel, ns: NSpread, repeats: int
-) -> tuple[float, float]:
-    """The median milliseconds, over ``repeats`` rounds, of a grade of
-    ``ns`` and of that grade plus the search over its inconsistent
-    vectors, as ``bstghz check-cc --search`` does."""
-    grades, totals = [], []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        vectors = consistency_grade(model, ns).inconsistent_vectors
-        t1 = time.perf_counter()
-        search_common_causes(model, [ns] * len(vectors), vectors)
-        t2 = time.perf_counter()
-        grades.append(t1 - t0)
-        totals.append(t2 - t0)
-    return statistics.median(grades) * 1000, statistics.median(totals) * 1000
+def width_model(k: int) -> tuple[CausalModel, NSpread]:
+    """The width-``k`` model and the n-spread of its stations."""
+    resolved = resolve_document(width_document(k))
+    return resolved.model, resolved.nspreads["Sigma"]
 
 
-def check_ms(
-    model: CausalModel, ns: NSpread, vectors: tuple, repeats: int
-) -> float | None:
-    """The median milliseconds, over ``repeats`` calls after an unrecorded
-    one, of ``check_common_cause`` with the first station's spread as the
-    candidate against the first of ``ns``'s inconsistent ``vectors``;
-    None when there is none."""
-    if not vectors:
-        return None
-    sigma, vector = ns.spreads[0], vectors[0]
-    check_common_cause(model, sigma, ns, vector)
+def median_ms(call, repeats: int) -> float:
+    """The median milliseconds of ``call()`` over ``repeats`` calls."""
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        check_common_cause(model, sigma, ns, vector)
+        call()
         times.append(time.perf_counter() - t0)
     return statistics.median(times) * 1000
+
+
+def first_inconsistent(
+    model: CausalModel, ns: NSpread
+) -> OutcomeVector | None:
+    """The first inconsistent vector of ``ns`` in lexicographic order,
+    found from the consistent ranks without listing the product; None
+    when every vector is consistent."""
+    outs = _nspread_record(model, ns)[1]
+    consistent = _box_ranks(outs, (1 << len(model.histories)) - 1)
+    rank = next(
+        (r for r, c in enumerate(consistent) if r != c), len(consistent)
+    )
+    if rank == math.prod(map(len, outs)):
+        return None
+    terms = []
+    for s in reversed(ns.spreads):
+        rank, j = divmod(rank, len(s.outcomes))
+        terms.append(s.outcomes[j])
+    return OutcomeVector(terms=tuple(reversed(terms)))
+
+
+def check_ms(model: CausalModel, ns: NSpread, repeats: int) -> float | None:
+    """The median milliseconds, over ``repeats`` calls after an unrecorded
+    one, of ``check_common_cause`` with the first station's spread as the
+    candidate against ``ns``'s first inconsistent vector; None when
+    there is none."""
+    vector = first_inconsistent(model, ns)
+    if vector is None:
+        return None
+    sigma = ns.spreads[0]
+    check_common_cause(model, sigma, ns, vector)
+    return median_ms(
+        lambda: check_common_cause(model, sigma, ns, vector), repeats
+    )
 
 
 def measure(widths: list[int], repeats: int) -> list[dict]:
     rows = []
     for k in widths:
         model, ns = width_model(k)
-        grade = consistency_grade(model, ns)
-        timed_ms(model, ns, 1)
-        grade_ms, search_ms = timed_ms(model, ns, repeats)
+        count = math.prod(len(s.outcomes) for s in ns.spreads)
+        inconsistent, _ = _search_every_vector(model, [ns])
+        search_ms = median_ms(
+            lambda: _search_every_vector(model, [ns]), repeats
+        )
+        grade_ms = None
+        if k <= GRADE_MAX_WIDTH:
+            grade_ms = median_ms(lambda: consistency_grade(model, ns), repeats)
         rows.append(
             {
                 "width": k,
                 "points": len(model.points),
                 "histories": len(model.histories),
-                "vector_count": grade.vector_count,
-                "inconsistent": len(grade.inconsistent_vectors),
-                "grade_ms": grade_ms,
+                "vector_count": count,
+                "inconsistent": inconsistent,
                 "search_ms": search_ms,
-                "check_ms": check_ms(
-                    model, ns, grade.inconsistent_vectors, repeats
-                ),
+                "grade_ms": grade_ms,
+                "check_ms": check_ms(model, ns, repeats),
             }
         )
     return rows

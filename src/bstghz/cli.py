@@ -24,7 +24,7 @@ from .errors import BadFlag, BstError, UnknownReference
 # ``document`` imports ``events`` and ``model``, so these cost nothing more;
 # ``common_cause``, ``ghz`` and ``quantum`` load only in the commands that
 # use them
-from .events import OutcomeVector, consistency_grade, validate_spread
+from .events import OutcomeVector, validate_spread
 from .model import (
     check_density,
     check_infima_suprema,
@@ -315,8 +315,8 @@ def _lookup(mapping: Mapping[str, Any], name: str, kind: str) -> Any:
 def cmd_check_cc(args: argparse.Namespace) -> Report:
     from .common_cause import (
         _require_cc_preconditions,
+        _search_every_vector,
         check_common_cause,
-        search_common_causes,
     )
 
     resolved = _load(args.file)
@@ -326,17 +326,14 @@ def cmd_check_cc(args: argparse.Namespace) -> Report:
         if not ns_names:
             raise BadFlag("--search needs --nspread with one or more names")
         ns_list = []
-        vectors = []
         for name in ns_names:
             ns = _lookup(resolved.nspreads, name, "nspread")
             _require_cc_preconditions(model, ns)
-            for v in consistency_grade(model, ns).inconsistent_vectors:
-                ns_list.append(ns)
-                vectors.append(v)
-        result = search_common_causes(model, ns_list, vectors)
+            ns_list.append(ns)
+        targets, result = _search_every_vector(model, ns_list)
         findings = [
             f"nspreads: {','.join(ns_names)}",
-            f"target vectors: {len(vectors)}",
+            f"target vectors: {targets}",
             f"candidates: {result.candidates_considered}",
             f"passing: {len(result.passing)}",
         ]
@@ -351,7 +348,7 @@ def cmd_check_cc(args: argparse.Namespace) -> Report:
             payload={
                 "candidates": result.candidates_considered,
                 "passing": [s.initial.name for s in result.passing],
-                "target_vectors": len(vectors),
+                "target_vectors": targets,
                 "vacuous": result.vacuous,
             },
         )

@@ -14,18 +14,29 @@ vector c of a space-like, 1-consistent n-spread:
 Each condition's verdict is one mask test on the model's bitsets, shared
 by the checker and the search: cc1 asks whether the outcome points of
 the n-spread lie inside the points above sigma's initial, cc2 and cc3
-AND history masks, each read from an event's record of masks
-(``events._event_masks``), sigma's included.  Witness lines are worded
+AND history masks.  Sigma's masks, the points above its initial and
+its outcomes' overlapping masks, are read from its spread's entry
+(``events._spread_record``), which validating the spread wrote; the
+n-spread's come from its record in ``events``.  Witness lines are worded
 only for a report: cc1 and cc2 when the condition fails, cc3 per outcome
 of sigma.  The cc1 witnesses come from the point masks of the n-spread's
 outcomes, which its record in ``events`` keeps, by the walk that words
 condition (i) of a spread (``events._precedence_gaps``): a repeated
 check builds no point mask.  The search (``search_common_causes``) reads
-the verdicts alone.  Its masks are memoised per model: the atomic
-candidates' once, and each n-spread's once its preconditions pass.
-Those extend the n-spread's record in ``events``, whose per-outcome maps
-give the checker and the search a vector's term masks by one lookup per
-term, once per check.
+the verdicts alone, each atomic candidate's masks from its spread's
+entry.  Each n-spread's screening masks are memoised once its
+preconditions pass.  Those extend the n-spread's record in ``events``,
+whose per-outcome maps give the checker and the search a vector's term
+masks by one lookup per term, once per check.
+
+Against every inconsistent vector of an n-spread the search lists none
+(``_search_every_vector``, which ``check-cc --search`` and
+``classify_determinism`` use).  For an outcome of a candidate with
+overlapping mask m, let B_m hold per spread the outcomes whose masks
+meet m: cc3 fails for that outcome exactly when B_m holds an
+inconsistent vector, that is, when B_m holds more vectors than the box
+walk (``events._box_ranks``) finds consistent.  So the work grows with
+the spreads and the histories, not with the product.
 
 Passing all three does not *establish* a common cause, which is why the
 interesting direction is the refutation; the GHZ scenario's, which needs
@@ -38,8 +49,9 @@ positive control for the checker, and ``build_toy_decay`` resolves it.
 from __future__ import annotations
 
 import functools
+import math
 import operator
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .document import ModelDocument, SpreadDoc, resolve_document
 from .errors import NotInconsistencyType, PreconditionFailed
@@ -48,15 +60,14 @@ from .events import (
     NSpread,
     OutcomeVector,
     Spread,
-    consistency_grade,
     is_spacelike,
     validate_spread,
-    _above,
-    _event_masks,
+    _box_ranks,
     _nspread_record,
     _precedence_gaps,
     _one_consistent,
     _require_valid,
+    _spread_record,
 )
 from .model import CausalModel, _Record
 
@@ -148,19 +159,12 @@ def _term_masks(
     )
 
 
-def _overlaps(
-    model: CausalModel, events: Iterable[Event]
-) -> tuple[int, ...]:
-    """Per event, the histories overlapping it."""
-    return tuple(_event_masks(model, e, "outcome")[2] for e in events)
-
-
 # The screening conditions as mask tests.  ``outs`` is the candidate's
-# (``_overlaps`` of its outcomes), ``hist`` the n-spread's (from
-# ``_require_cc_preconditions``), ``terms`` the vector's ``_term_masks``.
-# cc1 is the test ``pts & ~above == 0`` on the n-spread's outcome points
-# and the points above the candidate's initial, written out where it is
-# asked.
+# (its outcomes' overlapping masks, from its spread's entry), ``hist``
+# the n-spread's (from ``_require_cc_preconditions``), ``terms`` the
+# vector's ``_term_masks``.  cc1 is the test ``pts & ~above == 0`` on the
+# n-spread's outcome points and the points above the candidate's initial,
+# written out where it is asked.
 
 
 def _cc2(hist: int, outs: tuple[int, ...]) -> bool:
@@ -190,8 +194,7 @@ def _cc_conditions(
     outcome point.
     """
     pts, hist, _, points = masks
-    outs = _overlaps(model, sigma.outcomes)
-    above = _above(model, sigma.initial)
+    above, outs, _ = _spread_record(model, sigma)
     cc1_ok = pts & ~above == 0
     cc1_witnesses = () if cc1_ok else tuple(
         f"{p} is not strictly below {q} (outcome {o.name})"
@@ -273,26 +276,14 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
         if validate_spread(model, spread).ok:
             out.append(spread)
     memo[atomic_spreads] = tuple(out)
+    # their spreads' entries, which validating them wrote, for the scan
+    memo[_scan] = tuple([memo[s] for s in out])
     return memo[atomic_spreads]
 
 
 class CommonCauseSearch(_Record):
     __slots__ = ("candidates_considered", "passing", "vacuous", "notes")
     _defaults = {"notes": ()}
-
-
-def _candidate_masks(
-    model: CausalModel,
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per atomic candidate, ``_above`` of its initial and ``_overlaps`` of
-    its outcomes; memoised on the model like the candidates."""
-    memo = model.memo
-    if _candidate_masks not in memo:
-        memo[_candidate_masks] = tuple(
-            (_above(model, s.initial), _overlaps(model, s.outcomes))
-            for s in atomic_spreads(model)
-        )
-    return memo[_candidate_masks]
 
 
 def search_common_causes(
@@ -330,23 +321,85 @@ def search_common_causes(
                 "vectors call for a common cause"
             )
         targets.add(terms)
-    pts = functools.reduce(operator.or_, (m[0] for m in masks.values()), 0)
-    hists = {m[1] for m in masks.values()}
-    candidates = atomic_spreads(model)
-    passing = tuple(
-        cand
-        for cand, (above, outs) in zip(candidates, _candidate_masks(model))
-        if not pts & ~above
-        and all(_cc2(h, outs) for h in hists)
-        and all(_cc3(outs, terms) for terms in targets)
+    return _scan(
+        model,
+        masks.values(),
+        lambda outs: all(_cc3(outs, terms) for terms in targets),
+        not ns_list,
     )
-    vacuous = not ns_list
+
+
+def _scan(
+    model: CausalModel,
+    masks: Iterable[_CCMasks],
+    cc3: Callable[[tuple[int, ...]], bool],
+    vacuous: bool,
+) -> CommonCauseSearch:
+    """The atomic candidates passing cc1 and cc2 for the n-spreads whose
+    screening ``masks`` are given, and ``cc3`` on their outcomes' masks.
+
+    Each candidate's masks are read from its spread's entry, which
+    :func:`atomic_spreads` wrote by validating it and keeps in candidate
+    order.  A candidate stops at its first failing test.  ``vacuous``
+    marks a search without targets and adds its note.
+    """
+    masks = list(masks)
+    pts = functools.reduce(operator.or_, (m[0] for m in masks), 0)
+    hists = {m[1] for m in masks}
+    candidates = atomic_spreads(model)
+    passing = []
+    for cand, (above, outs, _) in zip(candidates, model.memo[_scan]):
+        if (
+            not pts & ~above
+            and all(_cc2(h, outs) for h in hists)
+            and cc3(outs)
+        ):
+            passing.append(cand)
     notes = (
         ("no target vectors were supplied; every candidate passes vacuously",)
         if vacuous
         else ()
     )
-    return CommonCauseSearch(len(candidates), passing, vacuous, notes)
+    return CommonCauseSearch(
+        len(candidates), tuple(passing), vacuous, notes
+    )
+
+
+def _search_every_vector(
+    model: CausalModel, nspreads: Iterable[NSpread]
+) -> tuple[int, CommonCauseSearch]:
+    """The number of inconsistent vectors of the listed n-spreads, and
+    the search with every one of them as a target, neither listing them.
+
+    Each n-spread must pass the preconditions.  One with no inconsistent
+    vector adds no condition, and with none at all the search is
+    vacuous, as :func:`search_common_causes` is on an empty target list.
+    A candidate outcome with overlapping mask m fails cc3 against some
+    target of an n-spread exactly when the box of the outcomes meeting m
+    holds more vectors than :func:`events._box_ranks` finds consistent.
+    """
+    full = (1 << len(model.histories)) - 1
+    count = 0
+    listed = {}
+    for ns in nspreads:
+        masks = _require_cc_preconditions(model, ns)
+        outs = _nspread_record(model, ns)[1]
+        inconsistent = math.prod(map(len, outs)) - len(_box_ranks(outs, full))
+        if inconsistent:
+            listed[ns] = masks, outs
+        count += inconsistent
+
+    def cc3(cand: tuple[int, ...]) -> bool:
+        for m in cand:
+            for _, outs in listed.values():
+                box = [[t for t in ms if t & m] for ms in outs]
+                if math.prod(map(len, box)) > len(_box_ranks(box, full)):
+                    return False
+        return True
+
+    return count, _scan(
+        model, (masks for masks, _ in listed.values()), cc3, not count
+    )
 
 
 # -- determinism levels ---------------------------------------------------
@@ -380,17 +433,13 @@ def classify_determinism(
     notes: list[str] = []
     evidence = False
     for ns in nspreads:
-        _require_cc_preconditions(model, ns)
-        inconsistent = consistency_grade(model, ns).inconsistent_vectors
+        inconsistent, found = _search_every_vector(model, (ns,))
         if not inconsistent:
             notes.append(
                 f"n-spread at {ns.spreads[0].initial.name}: no inconsistent "
                 "vectors"
             )
             continue
-        found = search_common_causes(
-            model, [ns] * len(inconsistent), list(inconsistent)
-        )
         if found.passing:
             names = ", ".join(s.initial.name for s in found.passing)
             notes.append(
@@ -401,7 +450,7 @@ def classify_determinism(
             evidence = True
             notes.append(
                 f"n-spread at {ns.spreads[0].initial.name}: "
-                f"{len(inconsistent)} inconsistent vectors, no screening "
+                f"{inconsistent} inconsistent vectors, no screening "
                 "atomic spread"
             )
     if evidence:

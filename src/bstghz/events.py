@@ -37,12 +37,17 @@ by ``_event_masks``, holds its point mask, its containing mask and its
 overlapping mask, and every reader of an event's masks reads it; a
 one-point event is a chain and takes one index lookup, and a larger
 event's chain check runs on its point mask, once per model.  Each
-spread's validation is memoised too (``validate_spread`` records a pass,
-which ``_require_valid`` reads), and so is each n-spread's record of
-masks (``_nspread_record``: the AND of its initials' containing masks,
-its outcomes' overlapping and point masks, and per spread a map from
-outcome to mask); only passes are kept, so an unknown point, a
-misclassified event or an invalid spread raises every time.
+spread has one entry too, keyed by the spread itself
+(``_spread_record``): the points above its initial, its outcomes'
+overlapping masks and a flag that ``validate_spread`` sets on a pass,
+which ``_require_valid`` reads; an entry built for a spread that was
+never validated serves the mask readers and leaves the flag unset.
+Each n-spread's record of masks is memoised as well (``_nspread_record``:
+the AND of its initials' containing masks, its outcomes' overlapping
+and point masks, and per spread a map from outcome to mask); no entry
+is kept for a read that raised, and an entry never stands in for a
+validation, so an unknown point, a misclassified event or an invalid
+spread raises every time.
 Violations are worded only after a mask test has failed.  Precedence
 failures are named by one walk (``_precedence_gaps``) that spread
 validation and the common-cause checker share: it skips an outcome whose
@@ -52,15 +57,23 @@ outcome's bits outside ``up[p]``.
 Grading an n-spread reads its record and makes no consistency query:
 the AND of its initials' containing masks decides minimal and
 1-consistency (the space-like test reads the same AND), and its
-consistent outcome vectors are found by extending prefixes spread by
-spread, keeping a prefix only while the AND of its outcomes' overlapping
-masks is nonzero.  No history overlaps two outcomes of one spread, so
-the live prefixes of each length have disjoint masks and number at most
-the model's histories; only the list of inconsistent vectors, the
-product minus those, grows with the product.
+consistent outcome vectors are found by the box walk (``_box_ranks``).
+A box gives one set of outcomes per spread; the walk extends prefixes
+spread by spread, keeping a prefix only while the AND of its outcomes'
+overlapping masks is nonzero.  No history overlaps two outcomes of one
+spread, so the live prefixes of each length have disjoint masks and
+number at most the model's histories, and a box holds an inconsistent
+vector exactly when its size exceeds its consistent count.  The grade
+is the box of all outcomes; only its list of inconsistent vectors, the
+product minus the consistent ones, grows with the product.
 
 ``Event``, ``Spread`` and ``NSpread`` are memo keys, so each hashes its
-fields once, at construction, into a private slot.  The hash stays out
+fields once, at construction, into a private slot.  ``Event`` and
+``Spread`` also compare that hash before their fields: an atomic
+candidate and a declared spread over the same points are equal but
+distinct objects, so a lookup by the one finds the other's entry only
+after an equality test, which then costs one field compare per level
+instead of building every field tuple.  The hash stays out
 of the pickled state: a record is pickled as its constructor call and
 hashes afresh where it is loaded.
 """
@@ -71,7 +84,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSpread, MisclassifiedEvent
 from .model import (
@@ -100,6 +113,15 @@ class Event(_Record):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash  # type: ignore[attr-defined]
+            and self.name == other.name  # type: ignore[attr-defined]
+            and self.members == other.members  # type: ignore[attr-defined]
+        )
 
 
 class EventClassification(_Record):
@@ -131,6 +153,15 @@ class Spread(_Record):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash  # type: ignore[attr-defined]
+            and self.initial == other.initial  # type: ignore[attr-defined]
+            and self.outcomes == other.outcomes  # type: ignore[attr-defined]
+        )
 
 
 class NSpread(_Record):
@@ -299,8 +330,9 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     (i) every point of the initial strictly precedes every point of every
     outcome; (ii) every history containing the initial overlaps some
     outcome; (iii) no history overlaps two distinct outcomes.  Failures
-    are reported, not raised; a pass is recorded on the model, so
-    :func:`_require_valid` does not validate the spread again.
+    are reported, not raised; a pass writes the spread's entry (see
+    :func:`_spread_record`) with its flag set, so :func:`_require_valid`
+    does not validate the spread again.
     """
     name = f"spread {spread.initial.name}"
     try:
@@ -327,7 +359,7 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
             )
         ]
     # histories overlapping some outcome, and overlapping two or more
-    masks = [r[2] for r in records]
+    masks = tuple([r[2] for r in records])
     some = twice = 0
     for m in masks:
         twice |= some & m
@@ -346,7 +378,7 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
                 f"(iii) history {h.top} overlaps outcomes {', '.join(hit)}"
             )
     if not violations:
-        model.memo[_require_valid, spread] = True
+        model.memo[spread] = (above, masks, True)
     return ValidationReport(
         name, "fail" if violations else "pass", tuple(violations), ()
     )
@@ -355,12 +387,15 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
 def _require_valid(
     model: CausalModel, spreads: Iterable[Spread], noun: str = "spread"
 ) -> None:
-    """Raise :class:`InvalidSpread` at the first invalid spread.  A pass
-    is memoised on the model, keyed by the spread, by
-    :func:`validate_spread` itself, so a spread validated before is not
-    validated again; a failure is not kept and raises on every call."""
+    """Raise :class:`InvalidSpread` at the first invalid spread.  Only
+    the flag that :func:`validate_spread` sets in the spread's entry on a
+    pass counts, so a spread validated before is not validated again,
+    and one that failed, or whose entry was built unvalidated, is
+    validated, and raises, on every call."""
+    memo = model.memo
     for s in spreads:
-        if (_require_valid, s) in model.memo:
+        record = memo.get(s)
+        if record is not None and record[2]:
             continue
         report = validate_spread(model, s)
         if not report.ok:
@@ -368,6 +403,30 @@ def _require_valid(
                 f"{noun} at {s.initial.name!r} is invalid: "
                 + "; ".join(report.violations)
             )
+
+
+def _spread_record(
+    model: CausalModel, spread: Spread
+) -> tuple[int, tuple[int, ...], bool]:
+    """The spread's entry: the points strictly above its initial, the
+    histories overlapping each outcome in declared order, and whether
+    the spread passed :func:`validate_spread`.
+
+    Memoised on the model, keyed by the spread.  ``validate_spread``
+    writes the entry on a pass; an entry built here for a spread not
+    validated has the flag unset, so it stands in for no validation.
+    A misclassified event raises on every call, as in
+    :func:`_event_masks`.
+    """
+    record = model.memo.get(spread)
+    if record is None:
+        outs = [_event_masks(model, o, "outcome")[2] for o in spread.outcomes]
+        record = model.memo[spread] = (
+            _above(model, spread.initial),
+            tuple(outs),
+            False,
+        )
+    return record
 
 
 def _nspread_record(
@@ -419,6 +478,31 @@ def _one_consistent(model: CausalModel, ns: NSpread) -> bool:
     return all(hist & m for ms in outs for m in ms)
 
 
+def _box_ranks(outs: Sequence[Sequence[int]], start: int) -> list[int]:
+    """The lexicographic ranks, in increasing order, of the consistent
+    vectors of the box ``outs``.
+
+    ``outs`` gives per spread the overlapping masks of the box's
+    outcomes, and a vector is consistent when the AND of ``start`` and
+    its terms' masks is nonzero.  The walk keeps a flat list of live
+    ``(rank, acc)`` prefixes, extended one spread at a time in rank
+    order; when the masks of each spread are disjoint, as a valid
+    spread's are, it holds at most one prefix per history.
+    """
+    live = [(0, start)]
+    for ms in outs:
+        n = len(ms)
+        extended = []
+        for rank, acc in live:
+            rank *= n
+            for m in ms:
+                if both := acc & m:
+                    extended.append((rank, both))
+                rank += 1
+        live = extended
+    return [rank for rank, _ in live]
+
+
 def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     """Grade an n-spread: minimal, 1-consistent, maximally consistent.
 
@@ -427,32 +511,28 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     are consistent when the AND of their containing masks is nonzero, and
     an outcome with them when its overlapping mask meets that AND.  The
     consistent vectors are the prefixes, extended one spread at a time,
-    whose overlapping masks keep a nonzero AND; each is held as its
-    lexicographic rank, and ``inconsistent_vectors`` lists the other
-    ranks of the product in order.  The implication chain maximal =>
-    1-consistent => minimal is checked on every grading; a break is a bug
-    and raises ``RuntimeError``, also under ``python -O``.
+    whose overlapping masks keep a nonzero AND (:func:`_box_ranks` on
+    the box of all outcomes); each is held as its lexicographic rank, and
+    ``inconsistent_vectors`` lists the other vectors of the product in
+    order.  The implication chain maximal => 1-consistent => minimal is
+    checked on every grading; a break is a bug and raises
+    ``RuntimeError``, also under ``python -O``.
     """
     _require_valid(model, ns.spreads)
     hist, outs = _nspread_record(model, ns)[:2]
     minimal = hist != 0
     one = minimal and all(hist & m for ms in outs for m in ms)
-    # rank of each consistent prefix -> the histories realizing it
-    live = {0: (1 << len(model.histories)) - 1}
-    for ms in outs:
-        live = {
-            rank * len(ms) + j: acc & m
-            for rank, acc in live.items()
-            for j, m in enumerate(ms)
-            if acc & m
-        }
-    count = math.prod(len(ms) for ms in outs)
+    count = math.prod(map(len, outs))
+    keep = [True] * count
+    for rank in _box_ranks(outs, (1 << len(model.histories)) - 1):
+        keep[rank] = False
     inconsistent = tuple(
-        OutcomeVector(terms=combo)
-        for rank, combo in enumerate(
-            itertools.product(*[s.outcomes for s in ns.spreads])
+        map(
+            OutcomeVector,
+            itertools.compress(
+                itertools.product(*[s.outcomes for s in ns.spreads]), keep
+            ),
         )
-        if rank not in live
     )
     maximal = not inconsistent
     if (maximal and not one) or (one and not minimal):

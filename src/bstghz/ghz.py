@@ -656,6 +656,17 @@ def _case_steps(label: str, bit: int) -> tuple[TraceStep, TraceStep]:
     )  # type: ignore[return-value]
 
 
+def _visit(fact: _Fact, shown: frozenset[_Fact], steps: list[_Fact]) -> None:
+    """Append to ``steps`` the facts ``fact`` rests on, each after its
+    premises, premises visited last first, leaving out those in ``shown``
+    or already in ``steps``.  A module-level function, not a closure
+    over ``steps``, so a derivation leaves no reference cycle behind."""
+    if fact not in shown and fact not in steps:
+        for premise in reversed(fact.premises):
+            _visit(premise, shown, steps)
+        steps.append(fact)
+
+
 def _derive(
     screens: list[_Screen],
     stables: dict[int, _Stable],
@@ -674,14 +685,7 @@ def _derive(
     t, f, clash = _close(screens, stables, t, f, why)
     steps: list[_Fact] = []
     if clash:
-
-        def visit(fact: _Fact) -> None:
-            if fact not in shown and fact not in steps:
-                for premise in reversed(fact.premises):
-                    visit(premise)
-                steps.append(fact)
-
-        visit(clash)
+        _visit(clash, shown, steps)
         return steps
     open_ = sum(stables) & ~(t | f)
     bit = 1 << open_.bit_length() - 1

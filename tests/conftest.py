@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -27,6 +30,17 @@ def ghz_structure(ghz):
 @pytest.fixture(scope="session")
 def toy():
     return build_toy_decay()
+
+
+@pytest.fixture(scope="session")
+def scale_grade():
+    """``scripts/scale_grade.py`` as a module, for its width models."""
+    root = Path(__file__).resolve().parent.parent
+    path = root / "scripts" / "scale_grade.py"
+    spec = importlib.util.spec_from_file_location("scale_grade", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @st.composite

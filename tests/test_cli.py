@@ -380,6 +380,23 @@ class TestCheckCc:
         assert "candidates: 21" in out
         assert "passing: 0" in out
 
+    def test_search_at_width_40_lists_no_vector(
+        self, tmp_path, capsys, scale_grade
+    ):
+        # 2^40 - 3 inconsistent vectors: a search that listed them would
+        # not finish
+        doc = tmp_path / "width40.json"
+        doc.write_text(
+            dump_document(scale_grade.width_document(40)), encoding="utf-8"
+        )
+        code, out, _ = run(
+            capsys, "check-cc", str(doc), "--search", "--nspread", "Sigma"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "target vectors: 1099511627773" in lines
+        assert "passing: 0" in lines
+
     def test_search_checks_an_nspread_without_inconsistent_vectors(
         self, docs, capsys
     ):

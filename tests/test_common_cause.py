@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -15,6 +16,7 @@ from bstghz import common_cause, events, ghz
 from bstghz.common_cause import (
     _cc_conditions,
     _require_cc_preconditions,
+    _search_every_vector,
     atomic_spreads,
     check_common_cause,
     classify_determinism,
@@ -63,6 +65,7 @@ from bstghz.ghz import (
 from bstghz.model import CausalModel, build_model
 
 from .oracles import (
+    brute_force_grade,
     brute_force_is_consistent,
     brute_force_survivors,
     brute_force_value_search,
@@ -73,6 +76,7 @@ from .oracles import (
     random_spread,
     reference_atomic_spreads,
     reference_cc_conditions,
+    reference_cc_preconditions,
     reference_search_common_causes,
     rescan_close,
     seeded_model,
@@ -155,6 +159,52 @@ def search_draw(rng):
                 ns_list.append(ns)
                 vectors.append(v)
     return model, ns_list, vectors
+
+
+def every_vector_draw(rng):
+    """A ``seeded_station_model`` and one or two n-spreads of its station
+    spreads; one spread in ten is a random chain spread, so that some
+    draws fail a precondition."""
+    model, pool = seeded_station_model(rng)
+    nspreads = []
+    for _ in range(rng.randint(1, 2)):
+        spreads = rng.sample(pool, rng.randint(1, len(pool)))
+        if rng.random() < 0.1:
+            spreads[0] = random_spread(model, rng, chain_share=1.0)
+        nspreads.append(NSpread(spreads=tuple(spreads)))
+    return model, nspreads
+
+
+def every_vector_agrees(model, nspreads):
+    """Assert that the search against every inconsistent vector by the box
+    test agrees with the reference loop fed every inconsistent vector of
+    ``brute_force_grade``: the same exception type, or the same target
+    count, candidates and passing tuple.  Returns the reference result,
+    None when both raised."""
+    try:
+        for ns in nspreads:
+            reference_cc_preconditions(model, ns)
+    except BstError as exc:
+        with pytest.raises(BstError) as info:
+            _search_every_vector(model, nspreads)
+        assert type(info.value) is type(exc)
+        return None
+    targets = [
+        (ns, v)
+        for ns in nspreads
+        for v in brute_force_grade(model, ns).inconsistent_vectors
+    ]
+    expected = reference_search_common_causes(
+        model, [ns for ns, _ in targets], [v for _, v in targets]
+    )
+    count, got = _search_every_vector(model, nspreads)
+    assert count == len(targets)
+    assert (got.candidates_considered, got.passing, got.vacuous) == (
+        expected.candidates_considered,
+        expected.passing,
+        expected.vacuous,
+    )
+    return expected
 
 
 def search_agrees(model, ns_list, vectors):
@@ -371,8 +421,8 @@ class TestChecker:
                 reads[event] += 1
             return event_masks(model, event, role)
 
-        for module in (events, common_cause):
-            monkeypatch.setattr(module, "_event_masks", counting)
+        # common_cause reads masks only through the records in events
+        monkeypatch.setattr(events, "_event_masks", counting)
         for _ in range(2):
             _require_cc_preconditions(model, ns)
             targets = consistency_grade(model, ns).inconsistent_vectors
@@ -400,6 +450,53 @@ class TestChecker:
         for _ in range(2):
             with pytest.raises(MisclassifiedEvent):
                 events._nspread_record(model, misclassified)
+
+    @pytest.mark.parametrize("first", ["record", "validation"])
+    def test_an_invalid_spread_raises_alike_every_time(self, first):
+        resolved = resolve_document(
+            load_document(Path(__file__).parent / "golden" / "spreads.json")
+        )
+        model = resolved.model
+        for name in ("bad_i", "bad_ii", "bad_iii"):
+            spread = resolved.spreads[name]
+            messages = []
+            # an entry built for the spread unvalidated, or a validation
+            # that failed, does not stand in for a pass
+            if first == "record":
+                events._spread_record(model, spread)
+            assert not validate_spread(model, spread).ok
+            for _ in range(2):
+                with pytest.raises(InvalidSpread) as raised:
+                    events._require_valid(model, (spread,))
+                messages.append(str(raised.value))
+                assert events._spread_record(model, spread)[2] is False
+            assert len(set(messages)) == 1, name
+            assert messages[0].startswith(
+                f"spread at {spread.initial.name!r} is invalid"
+            )
+        misclassified = resolved.spreads["bad_outcome"]
+        for _ in range(2):
+            with pytest.raises(MisclassifiedEvent):
+                events._spread_record(model, misclassified)
+            with pytest.raises(InvalidSpread):
+                events._require_valid(model, (misclassified,))
+
+    def test_a_validated_spread_is_not_validated_again(self, monkeypatch):
+        resolved = resolve_document(
+            load_document(Path(__file__).parent / "golden" / "spreads.json")
+        )
+        model, spread = resolved.model, resolved.spreads["sigma_a"]
+        unvalidated = events._spread_record(model, spread)
+        assert validate_spread(model, spread).ok
+        assert events._spread_record(model, spread) == unvalidated[:2] + (
+            True,
+        )
+
+        def refuse(*args):
+            raise AssertionError("validated a spread again")
+
+        monkeypatch.setattr(events, "validate_spread", refuse)
+        events._require_valid(model, (spread,))
 
     @pytest.mark.parametrize("scenario", ["ghz", "toy"])
     def test_rebuilt_terms_screen_like_the_resolved_ones(self, scenario, toy):
@@ -567,6 +664,53 @@ class TestSearch:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_search_agrees_with_the_reference(self, seed):
         search_agrees(*search_draw(random.Random(seed)))
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_box_search_agrees_with_the_reference(self, seed):
+        every_vector_agrees(*every_vector_draw(random.Random(seed)))
+
+    def test_box_search_draws_cover_every_verdict(self):
+        # across fixed draws: a raise, a vacuous search, a passing
+        # candidate and a search with targets that no candidate passes
+        seen = collections.Counter()
+        for seed in range(200):
+            expected = every_vector_agrees(
+                *every_vector_draw(random.Random(seed))
+            )
+            if expected is None:
+                seen["raised"] += 1
+            elif expected.vacuous:
+                seen["vacuous"] += 1
+            else:
+                seen["pass" if expected.passing else "none"] += 1
+        assert len(seen) == 4, seen
+
+    def test_box_search_agrees_on_the_toy_decay(self, toy):
+        a, b = toy.station_nspread.spreads
+        for nspreads in (
+            [toy.station_nspread],
+            [NSpread(spreads=(b, a))],
+            [NSpread(spreads=(toy.decay_spread,))],
+            [toy.station_nspread, NSpread(spreads=(toy.decay_spread,))],
+        ):
+            every_vector_agrees(toy.model, nspreads)
+        count, found = _search_every_vector(toy.model, [toy.station_nspread])
+        assert count == 2
+        assert [s.initial.name for s in found.passing] == ["d"]
+
+    def test_box_search_agrees_on_the_ghz_nspreads(
+        self, ghz_model, ghz_structure
+    ):
+        nspreads = ghz_structure.nspreads
+        for name in sorted(nspreads):
+            expected = every_vector_agrees(ghz_model, [nspreads[name]])
+            # the axis choices are maximally consistent, so their search is
+            # vacuous; no candidate screens a context
+            assert expected.vacuous == (name == "Sigma_123")
+            assert expected.vacuous or expected.passing == ()
+        theorem = [nspreads[nspread_name(c)] for c in THEOREM_CONTEXTS]
+        every_vector_agrees(ghz_model, theorem)
 
     def test_reference_draws_cover_every_verdict(self):
         # across fixed draws: a raise, a passing candidate, and candidates
@@ -790,6 +934,20 @@ class TestRefutation:
         assert result.survivors == ()
         assert result.witness is None
         assert any("every profile violates" in n for n in result.notes)
+
+    def test_a_refuted_family_leaves_no_reference_cycle(self):
+        structure = build_abstract_structure()
+        # the first call fills the caches of rules and steps
+        refute_joint_common_cause(structure, THEOREM_CONTEXTS)
+        gc.collect()
+        gc.disable()
+        try:
+            result = refute_joint_common_cause(structure, THEOREM_CONTEXTS)
+            assert result.trace is not None
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_theorem_family_trace_replays_the_derivation(self):
         result = refute_joint_common_cause(
@@ -1081,6 +1239,17 @@ class TestDeterminism:
         assert report.level3_evidence
         assert any("no screening atomic spread" in n for n in report.notes)
         assert any("evidence only" in n for n in report.notes)
+
+    def test_width_40_lists_no_vector(self, scale_grade):
+        # 2^40 - 3 inconsistent vectors: a classification that listed them
+        # would not finish
+        model, ns = scale_grade.width_model(40)
+        report = classify_determinism(model, [ns])
+        assert report.level3_evidence
+        assert report.notes[0] == (
+            "n-spread at s00: 1099511627773 inconsistent vectors, no "
+            "screening atomic spread"
+        )
 
     def test_nspread_without_inconsistent_vectors_noted(self, toy):
         ns = NSpread(spreads=(toy.decay_spread,))

@@ -452,6 +452,33 @@ class TestGrading:
                 toy.model, ns
             )
 
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_box_ranks_are_the_brute_force_consistent_ranks(self, seed):
+        # a box keeps a nonempty subset of each spread's outcomes; one spread
+        # in five is a random chain spread, whose outcomes may share
+        # histories
+        rng = random.Random(seed)
+        model, pool = seeded_station_model(rng)
+        spreads = []
+        for s in rng.sample(pool, rng.randint(1, len(pool))):
+            if rng.random() < 0.2:
+                s = random_spread(model, rng, chain_share=1.0)
+            kept = tuple(o for o in s.outcomes if rng.random() < 0.7)
+            outcomes = kept or (rng.choice(s.outcomes),)
+            spreads.append(Spread(initial=s.initial, outcomes=outcomes))
+        box = NSpread(spreads=tuple(spreads))
+        inconsistent = set(brute_force_grade(model, box).inconsistent_vectors)
+        expected = [
+            rank
+            for rank, v in enumerate(enumerate_outcome_vectors(box))
+            if v not in inconsistent
+        ]
+        outs = events._nspread_record(model, box)[1]
+        every = (1 << len(model.histories)) - 1
+        assert events._box_ranks(outs, every) == expected
+        assert events._box_ranks(outs, 0) == []
+
     def test_grade_makes_no_consistency_query(self, toy, monkeypatch):
         def refuse(*args):
             raise AssertionError("consistency_grade queried is_consistent")

@@ -97,16 +97,19 @@ def test_scale_refute_prints_one_json_line_per_family_size():
 
 
 def test_scale_grade_prints_one_json_line_per_width():
-    proc = run_script("scale_grade.py", "1", "1", "2", "5")
+    proc = run_script("scale_grade.py", "1", "1", "2", "5", "17")
     assert proc.returncode == 0, proc.stderr
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [row["width"] for row in rows] == [1, 2, 5]
-    assert [row["points"] for row in rows] == [7, 10, 19]
+    assert [row["width"] for row in rows] == [1, 2, 5, 17]
+    assert [row["points"] for row in rows] == [7, 10, 19, 55]
     assert {row["histories"] for row in rows} == {3}
-    assert [row["vector_count"] for row in rows] == [2, 4, 32]
-    assert [row["inconsistent"] for row in rows] == [0, 1, 29]
-    for row in rows:
-        assert row["search_ms"] >= row["grade_ms"] >= 0
+    assert [row["vector_count"] for row in rows] == [2, 4, 32, 2**17]
+    assert [row["inconsistent"] for row in rows] == [0, 1, 29, 2**17 - 3]
+    assert all(row["search_ms"] >= 0 for row in rows)
+    # the grade lists every inconsistent vector, so it is timed only up to
+    # width 16
+    assert all(row["grade_ms"] >= 0 for row in rows[:3])
+    assert rows[3]["grade_ms"] is None
     # width 1 has no inconsistent vector to check
     assert rows[0]["check_ms"] is None
     assert all(row["check_ms"] >= 0 for row in rows[1:])

@@ -14,10 +14,12 @@ For each family size from 1 to 8 the script prints one JSON line: the
 number of families, how many of them are refuted (no surviving profile),
 the median milliseconds per call over the refuted and over the surviving
 families of that size (``null`` when there are none), the median
-milliseconds of the first calls (``first_ms``), and the median
+milliseconds of the first calls (``first_ms``), the median milliseconds
+of ``_survivors`` alone over every family (``survivors_ms``: the AND of
+the contexts' profile sets, read lowest bit first), and the median
 milliseconds of the derivation alone over the refuted families
-(``derivation_ms``, ``null`` when none is refuted), which separates the
-survivors from the trace.
+(``derivation_ms``, ``null`` when none is refuted).  The last two time
+the survivors and the trace apart.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from bstghz.ghz import (
     ALL_CONTEXTS,
     _compile,
     _derivation,
+    _survivors,
     build_abstract_structure,
     refute_joint_common_cause,
 )
@@ -47,6 +50,7 @@ def measure(repeats: int) -> list[dict]:
         families = list(itertools.combinations(ALL_CONTEXTS, size))
         refuted = 0
         first = []
+        survivors = []
         derivation = []
         for fam in families:
             t0 = time.perf_counter()
@@ -57,6 +61,10 @@ def measure(repeats: int) -> list[dict]:
                 t0 = time.perf_counter()
                 refute_joint_common_cause(structure, fam)
                 times[dead].append(time.perf_counter() - t0)
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                _survivors(fam)
+                survivors.append(time.perf_counter() - t0)
             if dead:
                 rules = _compile(fam)
                 for _ in range(repeats):
@@ -77,6 +85,7 @@ def measure(repeats: int) -> list[dict]:
                     for kind, dead in (("refuted", True), ("surviving", False))
                 },
                 "first_ms": statistics.median(first) * 1000,
+                "survivors_ms": statistics.median(survivors) * 1000,
                 "derivation_ms": (
                     statistics.median(derivation) * 1000
                     if derivation

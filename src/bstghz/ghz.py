@@ -19,11 +19,11 @@ get the document's ``ResolvedModel`` and look names up in it as in any
 other, a context's n-spread under ``nspread_name``.
 
 Three no-go results follow.  Two sign assignment searches mechanize the
-obstruction to pre-assigned values: the refutation's join finds none of
-the 64 global assignments of signs to the six station/axis pairs meeting
-the four product constraints at once, while per-context assignments
-(nothing shared between contexts) meet them comfortably, 4 of the 8
-sign triples per constraint, which is counted in closed form.
+obstruction to pre-assigned values: the AND of the profile sets of the
+four product constraints holds none of the 64 global assignments of signs
+to the six station/axis pairs, while per-context assignments (nothing
+shared between contexts) meet them comfortably, 4 of the 8 sign triples
+per constraint, which is counted in closed form.
 
 The third refutes a joint screening common cause, in the sense of the
 conditions cc1..cc3 of ``bstghz.common_cause``.
@@ -41,14 +41,13 @@ conditions: each station/axis measured has an outcome flagged consistent
 (cc2 through its stable initial), and no inconsistent vector has every
 term flagged consistent (cc3).  A station/axis measured in two contexts
 gives the same condition in both, so a profile survives a family exactly
-when it survives each of its contexts.  Each context's conditions are
-read off over the six flags it measures: they leave four settings of
-those flags, one per consistent vector.  A family's survivors are these
-settings joined across its contexts on the flags two contexts share, and
-crossed with every setting of the flags no listed context measures; a
-family is refuted as soon as the join is empty, so no set of profiles is
-built for it.  Masks give the first outcome event the most significant
-bit, so they sort in the lexicographic order of their profiles.
+when it survives each of its contexts.  Each context's conditions leave
+four settings of the six flags it measures, one per consistent vector;
+with the other six flags free they make the context's profile set, one
+bit per profile, built once.  A family's survivors are the AND of its
+contexts' sets.  Masks give the first outcome event the most significant
+bit, so the set read lowest bit first is in the lexicographic order of
+the profiles.
 
 Only a refuted family's derivation searches.  One propagation engine
 over the twelve flags (unit propagation with case splits, after Davis,
@@ -62,17 +61,19 @@ off ``inconsistent_vectors``, so the parity rule is stated only in
 reaches it and shared by every later derivation.  A closure looks for
 contradictions among every rule once, on entry, and after that only
 among the rules the last step touched.  The derivation starts from a
-consistent vector of the first listed context, records one justification
-per derived fact, splits on the first open measured event when
-saturation stalls, and lays out the facts each contradiction rests on as
-it is reached.  The paper's start x+1, x-2, x+3 is preferred, so the
-xxx/xxy/xyy/xyx family replays Mermin's derivation step for step.
+consistent vector of the first listed context, records per derived flag
+one fact, its step and the mask of the flags it rests on, splits on the
+first open measured event when saturation stalls, and lays out the facts
+each contradiction rests on as it is reached.  The paper's start x+1,
+x-2, x+3 is preferred, so the xxx/xxy/xyy/xyx family replays Mermin's
+derivation step for step.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import re
 from math import prod
 from typing import Iterable, Sequence
 
@@ -305,28 +306,31 @@ def value_assignment_search(
     Each constraint demands that the product of the three signs the
     assignment gives to (station i, context axis at i) equals the target.
     The satisfying ones, as the outcome flags of their signs, are the
-    :func:`_join` of a row per constraint, its context's vectors with the
-    target product, and one per station/axis, allowing either outcome.
+    :func:`_common` masks of a row per constraint, its context's vectors
+    with the target product, and one per station/axis, either outcome
+    alone.  A minus sign's flag is the higher, so masks fall as signs rise.
     """
     constraints = tuple((ctx, t) for ctx, t in constraints)
     rows = []
     for ctx, target in constraints:
         _require_known(ctx)
-        rows.append((_context_settings(ctx)[0], [
+        vectors = context_vectors(ctx)
+        rows.append((sum(_PAIR[_BIT[n]] for n in vectors[0].outcome_names), [
             sum(_BIT[n] for n in v.outcome_names)
-            for v in context_vectors(ctx) if prod(v.signs) == target
+            for v in vectors if prod(v.signs) == target
         ]))
     keys = ValueSearchResult.assignment_keys()
     plus = [_BIT[outcome_name(i, a, 1)] for i, a in keys]
     rows += [(_PAIR[b], (_PAIR[b] ^ b, b)) for b in plus]
-    witnesses = sorted(
-        tuple(SIGNS[bool(m & b)] for b in plus) for m in _join(rows)[1]
+    masks = _common(_profile_set(*row) for row in rows)
+    witnesses = tuple(
+        tuple(SIGNS[bool(m & b)] for b in plus) for m in reversed(masks)
     )
     return ValueSearchResult(
         constraints=constraints,
         total=2 ** len(keys),
         satisfying=len(witnesses),
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
     )
 
 
@@ -413,17 +417,6 @@ class ReductioTrace(_Record):
     __slots__ = ("steps", "complete")
 
 
-class _Fact:
-    """A trace step and the facts it was derived from, compared by
-    identity."""
-
-    __slots__ = ("step", "premises")
-
-    def __init__(self, step: TraceStep, premises: tuple[_Fact, ...] = ()):
-        self.step = step
-        self.premises = premises
-
-
 # The paper's start, x+1, x-2, x+3: preferred whenever it is a candidate.
 _PREFERRED_START = GhzVector(context=("x", "x", "x"), signs=(1, -1, 1))
 # The first event gets the most significant bit, so integer order on masks
@@ -433,6 +426,7 @@ _BIT = {
     for k, n in enumerate(OUTCOME_EVENT_ORDER)
 }
 _ALL_FLAGS = (1 << len(OUTCOME_EVENT_ORDER)) - 1
+_ALL_PROFILES = (1 << _ALL_FLAGS + 1) - 1  # bit t: the profile with mask t
 # Per flag, the outcome mask of its station/axis.
 _PAIR = {
     _BIT[outcome_name(i, a, s)]: _BIT[outcome_name(i, a, -1)]
@@ -445,24 +439,15 @@ _IS = "the candidate outcome is "
 # measured station/axis: (context label, stable name, minus bit, plus
 # bit).  A family keeps each stable as first listed, keyed by its outcome
 # mask.  The trace steps a rule can produce are built by the cached
-# builders below when a derivation first reaches them.
+# builders below when a derivation first reaches them.  A fact, per flag
+# in ``why``: a step and its premise mask, the flags whose facts it uses.
 _Screen = tuple[str, str, int]
 _Stable = tuple[str, str, int, int]
+_Why = dict[int, tuple[TraceStep, int]]
 
 
 def _name(bit: int) -> str:
     return OUTCOME_EVENT_ORDER[-bit.bit_length()]
-
-
-def _fact(why: dict[int, _Fact], mask: int, step: TraceStep) -> _Fact:
-    """``step`` resting on the facts of the flags in ``mask``, most
-    significant first."""
-    premises = []
-    while mask:
-        bit = 1 << mask.bit_length() - 1
-        premises.append(why[bit])
-        mask ^= bit
-    return _Fact(step, tuple(premises))
 
 
 @functools.cache
@@ -537,8 +522,8 @@ def _close(
     stables: dict[int, _Stable],
     t: int,
     f: int,
-    why: dict[int, _Fact],
-) -> tuple[int, int, _Fact | bool]:
+    why: _Why,
+) -> tuple[int, int, tuple[TraceStep, int] | bool]:
     """Saturate t (flagged consistent) and f (flagged inconsistent),
     given disjoint.
 
@@ -553,20 +538,18 @@ def _close(
     sweep starts over.  Only screening can then make a contradiction, at
     the stable holding its flag: a screen lacking just a settled flag
     would have screened that flag first.  Each derived flag's fact is
-    recorded in ``why``; its step is built when a derivation first
-    reaches it and shared after that.  Returns the flags and the
-    contradiction's fact, False if none.
+    recorded in ``why`` as its step and its premise mask, the flags the
+    step rests on, whose own facts ``why`` holds; its step is built when
+    a derivation first reaches it and shared after that.  Returns the
+    flags and the contradiction's fact, False if none.
     """
     for label, detail, m in screens:
         if t & m == m:
-            clash = TraceStep(
-                "contradiction", label, detail,
-                "every term of an inconsistent vector came out consistent",
-            )
-            return t, f, _fact(why, m, clash)
+            clash = "every term of an inconsistent vector came out consistent"
+            return t, f, (TraceStep("contradiction", label, detail, clash), m)
     for pair, stable in stables.items():
         if f & pair == pair:
-            return t, f, _fact(why, pair, _both_inconsistent(stable))
+            return t, f, (_both_inconsistent(stable), pair)
     while True:
         for label, detail, m in screens:
             if m & f:
@@ -574,24 +557,20 @@ def _close(
             rest = m & ~t
             if rest & (rest - 1) == 0:
                 f |= rest
-                step = _screening(label, detail, rest)
-                why[rest] = _fact(why, m & ~rest, step)
+                why[rest] = (_screening(label, detail, rest), m & ~rest)
                 pair = _PAIR[rest]
                 if f & pair == pair:
-                    step = _both_inconsistent(stables[pair])
-                    return t, f, _fact(why, pair, step)
+                    return t, f, (_both_inconsistent(stables[pair]), pair)
         for pair, stable in stables.items():
             settled = pair & ~f
             if settled != pair and not t & settled:
                 t |= settled
-                step = _settling(stable, settled)
-                why[settled] = _fact(why, pair & f, step)
+                why[settled] = (_settling(stable, settled), pair & f)
                 break
         else:
             return t, f, False
 
 
-@functools.cache
 def _context_settings(ctx: Context) -> tuple[int, tuple[int, ...]]:
     """One context's measured flags, and the settings of them that meet
     its survival conditions: every stable has an outcome flagged
@@ -607,36 +586,48 @@ def _context_settings(ctx: Context) -> tuple[int, tuple[int, ...]]:
     )
 
 
-def _join(rows: Iterable[tuple[int, Sequence[int]]]) -> tuple[int, list[int]]:
-    """The flags the rows measure and the settings of them all rows allow.
+def _profile_set(measured: int, settings: Iterable[int]) -> int:
+    """The profiles setting the ``measured`` flags as one of the distinct
+    ``settings``, as a set: bit t is the profile with flag mask t.  The set
+    is built by one shift per free flag.  It has 2^12 bits because the
+    scenario has 12 flags; with n stations it would have 2^(4n), so ROADMAP
+    item 6 must decide families by elimination, not by these sets."""
+    profiles = sum(1 << s for s in settings)
+    free = _ALL_FLAGS & ~measured
+    while free:
+        bit = free & -free
+        profiles |= profiles << bit
+        free ^= bit
+    return profiles
 
-    A row is the flags it measures and its allowed settings of them.  Rows
-    are merged one at a time, each kept setting joined with the row's
-    settings that agree with it on the flags both measure; the join is
-    empty as soon as a row matches none, and later rows are not read."""
-    measured, settings = 0, [0]
-    for flags, allowed in rows:
-        shared = measured & flags
-        measured |= flags
-        settings = [
-            s | r for s in settings for r in allowed if not (s ^ r) & shared
-        ]
-        if not settings:
-            break
-    return measured, settings
+
+@functools.cache
+def _context_profiles(ctx: Context) -> int:
+    """The profiles surviving ``ctx``, as a :func:`_profile_set`."""
+    return _profile_set(*_context_settings(ctx))
+
+
+def _common(sets: Iterable[int]) -> list[int]:
+    """The masks of the profiles in every one of ``sets``, in increasing
+    order: their AND, read lowest bit first, by one scan of its binary
+    digits when more than 32 are set, else bit by bit."""
+    profiles = _ALL_PROFILES
+    for s in sets:
+        profiles &= s
+    if profiles.bit_count() > 32:
+        return [m.start() for m in re.finditer("1", bin(profiles)[:1:-1])]
+    masks, t = [], -1
+    while profiles:
+        step = (profiles & -profiles).bit_length()
+        masks.append(t := t + step)
+        profiles >>= step
+    return masks
 
 
 def _survivors(contexts: Sequence[Context]) -> list[int]:
-    """The full masks surviving every listed context, in increasing order:
-    the :func:`_join` of the contexts' settings, each joint setting
-    crossed with every setting of the flags no listed context measures.
-    A refuted family stops at the first context that leaves no setting."""
-    measured, settings = _join(map(_context_settings, contexts))
-    free = _ALL_FLAGS & ~measured
-    subs = [free]
-    while subs[-1]:
-        subs.append((subs[-1] - 1) & free)
-    return sorted([s | sub for s in settings for sub in subs])
+    """The full masks surviving every listed context, in increasing order,
+    so in profile order: the :func:`_common` masks of the contexts' sets."""
+    return _common(map(_context_profiles, contexts))
 
 
 @functools.cache
@@ -656,15 +647,24 @@ def _case_steps(label: str, bit: int) -> tuple[TraceStep, TraceStep]:
     )  # type: ignore[return-value]
 
 
-def _visit(fact: _Fact, shown: frozenset[_Fact], steps: list[_Fact]) -> None:
-    """Append to ``steps`` the facts ``fact`` rests on, each after its
-    premises, premises visited last first, leaving out those in ``shown``
-    or already in ``steps``.  A module-level function, not a closure
-    over ``steps``, so a derivation leaves no reference cycle behind."""
-    if fact not in shown and fact not in steps:
-        for premise in reversed(fact.premises):
-            _visit(premise, shown, steps)
-        steps.append(fact)
+def _visit(
+    fact: tuple[TraceStep, int], why: _Why, shown: set[int],
+    steps: list[TraceStep],
+) -> None:
+    """Append to ``steps`` the step of ``fact`` after those of its
+    premises, each after its own, leaving out the facts whose ids are in
+    ``shown`` and adding the ids of those it visits.  Premises are the
+    facts ``why`` holds for the premise mask's flags, lowest bit first.  A
+    module-level function, not a closure over ``steps``, so a derivation
+    leaves no reference cycle behind."""
+    step, mask = fact
+    while mask:
+        bit = mask & -mask
+        if id(why[bit]) not in shown:
+            shown.add(id(why[bit]))
+            _visit(why[bit], why, shown, steps)
+        mask ^= bit
+    steps.append(step)
 
 
 def _derive(
@@ -672,30 +672,31 @@ def _derive(
     stables: dict[int, _Stable],
     t: int,
     f: int,
-    why: dict[int, _Fact],
-    shown: frozenset[_Fact],
-) -> list[_Fact]:
-    """The steps of a closed derivation, leaving out the facts in ``shown``.
+    why: _Why,
+    shown: frozenset[int],
+) -> list[TraceStep]:
+    """The steps of a closed derivation, less the facts with ids in ``shown``.
 
-    On a contradiction: the facts it rests on, each after its premises,
-    premises visited last first.  When saturation stalls: a split on the
-    first open measured event, each case ("inconsistent" first) followed
-    by the steps of its branch.  On a refuted family every branch closes.
+    On a contradiction: the steps of the facts it rests on, each after
+    its premises, premises visited lowest bit first, each fact once.
+    When saturation stalls: a split on the first open measured event,
+    each case ("inconsistent" first) followed by the steps of its branch.
+    On a refuted family every branch closes.
     """
     t, f, clash = _close(screens, stables, t, f, why)
-    steps: list[_Fact] = []
+    steps: list[TraceStep] = []
     if clash:
-        _visit(clash, shown, steps)
+        _visit(clash, why, set(shown), steps)
         return steps
     open_ = sum(stables) & ~(t | f)
     bit = 1 << open_.bit_length() - 1
     label = next(stable[0] for pair, stable in stables.items() if pair & bit)
     for step, t_bit, f_bit in zip(_case_steps(label, bit), (0, bit), (bit, 0)):
-        case = _Fact(step)
-        steps.append(case)
+        case = (step, 0)
+        steps.append(step)
         steps += _derive(
             screens, stables, t | t_bit, f | f_bit, {**why, bit: case},
-            shown | {case},
+            shown | {id(case)},
         )
     return steps
 
@@ -722,12 +723,11 @@ def _derivation(
     """Derive the contradiction from a consistent vector of the first
     listed context, the paper's start when it is one."""
     step, flags = _start(contexts[0])
-    fact = _Fact(step)
+    fact = (step, 0)
     why = dict.fromkeys(flags, fact)
-    steps = [fact] + _derive(
-        screens, stables, sum(flags), 0, why, frozenset({fact})
-    )
-    return ReductioTrace(steps=tuple(n.step for n in steps), complete=True)
+    shown = frozenset({id(fact)})
+    steps = _derive(screens, stables, sum(flags), 0, why, shown)
+    return ReductioTrace((step, *steps), True)
 
 
 class RefutationResult(_Record):

@@ -50,9 +50,9 @@ from bstghz.ghz import (
     _BIT,
     _close,
     _compile,
+    _context_profiles,
     _context_settings,
     _survivors,
-    _Fact,
     _profile,
     build_abstract_structure,
     build_concrete_model,
@@ -876,6 +876,18 @@ class TestProfiles:
                 {_BIT[n] for v in context_vectors(ctx) for n in v.outcome_names}
             )
 
+    def test_a_context_profile_set_is_its_brute_force_survivors(self):
+        for ctx in ALL_CONTEXTS:
+            oracle = brute_force_survivors(
+                OUTCOME_EVENT_ORDER, family_groups([ctx])
+            )
+            masks = [
+                sum(b for b, flag in zip(_BIT.values(), flags) if flag)
+                for flags in oracle
+            ]
+            assert len(masks) == 256
+            assert _context_profiles(ctx) == sum(1 << m for m in masks), ctx
+
     def test_both_outcomes_flagged_survive_a_context_without_screens(
         self, monkeypatch
     ):
@@ -1061,9 +1073,16 @@ def flagged(*names):
 
 
 def given_facts(*names):
-    """A ``why`` holding a given fact for each starting flag."""
-    fact = _Fact(TraceStep("cc2-existence", "xxx", "given", "given"))
+    """A ``why`` holding a given fact, a step with no premises, for each
+    starting flag."""
+    fact = (TraceStep("cc2-existence", "xxx", "given", "given"), 0)
     return {_BIT[n]: fact for n in names}
+
+
+def premises(fact, why):
+    """The facts ``why`` holds for a fact's premise mask, most significant
+    bit first."""
+    return tuple(why[b] for b in _BIT.values() if fact[1] & b)
 
 
 class TestPropagation:
@@ -1076,13 +1095,13 @@ class TestPropagation:
         t = flagged("x-1", "x-2", "x+3")
         why = given_facts("x-1", "x-2", "x+3")
         clash = _close(screens, stables, t, 0, why)[2]
-        assert clash.step == TraceStep(
+        assert clash[0] == TraceStep(
             "contradiction",
             "xxx",
             "inconsistent vector xxx:--+",
             "every term of an inconsistent vector came out consistent",
         )
-        assert clash.premises == (why[_BIT["x-1"]],) * 3
+        assert premises(clash, why) == (why[_BIT["x-1"]],) * 3
 
     def test_settling_and_screening_are_forced_steps(self):
         screens, stables = _compile([("x", "x", "y")])
@@ -1098,9 +1117,14 @@ class TestPropagation:
         )
 
 
-def unfold(fact):
-    """A fact as nested (step, premises), comparable across engines."""
-    return (fact.step, tuple(map(unfold, fact.premises)))
+def unfold(fact, why):
+    """A fact as nested (step, premises), comparable across engines: the
+    oracle's facts hold their premises, a premise mask resolves through
+    ``why``, most significant bit first."""
+    step, held = fact
+    if isinstance(held, int):
+        held = premises(fact, why)
+    return (step, tuple(unfold(p, why) for p in held))
 
 
 @settings(deadline=None, max_examples=300)
@@ -1118,7 +1142,7 @@ def test_close_agrees_with_the_full_rescan(contexts, states):
     t = sum(b for b, s in zip(_BIT.values(), states) if s is True)
     f = sum(b for b, s in zip(_BIT.values(), states) if s is False)
     given = {
-        b: _Fact(TraceStep("cc2-existence", "xxx", "given", name))
+        b: (TraceStep("cc2-existence", "xxx", "given", name), 0)
         for name, b in _BIT.items()
         if b & (t | f)
     }
@@ -1126,9 +1150,11 @@ def test_close_agrees_with_the_full_rescan(contexts, states):
     t1, f1, clash = _close(*_compile(contexts), t, f, why)
     t2, f2, oracle_clash = rescan_close(contexts, t, f, oracle_why)
     assert (t1, f1) == (t2, f2)
-    assert (clash and unfold(clash)) == (oracle_clash and unfold(oracle_clash))
-    assert {b: unfold(x) for b, x in why.items()} == {
-        b: unfold(x) for b, x in oracle_why.items()
+    assert (clash and unfold(clash, why)) == (
+        oracle_clash and unfold(oracle_clash, oracle_why)
+    )
+    assert {b: unfold(x, why) for b, x in why.items()} == {
+        b: unfold(x, oracle_why) for b, x in oracle_why.items()
     }
 
 

@@ -330,6 +330,7 @@ class TestValueSearch:
                         for c, t in sub
                     )
                 assert hits == brute_force_value_search(sub).satisfying
+                assert hits == value_assignment_search(sub).satisfying
 
     def test_one_shot_iterable(self):
         res = value_assignment_search(c for c in OMEGA_CONSTRAINTS)

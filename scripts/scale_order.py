@@ -14,7 +14,9 @@ point per history joining a leaf of every station; the terminals take
 distinct leaf triples, every leaf is used, and the prior-choice check
 passes.  The past and the trees hold 245 points, so 256 histories give
 the 501-point model.  For each size the script prints one JSON line:
-the point and history counts, the prior-choice status, and the seconds
+the point, history and branching-point counts (``model.branching``,
+whose points are the only ones ``check_prior_choice`` visits; the
+maximal points count among them), the prior-choice status, and the seconds
 spent in ``build_model``, in the first read of ``model.history_bits``,
 in ``check_prior_choice`` and in ``check_density``, each timed once with
 ``time.perf_counter``.  ``build_model`` fills the histories and
@@ -84,6 +86,7 @@ def measure(histories: int) -> dict:
     return {
         "points": len(model.points),
         "histories": len(model.histories),
+        "branching": model.branching.bit_count(),
         "prior_choice": prior.status,
         "build_model_s": t1 - t0,
         "history_bits_s": t2 - t1,

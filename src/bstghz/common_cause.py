@@ -20,14 +20,15 @@ its outcomes' overlapping masks, are read from its spread's entry
 n-spread's come from its record in ``events``.  Witness lines are worded
 only for a report: cc1 and cc2 when the condition fails, cc3 per outcome
 of sigma.  The cc1 witnesses come from the point masks of the n-spread's
-outcomes, which its record in ``events`` keeps, by the walk that words
+outcomes, which its screening masks keep, by the walk that words
 condition (i) of a spread (``events._precedence_gaps``): a repeated
 check builds no point mask.  The search (``search_common_causes``) reads
 the verdicts alone, each atomic candidate's masks from its spread's
 entry.  Each n-spread's screening masks are memoised once its
-preconditions pass.  Those extend the n-spread's record in ``events``,
-whose per-outcome maps give the checker and the search a vector's term
-masks by one lookup per term, once per check.
+preconditions pass.  Those extend the n-spread's record in ``events``
+with its outcomes' point masks and per spread a map from outcome to
+overlapping mask, which gives the checker and the search a vector's
+term masks by one lookup per term, once per check.
 
 Against every inconsistent vector of an n-spread the search lists none
 (``_search_every_vector``, which ``check-cc --search`` and
@@ -63,6 +64,7 @@ from .events import (
     is_spacelike,
     validate_spread,
     _box_ranks,
+    _event_masks,
     _nspread_record,
     _precedence_gaps,
     _one_consistent,
@@ -103,8 +105,8 @@ _CCMasks = tuple[
 
 def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> _CCMasks:
     """Check that ``ns`` is space-like and 1-consistent; return its
-    screening masks, all but the union of its outcome points read from
-    its record.
+    screening masks, built from its record in ``events`` and its
+    outcomes' event records.
 
     A pass is memoised on the model, keyed by the n-spread; a failing
     n-spread raises on every call.
@@ -117,7 +119,15 @@ def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> _CCMasks:
         # is_spacelike validated the spreads and found the initials consistent
         if not _one_consistent(model, ns):
             raise PreconditionFailed("the n-spread is not 1-consistent")
-        hist, _, by_outcome, points = _nspread_record(model, ns)
+        hist, outs = _nspread_record(model, ns)
+        by_outcome = tuple(
+            dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
+        )
+        points = tuple(
+            (o, _event_masks(model, o, "outcome")[0])
+            for s in ns.spreads
+            for o in s.outcomes
+        )
         pts = functools.reduce(operator.or_, (m for _, m in points))
         masks = model.memo[key] = (pts, hist, by_outcome, points)
     return masks

@@ -8,7 +8,12 @@ Dumps are canonical (sorted keys, two-space indent, trailing newline) so
 identical documents serialize to identical bytes.
 
 Parsing and resolving check the document in document order and report
-the first offender; each check words its message only when it fails.
+the first offender.  The JSON decoder, with its duplicate-key hook, is
+built once, at import.  Inputs are tested in bulk where a bulk test is
+one step (the items of a list are strings, a repeated event member, the
+points of an event are declared) or looked up directly (the events of a
+spread, the spreads of an n-spread); only when such a test fails does a
+walk in document order word the error for the first offender.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ def _string_list(raw: Any, where: str, *names: str) -> tuple[str, ...]:
     """``raw`` as strings; the error names it ``where.format(*names)``."""
     if not isinstance(raw, list):
         raise ParseError(f"{where.format(*names)} must be a list")
-    if not all(isinstance(item, str) for item in raw):
+    if not all(map(str.__instancecheck__, raw)):
         raise ParseError(f"{where.format(*names)} must contain strings")
     return tuple(raw)
 
@@ -69,9 +74,23 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_document(text: str) -> ModelDocument:
+    """The document in the JSON text ``text``.
+
+    ``text`` is a ``str``, as every caller passes: the module's decoder,
+    built once, takes no bytes.  Raises :class:`ParseError` naming the
+    first offender.
+    """
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):
+            # json.loads refuses a leading byte order mark in these words
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        raw = _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -99,7 +118,7 @@ def parse_document(text: str) -> ModelDocument:
     events: dict[str, tuple[str, ...]] = {}
     for name, members in _object(raw["events"], "events").items():
         listed = _string_list(members, "event {!r}", name)
-        if len(set(listed)) < len(listed):
+        if len(listed) > 1 and len(set(listed)) < len(listed):
             repeat = _first_repeat(listed)
             raise ParseError(f"event {name!r} lists {repeat!r} twice")
         events[name] = listed
@@ -143,18 +162,20 @@ def dump_document(doc: ModelDocument) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _check_references(
+def _undeclared(
     names: Iterable[str],
     table: Mapping[str, Any],
     owner: str,
     name: str,
     kind: str,
-) -> None:
+) -> UnknownReference:
+    """The error naming the first of ``names`` missing from ``table``."""
     for n in names:
         if n not in table:
-            raise UnknownReference(
+            return UnknownReference(
                 f"{owner} {name!r} references undeclared {kind} {n!r}"
             )
+    raise AssertionError("no undeclared reference")
 
 
 def resolve_document(doc: ModelDocument) -> ResolvedModel:
@@ -165,24 +186,33 @@ def resolve_document(doc: ModelDocument) -> ResolvedModel:
     spread; model construction errors propagate as themselves.
     """
     model = build_model(doc.points, doc.order)
+    declared = model.index.keys()
     events: dict[str, Event] = {}
     for name, members in doc.events.items():
-        _check_references(members, model.index, "event", name, "point")
-        events[name] = Event(name=name, members=frozenset(members))
+        points = frozenset(members)
+        if not declared >= points:
+            raise _undeclared(members, model.index, "event", name, "point")
+        events[name] = Event(name, points)
 
     spreads: dict[str, Spread] = {}
     for name, body in doc.spreads.items():
-        _check_references((body.initial,), events, "spread", name, "event")
-        _check_references(body.outcomes, events, "spread", name, "event")
-        spreads[name] = Spread(
-            initial=events[body.initial],
-            outcomes=tuple(map(events.__getitem__, body.outcomes)),
-        )
+        try:
+            initial = events[body.initial]
+            outcomes = tuple(map(events.__getitem__, body.outcomes))
+        except KeyError:
+            raise _undeclared(
+                (body.initial, *body.outcomes), events, "spread", name, "event"
+            ) from None
+        spreads[name] = Spread(initial, outcomes)
 
     nspreads: dict[str, NSpread] = {}
     for name, members in doc.nspreads.items():
-        _check_references(members, spreads, "nspread", name, "spread")
-        nspreads[name] = NSpread(tuple(map(spreads.__getitem__, members)))
+        try:
+            terms = tuple(map(spreads.__getitem__, members))
+        except KeyError:
+            raise _undeclared(
+                members, spreads, "nspread", name, "spread"
+            ) from None
+        nspreads[name] = NSpread(terms)
 
     return ResolvedModel(model, events, spreads, nspreads)
-

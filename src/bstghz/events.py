@@ -43,8 +43,8 @@ overlapping masks and a flag that ``validate_spread`` sets on a pass,
 which ``_require_valid`` reads; an entry built for a spread that was
 never validated serves the mask readers and leaves the flag unset.
 Each n-spread's record of masks is memoised as well (``_nspread_record``:
-the AND of its initials' containing masks, its outcomes' overlapping
-and point masks, and per spread a map from outcome to mask); no entry
+the AND of its initials' containing masks and its outcomes' overlapping
+masks; the common-cause layer adds what only it reads); no entry
 is kept for a read that raised, and an entry never stands in for a
 validation, so an unknown point, a misclassified event or an invalid
 spread raises every time.
@@ -277,8 +277,12 @@ def _event_masks(
 
 
 def _above(model: CausalModel, event: Event) -> int:
-    """The points strictly above every point of the initial ``event``."""
-    lower = bit_indices(_event_masks(model, event, "initial")[0])
+    """The points strictly above every point of the initial ``event``;
+    for a one-point initial, that point's ``up`` mask."""
+    points = _event_masks(model, event, "initial")[0]
+    if not points & (points - 1):
+        return model.up[points.bit_length() - 1]
+    lower = bit_indices(points)
     return functools.reduce(operator.and_, (model.up[i] for i in lower))
 
 
@@ -431,22 +435,15 @@ def _spread_record(
 
 def _nspread_record(
     model: CausalModel, ns: NSpread
-) -> tuple[
-    int,
-    tuple[tuple[int, ...], ...],
-    tuple[dict[Event, int], ...],
-    tuple[tuple[Event, int], ...],
-]:
-    """The n-spread's masks: the histories containing every initial, per
-    spread the histories overlapping each of its outcomes in declared
-    order, per spread a map from each outcome to that mask, and each
-    outcome with its point mask, in spread and outcome order.
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The n-spread's masks: the histories containing every initial, and
+    per spread the histories overlapping each of its outcomes in
+    declared order.
 
     Read from the records :func:`_event_masks` memoises, each once, and
     memoised on the model, keyed by the n-spread, once every one of them
     was read without raising: an n-spread with a misclassified event
-    raises on every call.  The maps turn an outcome vector into its
-    terms' masks with one lookup per term.
+    raises on every call.
     """
     memo = model.memo
     record = memo.get(ns)
@@ -455,26 +452,17 @@ def _nspread_record(
             operator.and_,
             (_event_masks(model, s.initial, "initial")[1] for s in ns.spreads),
         )
-        records = [
-            [_event_masks(model, o, "outcome") for o in s.outcomes]
+        outs = tuple(
+            tuple([_event_masks(model, o, "outcome")[2] for o in s.outcomes])
             for s in ns.spreads
-        ]
-        outs = tuple(tuple(r[2] for r in rs) for rs in records)
-        by_outcome = tuple(
-            dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
         )
-        points = tuple(
-            (o, r[0])
-            for s, rs in zip(ns.spreads, records)
-            for o, r in zip(s.outcomes, rs)
-        )
-        record = memo[ns] = (hist, outs, by_outcome, points)
+        record = memo[ns] = (hist, outs)
     return record
 
 
 def _one_consistent(model: CausalModel, ns: NSpread) -> bool:
     """Each outcome of each spread is consistent with all the initials."""
-    hist, outs = _nspread_record(model, ns)[:2]
+    hist, outs = _nspread_record(model, ns)
     return all(hist & m for ms in outs for m in ms)
 
 
@@ -519,7 +507,7 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     ``RuntimeError``, also under ``python -O``.
     """
     _require_valid(model, ns.spreads)
-    hist, outs = _nspread_record(model, ns)[:2]
+    hist, outs = _nspread_record(model, ns)
     minimal = hist != 0
     one = minimal and all(hist & m for ms in outs for m in ms)
     count = math.prod(map(len, outs))

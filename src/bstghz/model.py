@@ -25,6 +25,14 @@ Consistency questions are answered from one bitmask per point,
 ``build_model`` fills both in its pass back over the topological order:
 a maximal point has its own history bit (the maxima are numbered in
 index order), and any other point's mask is the OR of its successors'.
+The same pass marks the *branching* points, ``branching``: those with
+no successor whose history mask equals their own, so no cover lies in
+every history through them (a maximal point branches vacuously).  A
+choice point of two histories is a maximal point of their intersection;
+the intersection is down-closed, so a member is maximal in it exactly
+when no cover of it is in it, and a point with a cover in all its
+histories is never one.  ``check_prior_choice`` therefore looks for
+choice points among the branching members of an intersection only.
 ``memo`` holds the derived results of the layers above (event masks,
 passed role checks, candidate spreads), so they live and die with the
 model.
@@ -189,13 +197,16 @@ class CausalModel(_Record):
     directed subsets, the principal down-sets of the maximal points in
     index order, and ``history_bits`` maps each point to the histories
     containing it as a mask: bit k stands for ``histories[k]``.
-    Instances are built through :func:`build_model` and treated as
-    immutable; identity comparison is intentional.
+    ``branching`` is the mask of the points none of whose covers lies
+    in every history containing the point, the maximal points included;
+    every choice point of two histories is among them.  Instances are
+    built through :func:`build_model` and treated as immutable; identity
+    comparison is intentional.
     """
 
     __slots__ = (
         "points", "index", "up", "down", "cover", "histories",
-        "history_bits", "__dict__",
+        "history_bits", "branching", "__dict__",
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -245,41 +256,43 @@ def build_model(
 
     The supplied pairs may be any generating set; the transitive closure is
     computed here, as bitsets, in one pass over a topological order for
-    the predecessors and one pass back for the successors, the covers
-    and the histories containing each point.
+    the predecessors and one pass back for the successors, the covers,
+    the histories containing each point and the branching points.
     Raises :class:`EmptyModel`, :class:`UnknownPoint` for a pair
-    mentioning an undeclared id, :class:`CycleDetected` naming the first
-    point, in input order, that lies on a cycle, and ``ValueError`` for
-    duplicate or empty point labels.
+    mentioning an undeclared id (the lower one when both are),
+    :class:`CycleDetected` naming the first point, in input order, that
+    lies on a cycle, and ``ValueError`` for duplicate or empty point
+    labels.  The ids are tested in bulk, the repeats and the blank on
+    the index; when a test fails, one walk in input order names the
+    first offender.
     """
     pts = list(points)
     if not pts:
         raise EmptyModel("a model needs at least one point event")
-    seen: set[PointEventId] = set()
-    for p in pts:
-        if not isinstance(p, str) or not p:
-            raise ValueError(f"point ids must be nonempty strings, got {p!r}")
-        if p in seen:
-            raise ValueError(f"duplicate point id: {p!r}")
-        seen.add(p)
-
+    if not all(map(str.__instancecheck__, pts)):
+        raise _bad_point_id(pts)
     ordered = tuple(sorted(pts))
     index = {p: i for i, p in enumerate(ordered)}
+    if len(index) < len(pts) or "" in index:
+        raise _bad_point_id(pts)
+
+    n = len(ordered)
     succ: list[set[int]] = [set() for _ in ordered]
+    indegree = [0] * n
     for a, b in order_pairs:
-        if a not in index:
-            raise UnknownPoint(f"unknown point id in order pair: {a!r}")
-        if b not in index:
-            raise UnknownPoint(f"unknown point id in order pair: {b!r}")
-        succ[index[a]].add(index[b])
+        try:
+            after, j = succ[index[a]], index[b]
+        except KeyError:
+            p = a if a not in index else b
+            raise UnknownPoint(
+                f"unknown point id in order pair: {p!r}"
+            ) from None
+        if j not in after:
+            after.add(j)
+            indegree[j] += 1
 
     # Sources first (Kahn): a point's predecessors are final when its last
     # incoming pair is taken, and it passes them on with itself.
-    n = len(ordered)
-    indegree = [0] * n
-    for s in succ:
-        for j in s:
-            indegree[j] += 1
     down = [0] * n
     topo = [i for i in range(n) if not indegree[i]]
     for i in topo:
@@ -295,10 +308,14 @@ def build_model(
 
     # Sinks first: the k-th maximal point tops history k and lies in it
     # alone; every other point lies in the histories of its successors.
+    # A point branches unless some successor lies in all its histories;
+    # when one does, so does a cover below it, so testing the supplied
+    # successors tests the covers.
     tops = [i for i, s in enumerate(succ) if not s]
     up = [0] * n
     cover = [0] * n
     reach = [0] * n
+    branching = 0
     for k, i in enumerate(tops):
         reach[i] = 1 << k
     for i in reversed(topo):
@@ -311,12 +328,30 @@ def build_model(
         up[i] = direct | beyond
         cover[i] = direct & ~beyond
         reach[i] = hist
+        for j in succ[i]:
+            if reach[j] == hist:
+                break
+        else:
+            branching |= 1 << i
 
     histories = tuple(History(ordered[i], down[i] | 1 << i) for i in tops)
     return CausalModel(
         ordered, index, tuple(up), tuple(down), tuple(cover), histories,
-        dict(zip(ordered, reach)),
+        dict(zip(ordered, reach)), branching,
     )
+
+
+def _bad_point_id(pts: list[Any]) -> ValueError:
+    """The error naming the first point id, in input order, that is not a
+    nonempty string or repeats an earlier one."""
+    seen: set[PointEventId] = set()
+    for p in pts:
+        if not isinstance(p, str) or not p:
+            return ValueError(f"point ids must be nonempty strings, got {p!r}")
+        if p in seen:
+            return ValueError(f"duplicate point id: {p!r}")
+        seen.add(p)
+    raise AssertionError("no bad point id")
 
 
 def _first_on_cycle(
@@ -399,11 +434,17 @@ def check_prior_choice(model: CausalModel) -> ValidationReport:
     The choice points of a pair are the maxima of ``I = h1 & h2``, and
     the points they precede are the OR of their ``up`` masks; both depend
     on ``I`` alone, so they are computed once per distinct intersection.
-    The points of h1 - h2 outside that OR are the violations, named in
+    ``I`` is down-closed, so a member c is maximal in it exactly when
+    ``cover[c] & I`` is empty, and a point with a cover in all its
+    histories is never maximal in it: the maxima are found among the
+    members of ``I & model.branching`` by one cover test each.  The
+    points of h1 - h2 outside that OR are the violations, named in
     sorted order straight from their mask.
     """
     violations: list[str] = []
-    hs = model.histories
+    hs, up, cover, branching = (
+        model.histories, model.up, model.cover, model.branching
+    )
     preceded: dict[int, int] = {}
     for h1 in hs:
         for h2 in hs:
@@ -413,8 +454,9 @@ def check_prior_choice(model: CausalModel) -> ValidationReport:
             above = preceded.get(common)
             if above is None:
                 above = 0
-                for c in bit_indices(model.maximal(common)):
-                    above |= model.up[c]
+                for c in bit_indices(common & branching):
+                    if not cover[c] & common:
+                        above |= up[c]
                 preceded[common] = above
             bad = h1.mask & ~h2.mask & ~above
             if bad:

@@ -32,15 +32,25 @@ def toy():
     return build_toy_decay()
 
 
-@pytest.fixture(scope="session")
-def scale_grade():
-    """``scripts/scale_grade.py`` as a module, for its width models."""
-    root = Path(__file__).resolve().parent.parent
-    path = root / "scripts" / "scale_grade.py"
-    spec = importlib.util.spec_from_file_location("scale_grade", path)
+def _script(name: str):
+    """``scripts/<name>.py`` loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def scale_grade():
+    """``scripts/scale_grade.py`` as a module, for its width models."""
+    return _script("scale_grade")
+
+
+@pytest.fixture(scope="session")
+def scale_order():
+    """``scripts/scale_order.py`` as a module, for its layered orders."""
+    return _script("scale_order")
 
 
 @st.composite

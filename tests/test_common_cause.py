@@ -586,7 +586,10 @@ class TestChecker:
             )
             # the screening masks as _require_cc_preconditions keeps them,
             # built without its checks
-            hist, _, by_outcome, _ = events._nspread_record(m, ns)
+            hist, outs = events._nspread_record(m, ns)
+            by_outcome = tuple(
+                dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
+            )
             points = tuple(
                 (o, m.mask(o.members)) for s in ns.spreads for o in s.outcomes
             )

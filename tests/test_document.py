@@ -172,6 +172,13 @@ ERROR_CASES = [
         id="invalid-json",
     ),
     pytest.param(
+        "\ufeff{}",
+        ParseError,
+        "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+        " line 1 column 1 (char 0)",
+        id="byte-order-mark",
+    ),
+    pytest.param(
         '{"a": 1, "b": 2, "a": 3, "b": 4}',
         ParseError,
         "duplicate key: 'a'",
@@ -251,6 +258,18 @@ ERROR_CASES = [
         ParseError,
         "order entries must name points",
         id="order-item",
+    ),
+    pytest.param(
+        _text(order=[["d", 1], ["d"]]),
+        ParseError,
+        "order entries must name points",
+        id="order-item-before-short-pair",
+    ),
+    pytest.param(
+        _text(order=[["d"], ["d", 1]]),
+        ParseError,
+        "order entries must be [lower, upper] pairs",
+        id="order-short-pair-before-item",
     ),
     pytest.param(
         _text(events=[]), ParseError, "events must be an object", id="events"
@@ -337,6 +356,24 @@ ERROR_CASES = [
         id="no-points",
     ),
     pytest.param(
+        _text(points=["d", "", "d", "d-", "d+"]),
+        ValueError,
+        "point ids must be nonempty strings, got ''",
+        id="points-blank-before-repeat",
+    ),
+    pytest.param(
+        _text(points=["d", "d", "", "d-", "d+"]),
+        ValueError,
+        "duplicate point id: 'd'",
+        id="points-repeat-before-blank",
+    ),
+    pytest.param(
+        _text(order=[["d", "d-"], ["zz", "yy"]]),
+        UnknownPoint,
+        "unknown point id in order pair: 'zz'",
+        id="order-two-undeclared-points",
+    ),
+    pytest.param(
         _text(order=[["d", "zz"]]),
         UnknownPoint,
         "unknown point id in order pair: 'zz'",
@@ -349,6 +386,12 @@ ERROR_CASES = [
         id="order-cycle",
     ),
     pytest.param(
+        _text(events={"e": ["zz"]}),
+        UnknownReference,
+        "event 'e' references undeclared point 'zz'",
+        id="event-one-undeclared-point",
+    ),
+    pytest.param(
         _text(events={"e": ["d", "zz", "yy"]}),
         UnknownReference,
         "event 'e' references undeclared point 'zz'",
@@ -359,6 +402,12 @@ ERROR_CASES = [
         UnknownReference,
         "spread 's' references undeclared event 'x1'",
         id="spread-undeclared-initial-first",
+    ),
+    pytest.param(
+        _spread({"initial": "x1", "outcomes": ["plus", "zz"]}),
+        UnknownReference,
+        "spread 's' references undeclared event 'x1'",
+        id="spread-undeclared-initial-and-outcome",
     ),
     pytest.param(
         _spread({"initial": "d", "outcomes": ["plus", "zz", "yy"]}),

@@ -50,7 +50,7 @@ def broken_masks(model, ns):
     """An n-spread record of history masks no model has: the initials in
     no history together, every outcome in all of them."""
     every = (1 << len(model.histories)) - 1
-    return 0, tuple((every,) * len(s.outcomes) for s in ns.spreads), ()
+    return 0, tuple((every,) * len(s.outcomes) for s in ns.spreads)
 
 
 def fork():
@@ -400,7 +400,7 @@ class TestGrading:
             def broken_masks(model, ns):
                 every = (1 << len(model.histories)) - 1
                 outs = tuple((every,) * len(s.outcomes) for s in ns.spreads)
-                return 0, outs, ()
+                return 0, outs
 
             events._nspread_record = broken_masks
             toy = build_toy_decay()

@@ -63,6 +63,46 @@ class TestBuildModel:
         with pytest.raises(UnknownPoint):
             build_model(["a"], [("b", "a")])
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (["a", "", "a"], "point ids must be nonempty strings, got ''"),
+            (["a", "a", ""], "duplicate point id: 'a'"),
+            (["a", 3, "a"], "point ids must be nonempty strings, got 3"),
+            (["a", "a", 3], "duplicate point id: 'a'"),
+            (["a", ["b"]], "point ids must be nonempty strings, got ['b']"),
+        ],
+        ids=[
+            "blank-before-repeat",
+            "repeat-before-blank",
+            "number-before-repeat",
+            "repeat-before-number",
+            "list",
+        ],
+    )
+    def test_bad_point_ids_name_the_first_offender(self, points, message):
+        with pytest.raises(ValueError) as exc:
+            build_model(points, [])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "pair, named",
+        [(("y", "x"), "y"), (("x", "y"), "x"), (("a", "z"), "z")],
+        ids=["both-undeclared", "both-undeclared-sorted", "upper-undeclared"],
+    )
+    def test_a_pair_names_its_first_undeclared_id(self, pair, named):
+        with pytest.raises(UnknownPoint) as exc:
+            build_model(["a", "b"], [("a", "b"), pair])
+        assert str(exc.value) == f"unknown point id in order pair: {named!r}"
+
+    def test_a_repeated_pair_counts_once(self):
+        once = build_model(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        twice = build_model(
+            ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "b")]
+        )
+        assert twice._values() == once._values()
+
     def test_two_cycle_rejected(self):
         with pytest.raises(CycleDetected):
             build_model(["a", "b"], [("a", "b"), ("b", "a")])
@@ -321,6 +361,101 @@ class TestPriorChoice:
         ]
         for m in models:
             assert check_prior_choice(m).ok == brute_force_prior_choice_ok(m)
+
+
+def branching_by_definition(m):
+    """The points none of whose covers lies in all of their histories."""
+    bits = m.history_bits
+    return sum(
+        1 << m.index[p]
+        for p in m.points
+        if all(bits[q] != bits[p] for q in m.covers(p))
+    )
+
+
+class TestBranching:
+    """``branching`` against its definition and the set order."""
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), EDGE_PROBS)
+    def test_is_its_definition_for_any_generating_pairs(self, seed, edge_prob):
+        rng = random.Random(seed)
+        names, pairs = seeded_order(rng, max_points=14, edge_prob=edge_prob)
+        m = build_model(names, pairs)
+        assert m.branching == branching_by_definition(m)
+        # the same order from its covers and a sample of its transitive
+        # pairs marks the same points
+        covers = [(p, q) for p in m.points for q in m.covers(p)]
+        closure = [
+            (p, q) for i, p in enumerate(m.points) for q in m.names(m.up[i])
+        ]
+        supplied = covers + rng.sample(closure, len(closure) // 2)
+        rng.shuffle(supplied)
+        assert build_model(names, supplied).branching == m.branching
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), EDGE_PROBS)
+    def test_holds_every_choice_point(self, seed, edge_prob):
+        names, pairs = seeded_order(
+            random.Random(seed), max_points=14, edge_prob=edge_prob
+        )
+        m = build_model(names, pairs)
+        slow = set_model_of(m)
+        branching = frozenset(m.names(m.branching))
+        for h1, h2 in itertools.combinations(slow.histories, 2):
+            assert slow.maximal_in(h1.members & h2.members) <= branching
+
+
+def prior_choice_mutants(points, pairs, rng, count):
+    """Assert that the order of ``pairs`` passes prior choice, and that it
+    and ``count`` mutants, each with one cover pair deleted, report it as
+    the set order does, line for line; return how many mutants fail.
+
+    The deleted pairs end above the past common to all histories, where
+    a cut can leave two histories without a choice point.
+    """
+    m = build_model(points, pairs)
+    report = check_prior_choice(m)
+    assert report.status == "pass"
+    assert len(m.histories) > 2
+    assert report == set_check_prior_choice(set_model(points, pairs))
+    covers = [(p, q) for p in m.points for q in m.covers(p)]
+    every = (1 << len(m.histories)) - 1
+    branches = [c for c in covers if m.history_bits[c[1]] != every]
+    failing = 0
+    for cut in rng.sample(branches, count):
+        kept = [pair for pair in covers if pair != cut]
+        report = check_prior_choice(build_model(points, kept))
+        assert report == set_check_prior_choice(set_model(points, kept))
+        failing += report.status == "fail"
+    return failing
+
+
+class TestPriorChoiceOnManyHistories:
+    """Passing reports, and failing ones with many histories, which the
+    sparse random orders above rarely reach."""
+
+    def test_layered_order(self, scale_order):
+        rng = random.Random(16)
+        failing = prior_choice_mutants(
+            *scale_order.layered_order(16), rng, count=4
+        )
+        assert failing
+
+    def test_ghz_model(self, ghz_model):
+        pairs = [(p, q) for p in ghz_model.points for q in ghz_model.covers(p)]
+        failing = prior_choice_mutants(
+            ghz_model.points, pairs, random.Random(53), count=12
+        )
+        assert failing
+
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_width_documents(self, scale_grade, width):
+        doc = scale_grade.width_document(width)
+        failing = prior_choice_mutants(
+            doc.points, doc.order, random.Random(width), count=8
+        )
+        assert failing
 
 
 class TestInfimaSuprema:

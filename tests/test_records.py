@@ -74,12 +74,12 @@ CACHED_HASH = (Event, Spread, NSpread)
 MODEL = dict(
     points=("a", "b"), index={"a": 0, "b": 1}, up=(2, 0), down=(0, 1),
     cover=(2, 0), histories=(History(top="b", mask=3),),
-    history_bits={"a": 1, "b": 1},
+    history_bits={"a": 1, "b": 1}, branching=2,
 )
 MODEL_REPR = (
     "CausalModel(points=('a', 'b'), index={'a': 0, 'b': 1}, up=(2, 0), "
     "down=(0, 1), cover=(2, 0), histories=(History(top='b', mask=3),), "
-    "history_bits={'a': 1, 'b': 1})"
+    "history_bits={'a': 1, 'b': 1}, branching=2)"
 )
 _model = CausalModel(**MODEL)
 _d, _dm, _dp = (
@@ -502,7 +502,7 @@ def test_the_model_and_its_histories_are_their_masks():
     assert public_names(CausalModel) == {
         "points", "index", "up", "down", "cover",
         "mask", "names", "maximal", "covers",
-        "histories", "history_bits", "memo",
+        "histories", "history_bits", "branching", "memo",
     }
     assert public_names(History) == {"top", "mask"}
 

@@ -71,7 +71,7 @@ def test_scale_order_prints_one_json_line_per_size():
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     row = json.loads(line)
-    assert (row["points"], row["histories"]) == (261, 16)
+    assert (row["points"], row["histories"], row["branching"]) == (261, 16, 52)
     assert row["prior_choice"] == "pass"
     for layer in ("build_model", "history_bits", "prior_choice", "density"):
         assert row[f"{layer}_s"] >= 0

@@ -15,20 +15,20 @@ Each condition's verdict is one mask test on the model's bitsets, shared
 by the checker and the search: cc1 asks whether the outcome points of
 the n-spread lie inside the points above sigma's initial, cc2 and cc3
 AND history masks.  Sigma's masks, the points above its initial and
-its outcomes' overlapping masks, are read from its spread's entry
-(``events._spread_record``), which validating the spread wrote; the
-n-spread's come from its record in ``events``.  Witness lines are worded
-only for a report: cc1 and cc2 when the condition fails, cc3 per outcome
-of sigma.  The cc1 witnesses come from the point masks of the n-spread's
-outcomes, which its screening masks keep, by the walk that words
-condition (i) of a spread (``events._precedence_gaps``): a repeated
-check builds no point mask.  The search (``search_common_causes``) reads
-the verdicts alone, each atomic candidate's masks from its spread's
-entry.  Each n-spread's screening masks are memoised once its
-preconditions pass.  Those extend the n-spread's record in ``events``
-with its outcomes' point masks and per spread a map from outcome to
-overlapping mask, which gives the checker and the search a vector's
-term masks by one lookup per term, once per check.
+its outcomes' overlapping masks, are its spread's entry, which
+validating the spread wrote; the n-spread's come from its record in
+``events``.  Witness lines are worded only for a report: cc1 and cc2
+when the condition fails, cc3 per outcome of sigma.  The cc1 witnesses
+come from the point masks of the n-spread's outcomes, which its
+screening masks keep, by the walk that words condition (i) of a spread
+(``events._precedence_gaps``): a repeated check builds no point mask.
+The search (``search_common_causes``) reads the verdicts alone, each
+atomic candidate's masks from its spread's entry.  Each n-spread's
+screening masks are memoised once its preconditions pass.  Those extend
+the n-spread's record in ``events`` with its outcomes' point masks and
+per spread a map from outcome to overlapping mask, which gives the
+checker and the search a vector's term masks by one lookup per term,
+once per check.
 
 Against every inconsistent vector of an n-spread the search lists none
 (``_search_every_vector``, which ``check-cc --search`` and
@@ -69,7 +69,6 @@ from .events import (
     _precedence_gaps,
     _one_consistent,
     _require_valid,
-    _spread_record,
 )
 from .model import CausalModel, _Record
 
@@ -117,9 +116,9 @@ def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> _CCMasks:
         if not is_spacelike(model, ns):
             raise PreconditionFailed("the n-spread is not space-like")
         # is_spacelike validated the spreads and found the initials consistent
-        if not _one_consistent(model, ns):
-            raise PreconditionFailed("the n-spread is not 1-consistent")
         hist, outs = _nspread_record(model, ns)
+        if not _one_consistent(hist, outs):
+            raise PreconditionFailed("the n-spread is not 1-consistent")
         by_outcome = tuple(
             dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
         )
@@ -188,15 +187,17 @@ def _cc3(outs: tuple[int, ...], terms: tuple[int, ...]) -> bool:
 def _cc_conditions(
     model: CausalModel,
     sigma: Spread,
+    entry: tuple[int, tuple[int, ...]],
     vector: OutcomeVector,
     masks: _CCMasks,
     terms: tuple[int, ...],
 ) -> CommonCauseReport:
     """The report of cc1..cc3: verdicts from the mask tests, cc1 and cc2
     witnesses worded only on a failure, a cc3 line per candidate outcome
-    from the walk that also gives cc3's verdict.  ``masks`` are the
-    n-spread's, as :func:`_require_cc_preconditions` returns them, and
-    ``terms`` the vector's ``_term_masks``.
+    from the walk that also gives cc3's verdict.  ``entry`` is sigma's
+    spread entry, ``masks`` the n-spread's, as
+    :func:`_require_cc_preconditions` returns them, and ``terms`` the
+    vector's ``_term_masks``.
 
     The cc1 witnesses are read off the n-spread's per-outcome point masks
     by :func:`events._precedence_gaps`, so no outcome's mask is built per
@@ -204,7 +205,7 @@ def _cc_conditions(
     outcome point.
     """
     pts, hist, _, points = masks
-    above, outs, _ = _spread_record(model, sigma)
+    above, outs = entry
     cc1_ok = pts & ~above == 0
     cc1_witnesses = () if cc1_ok else tuple(
         f"{p} is not strictly below {q} (outcome {o.name})"
@@ -257,7 +258,9 @@ def check_common_cause(
             f"vector {vector.label()} is consistent; the screening "
             "conditions apply to inconsistent vectors only"
         )
-    return _cc_conditions(model, sigma, vector, masks, terms)
+    return _cc_conditions(
+        model, sigma, model.memo[sigma], vector, masks, terms
+    )
 
 
 def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
@@ -358,7 +361,7 @@ def _scan(
     hists = {m[1] for m in masks}
     candidates = atomic_spreads(model)
     passing = []
-    for cand, (above, outs, _) in zip(candidates, model.memo[_scan]):
+    for cand, (above, outs) in zip(candidates, model.memo[_scan]):
         if (
             not pts & ~above
             and all(_cc2(h, outs) for h in hists)

@@ -144,7 +144,9 @@ def parse_document(text: str) -> ModelDocument:
 
 
 def load_document(path: str | Path) -> ModelDocument:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+    """The document in the UTF-8 file at ``path``; a leading byte order
+    mark, which some editors write, is dropped (``utf-8-sig``)."""
+    return parse_document(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def dump_document(doc: ModelDocument) -> str:

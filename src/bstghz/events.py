@@ -36,18 +36,13 @@ when its AND equals its OR.  Each event's record, memoised on the model
 by ``_event_masks``, holds its point mask, its containing mask and its
 overlapping mask, and every reader of an event's masks reads it; a
 one-point event is a chain and takes one index lookup, and a larger
-event's chain check runs on its point mask, once per model.  Each
-spread has one entry too, keyed by the spread itself
-(``_spread_record``): the points above its initial, its outcomes'
-overlapping masks and a flag that ``validate_spread`` sets on a pass,
-which ``_require_valid`` reads; an entry built for a spread that was
-never validated serves the mask readers and leaves the flag unset.
-Each n-spread's record of masks is memoised as well (``_nspread_record``:
-the AND of its initials' containing masks and its outcomes' overlapping
-masks; the common-cause layer adds what only it reads); no entry
-is kept for a read that raised, and an entry never stands in for a
-validation, so an unknown point, a misclassified event or an invalid
-spread raises every time.
+event's chain check runs on its point mask, once per model.  A
+spread's entry, keyed by the spread and written by ``validate_spread``
+on a pass, holds the points above its initial and its outcomes'
+overlapping masks.  An n-spread's record (``_nspread_record``), written
+once its spreads pass, holds the AND of its initials' containing masks
+and its spreads' outcome masks, taken from their entries; the
+common-cause layer adds what only it reads.
 Violations are worded only after a mask test has failed.  Precedence
 failures are named by one walk (``_precedence_gaps``) that spread
 validation and the common-cause checker share: it skips an outcome whose
@@ -334,9 +329,10 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
     (i) every point of the initial strictly precedes every point of every
     outcome; (ii) every history containing the initial overlaps some
     outcome; (iii) no history overlaps two distinct outcomes.  Failures
-    are reported, not raised; a pass writes the spread's entry (see
-    :func:`_spread_record`) with its flag set, so :func:`_require_valid`
-    does not validate the spread again.
+    are reported, not raised; a pass writes the spread's entry, the
+    points strictly above its initial and the histories overlapping each
+    outcome in declared order, so :func:`_require_valid` does not
+    validate the spread again.
     """
     name = f"spread {spread.initial.name}"
     try:
@@ -382,7 +378,7 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
                 f"(iii) history {h.top} overlaps outcomes {', '.join(hit)}"
             )
     if not violations:
-        model.memo[spread] = (above, masks, True)
+        model.memo[spread] = (above, masks)
     return ValidationReport(
         name, "fail" if violations else "pass", tuple(violations), ()
     )
@@ -391,15 +387,12 @@ def validate_spread(model: CausalModel, spread: Spread) -> ValidationReport:
 def _require_valid(
     model: CausalModel, spreads: Iterable[Spread], noun: str = "spread"
 ) -> None:
-    """Raise :class:`InvalidSpread` at the first invalid spread.  Only
-    the flag that :func:`validate_spread` sets in the spread's entry on a
-    pass counts, so a spread validated before is not validated again,
-    and one that failed, or whose entry was built unvalidated, is
-    validated, and raises, on every call."""
+    """Raise :class:`InvalidSpread` at the first invalid spread; a spread
+    with an entry passed :func:`validate_spread` and is not validated
+    again."""
     memo = model.memo
     for s in spreads:
-        record = memo.get(s)
-        if record is not None and record[2]:
+        if s in memo:
             continue
         report = validate_spread(model, s)
         if not report.ok:
@@ -409,60 +402,33 @@ def _require_valid(
             )
 
 
-def _spread_record(
-    model: CausalModel, spread: Spread
-) -> tuple[int, tuple[int, ...], bool]:
-    """The spread's entry: the points strictly above its initial, the
-    histories overlapping each outcome in declared order, and whether
-    the spread passed :func:`validate_spread`.
-
-    Memoised on the model, keyed by the spread.  ``validate_spread``
-    writes the entry on a pass; an entry built here for a spread not
-    validated has the flag unset, so it stands in for no validation.
-    A misclassified event raises on every call, as in
-    :func:`_event_masks`.
-    """
-    record = model.memo.get(spread)
-    if record is None:
-        outs = [_event_masks(model, o, "outcome")[2] for o in spread.outcomes]
-        record = model.memo[spread] = (
-            _above(model, spread.initial),
-            tuple(outs),
-            False,
-        )
-    return record
-
-
 def _nspread_record(
     model: CausalModel, ns: NSpread
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The n-spread's masks: the histories containing every initial, and
     per spread the histories overlapping each of its outcomes in
-    declared order.
+    declared order, from its spreads' entries.
 
-    Read from the records :func:`_event_masks` memoises, each once, and
-    memoised on the model, keyed by the n-spread, once every one of them
-    was read without raising: an n-spread with a misclassified event
-    raises on every call.
+    Validates the spreads on a miss, so an invalid one raises
+    :class:`InvalidSpread`, and memoises the record on the model, keyed
+    by the n-spread.
     """
     memo = model.memo
     record = memo.get(ns)
     if record is None:
+        _require_valid(model, ns.spreads)
         hist = functools.reduce(
             operator.and_,
             (_event_masks(model, s.initial, "initial")[1] for s in ns.spreads),
         )
-        outs = tuple(
-            tuple([_event_masks(model, o, "outcome")[2] for o in s.outcomes])
-            for s in ns.spreads
-        )
+        outs = tuple([memo[s][1] for s in ns.spreads])
         record = memo[ns] = (hist, outs)
     return record
 
 
-def _one_consistent(model: CausalModel, ns: NSpread) -> bool:
-    """Each outcome of each spread is consistent with all the initials."""
-    hist, outs = _nspread_record(model, ns)
+def _one_consistent(hist: int, outs: Sequence[Sequence[int]]) -> bool:
+    """Each outcome is consistent with the initials: every overlapping
+    mask of the record's ``outs`` meets its ``hist``."""
     return all(hist & m for ms in outs for m in ms)
 
 
@@ -506,10 +472,9 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     checked on every grading; a break is a bug and raises
     ``RuntimeError``, also under ``python -O``.
     """
-    _require_valid(model, ns.spreads)
     hist, outs = _nspread_record(model, ns)
     minimal = hist != 0
-    one = minimal and all(hist & m for ms in outs for m in ms)
+    one = minimal and _one_consistent(hist, outs)
     count = math.prod(map(len, outs))
     keep = [True] * count
     for rank in _box_ranks(outs, (1 << len(model.histories)) - 1):
@@ -537,9 +502,9 @@ def is_spacelike(model: CausalModel, ns: NSpread) -> bool:
     The second clause: no point of the initial of one spread strictly
     precedes any point of any outcome of a *different* spread of the
     n-spread.  The first clause reads the AND of the initials'
-    containing masks from the n-spread's record.
+    containing masks from the n-spread's record, which validates its
+    spreads (:class:`InvalidSpread`).
     """
-    _require_valid(model, ns.spreads)
     if not _nspread_record(model, ns)[0]:
         return False
     initials = [

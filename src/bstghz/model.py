@@ -243,7 +243,10 @@ class CausalModel(_Record):
         """Memo of the layers above, filled by ``events`` and ``common_cause``.
 
         Holds results that depend on this model alone, keyed by the
-        caller.  It is never shared across models.
+        caller.  It is never shared across models.  An entry is written
+        only once the check it stands for has passed, so a hit replaces
+        the check, and input that fails raises every time and leaves no
+        entry.
         """
         return {}
 

@@ -1,6 +1,8 @@
 """Command line behavior: output shape, determinism, exit codes."""
 
+import codecs
 import json
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +100,16 @@ class TestValidate:
         assert body["payload"]["checks"]["density"] == "waived"
         assert body["payload"]["spreads"]["sigma_a"] == "valid"
         assert out1.endswith("\n")
+
+    def test_a_file_with_a_byte_order_mark_validates_alike(
+        self, tmp_path, capsys
+    ):
+        fixture = Path(__file__).parents[1] / "fixtures" / "toy_decay.json"
+        path = tmp_path / "bom.json"
+        path.write_bytes(codecs.BOM_UTF8 + fixture.read_bytes())
+        assert run(capsys, "validate", str(path)) == run(
+            capsys, "validate", str(fixture)
+        )
 
     def test_ghz_document_validates(self, docs, capsys):
         code, out, _ = run(capsys, "validate", docs["ghz"])

@@ -26,7 +26,6 @@ from bstghz.common_cause import (
 from bstghz.errors import (
     BstError,
     InvalidSpread,
-    MisclassifiedEvent,
     NotInconsistencyType,
     PreconditionFailed,
 )
@@ -36,6 +35,7 @@ from bstghz.events import (
     OutcomeVector,
     Spread,
     consistency_grade,
+    is_spacelike,
     validate_spread,
 )
 from bstghz.document import load_document, resolve_document
@@ -78,9 +78,12 @@ from .oracles import (
     reference_cc_conditions,
     reference_cc_preconditions,
     reference_search_common_causes,
+    reference_spread_report,
     rescan_close,
     seeded_model,
     seeded_station_model,
+    set_is_chain,
+    set_model_of,
 )
 
 EVERY_FAMILY = [
@@ -88,6 +91,16 @@ EVERY_FAMILY = [
     for r in range(len(ALL_CONTEXTS) + 1)
     for fam in itertools.combinations(ALL_CONTEXTS, r)
 ]
+
+
+def unchecked_entry(
+    model: CausalModel, spread: Spread
+) -> tuple[int, tuple[int, ...]]:
+    """The entry ``validate_spread`` writes for ``spread`` on a pass, built
+    without validating it; its events must be chains."""
+    return events._above(model, spread.initial), tuple(
+        events._event_masks(model, o, "outcome")[2] for o in spread.outcomes
+    )
 
 
 def clear_ghz_caches():
@@ -409,7 +422,8 @@ class TestChecker:
             terms=tuple(structure.events[n] for n in ("x+1", "x+2", "y-3"))
         )
         # validating the spreads and finding the candidates read outcome
-        # masks too; after them only the n-spread's record reads them
+        # records; after them the n-spread's record takes its outcome masks
+        # from the spreads' entries, so no reader in events reads one
         events._require_valid(model, ns.spreads)
         search_common_causes(model, [], [])
         outcomes = {o for s in ns.spreads for o in s.outcomes}
@@ -421,76 +435,67 @@ class TestChecker:
                 reads[event] += 1
             return event_masks(model, event, role)
 
-        # common_cause reads masks only through the records in events
         monkeypatch.setattr(events, "_event_masks", counting)
         for _ in range(2):
             _require_cc_preconditions(model, ns)
             targets = consistency_grade(model, ns).inconsistent_vectors
             search_common_causes(model, [ns] * len(targets), targets)
             check_common_cause(model, sigma, ns, vector)
-        assert reads == dict.fromkeys(outcomes, 1)
+        assert ns in model.memo
+        assert not reads
 
     def test_an_invalid_nspread_raises_alike_every_time(self):
         resolved = resolve_document(
             load_document(Path(__file__).parent / "golden" / "spreads.json")
         )
-        model, ns = resolved.model, resolved.nspreads["Sigma_bad"]
-        messages = []
-        for _ in range(2):
-            # a record of the n-spread's masks does not stand in for the
-            # validation of its spreads
-            events._nspread_record(model, ns)
-            for call in (consistency_grade, _require_cc_preconditions):
-                with pytest.raises(InvalidSpread) as raised:
-                    call(model, ns)
-                messages.append(str(raised.value))
-        assert len(set(messages)) == 1
-        assert messages[0].startswith("spread at 'A' is invalid")
+        model = resolved.model
         misclassified = NSpread(spreads=(resolved.spreads["bad_outcome"],))
-        for _ in range(2):
-            with pytest.raises(MisclassifiedEvent):
-                events._nspread_record(model, misclassified)
+        for ns, start in [
+            (resolved.nspreads["Sigma_bad"], "spread at 'A' is invalid"),
+            (misclassified, "spread at 'D' is invalid: 'X' is not an"),
+        ]:
+            messages = []
+            for _ in range(2):
+                for call in (
+                    events._nspread_record,
+                    consistency_grade,
+                    _require_cc_preconditions,
+                ):
+                    with pytest.raises(InvalidSpread) as raised:
+                        call(model, ns)
+                    messages.append(str(raised.value))
+                assert ns not in model.memo
+            assert len(set(messages)) == 1
+            assert messages[0].startswith(start)
 
-    @pytest.mark.parametrize("first", ["record", "validation"])
-    def test_an_invalid_spread_raises_alike_every_time(self, first):
+    def test_an_invalid_spread_raises_alike_every_time(self):
         resolved = resolve_document(
             load_document(Path(__file__).parent / "golden" / "spreads.json")
         )
         model = resolved.model
-        for name in ("bad_i", "bad_ii", "bad_iii"):
+        for name in ("bad_i", "bad_ii", "bad_iii", "bad_outcome"):
             spread = resolved.spreads[name]
             messages = []
-            # an entry built for the spread unvalidated, or a validation
-            # that failed, does not stand in for a pass
-            if first == "record":
-                events._spread_record(model, spread)
+            # a validation that failed leaves no entry to stand in for a pass
             assert not validate_spread(model, spread).ok
             for _ in range(2):
+                assert spread not in model.memo
                 with pytest.raises(InvalidSpread) as raised:
                     events._require_valid(model, (spread,))
                 messages.append(str(raised.value))
-                assert events._spread_record(model, spread)[2] is False
             assert len(set(messages)) == 1, name
             assert messages[0].startswith(
                 f"spread at {spread.initial.name!r} is invalid"
             )
-        misclassified = resolved.spreads["bad_outcome"]
-        for _ in range(2):
-            with pytest.raises(MisclassifiedEvent):
-                events._spread_record(model, misclassified)
-            with pytest.raises(InvalidSpread):
-                events._require_valid(model, (misclassified,))
 
     def test_a_validated_spread_is_not_validated_again(self, monkeypatch):
         resolved = resolve_document(
             load_document(Path(__file__).parent / "golden" / "spreads.json")
         )
         model, spread = resolved.model, resolved.spreads["sigma_a"]
-        unvalidated = events._spread_record(model, spread)
+        assert spread not in model.memo
         assert validate_spread(model, spread).ok
-        assert events._spread_record(model, spread) == unvalidated[:2] + (
-            True,
-        )
+        assert model.memo[spread] == unchecked_entry(model, spread)
 
         def refuse(*args):
             raise AssertionError("validated a spread again")
@@ -584,11 +589,19 @@ class TestChecker:
             vector = OutcomeVector(
                 terms=tuple(rng.choice(s.outcomes) for s in ns.spreads)
             )
-            # the screening masks as _require_cc_preconditions keeps them,
-            # built without its checks
-            hist, outs = events._nspread_record(m, ns)
+            # the spread entries and the screening masks as validating the
+            # spreads and _require_cc_preconditions keep them, built without
+            # their checks
+            hist = functools.reduce(
+                operator.and_,
+                (
+                    events._event_masks(m, s.initial, "initial")[1]
+                    for s in ns.spreads
+                ),
+            )
             by_outcome = tuple(
-                dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
+                dict(zip(s.outcomes, unchecked_entry(m, s)[1]))
+                for s in ns.spreads
             )
             points = tuple(
                 (o, m.mask(o.members)) for s in ns.spreads for o in s.outcomes
@@ -596,8 +609,89 @@ class TestChecker:
             pts = functools.reduce(operator.or_, (om for _, om in points))
             terms = tuple(d[t] for d, t in zip(by_outcome, vector.terms))
             assert _cc_conditions(
-                m, sigma, vector, (pts, hist, by_outcome, points), terms
+                m,
+                sigma,
+                unchecked_entry(m, sigma),
+                vector,
+                (pts, hist, by_outcome, points),
+                terms,
             ) == reference_cc_conditions(m, sigma, ns, vector)
+
+
+class TestMemoRule:
+    """Every entry of ``CausalModel.memo`` stands for a check that passed,
+    and input that failed its check leaves no entry."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.15, 0.35, 0.6]),
+    )
+    def test_every_entry_stands_for_a_passed_check(self, seed, edge_prob):
+        rng = random.Random(seed)
+        model = seeded_model(rng, max_points=10, edge_prob=edge_prob)
+        # random spreads are seldom valid, so the reference candidates,
+        # which are, join the pool
+        valid = reference_atomic_spreads(model)
+        pool = [random_spread(model, rng) for _ in range(4)]
+        pool += rng.sample(valid, min(3, len(valid)))
+        failed = []  # memo keys that the input of a failed call names
+        for spread in pool:
+            if not validate_spread(model, spread).ok:
+                failed.append(spread)
+        for _ in range(6):
+            ns = NSpread(
+                spreads=tuple(rng.sample(pool, rng.randint(1, 3)))
+            )
+            sigma = rng.choice(pool)
+            vector = OutcomeVector(
+                terms=tuple(rng.choice(s.outcomes) for s in ns.spreads)
+            )
+            pre = (_require_cc_preconditions, ns)
+            for call in (consistency_grade, is_spacelike):
+                try:
+                    call(model, ns)
+                except InvalidSpread:
+                    failed.append(ns)
+            try:
+                check_common_cause(model, sigma, ns, vector)
+            except InvalidSpread as exc:
+                if str(exc).startswith("candidate spread"):
+                    failed.append(sigma)
+                else:
+                    failed += [ns, pre]
+            except PreconditionFailed:
+                failed.append(pre)
+            except NotInconsistencyType:
+                pass
+            try:
+                _search_every_vector(model, (ns,))
+            except InvalidSpread:
+                failed += [ns, pre]
+            except PreconditionFailed:
+                failed.append(pre)
+
+        memo = dict(model.memo)
+        assert not any(key in memo for key in failed)
+        sm = set_model_of(model)
+        for key, entry in memo.items():
+            if isinstance(key, frozenset):
+                assert set_is_chain(sm, key), key
+            elif isinstance(key, Spread):
+                assert reference_spread_report(model, key).ok, key
+                assert validate_spread(model, key).ok, key
+                assert entry == unchecked_entry(model, key), key
+            elif isinstance(key, NSpread):
+                assert all(
+                    reference_spread_report(model, s).ok for s in key.spreads
+                ), key
+            elif isinstance(key, tuple):
+                assert key[0] is _require_cc_preconditions, key
+                reference_cc_preconditions(model, key[1])
+            elif key is atomic_spreads:
+                assert sorted(entry, key=repr) == sorted(valid, key=repr)
+            else:
+                assert key is common_cause._scan, key
 
 
 class TestAtomicSpreads:

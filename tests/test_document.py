@@ -1,5 +1,6 @@
 """Document schema: parse, dump, resolve, and the canned documents."""
 
+import codecs
 import json
 from pathlib import Path
 
@@ -70,6 +71,11 @@ class TestRoundTrip:
         path.write_text(dump_document(small_doc()), encoding="utf-8")
         assert load_document(path) == small_doc()
         assert load_document(str(path)) == small_doc()
+        # a leading byte order mark is dropped, though parse_document
+        # refuses a str that starts with one (ERROR_CASES)
+        fixture = Path(__file__).parents[1] / "fixtures" / "toy_decay.json"
+        path.write_bytes(codecs.BOM_UTF8 + fixture.read_bytes())
+        assert load_document(path) == load_document(fixture)
 
 
 class TestParseErrors:

@@ -474,7 +474,12 @@ class TestGrading:
             for rank, v in enumerate(enumerate_outcome_vectors(box))
             if v not in inconsistent
         ]
-        outs = events._nspread_record(model, box)[1]
+        # the outcome masks read off the event records, as the n-spread's
+        # record would hold them if its spreads were valid
+        outs = [
+            [events._event_masks(model, o, "outcome")[2] for o in s.outcomes]
+            for s in box.spreads
+        ]
         every = (1 << len(model.histories)) - 1
         assert events._box_ranks(outs, every) == expected
         assert events._box_ranks(outs, 0) == []

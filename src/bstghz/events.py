@@ -102,9 +102,10 @@ class Event(_Record):
             raise ValueError("event name must be nonempty")
         if not members:
             raise ValueError(f"event {name!r} has no members")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_hash", hash((name, members)))
+        put_name, put_members = self._setters
+        put_name(self, name)
+        put_members(self, members)
+        self._put_hash(self, hash((name, members)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -142,9 +143,10 @@ class Spread(_Record):
             raise ValueError(
                 f"spread at {initial.name!r} repeats an outcome name"
             )
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "_hash", hash((initial, outcomes)))
+        put_initial, put_outcomes = self._setters
+        put_initial(self, initial)
+        put_outcomes(self, outcomes)
+        self._put_hash(self, hash((initial, outcomes)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -167,8 +169,8 @@ class NSpread(_Record):
     def __init__(self, spreads: tuple[Spread, ...]) -> None:
         if not spreads:
             raise ValueError("an n-spread needs at least one spread")
-        object.__setattr__(self, "spreads", spreads)
-        object.__setattr__(self, "_hash", hash((spreads,)))
+        self._setters[0](self, spreads)
+        self._put_hash(self, hash((spreads,)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -47,7 +47,9 @@ with the other six flags free they make the context's profile set, one
 bit per profile, built once.  A family's survivors are the AND of its
 contexts' sets.  Masks give the first outcome event the most significant
 bit, so the set read lowest bit first is in the lexicographic order of
-the profiles.
+the profiles.  A result holds that AND as a ``ProfileSet`` and reads it
+out only on demand: the survivor count is its bit count and the witness
+its lowest bit, and iterating it lists the profiles in that order.
 
 Only a refuted family's derivation searches.  One propagation engine
 over the twelve flags (unit propagation with case splits, after Davis,
@@ -73,9 +75,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from math import prod
-from typing import Iterable, Sequence
 
 from .document import (
     ModelDocument,
@@ -298,6 +301,19 @@ class ValueSearchResult(_Record):
         return tuple((i, a) for i in STATIONS for a in AXES)
 
 
+@functools.cache
+def _context_products(
+    ctx: Context,
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The flags ``ctx`` measures, and per vector of ``ctx`` its sign
+    product and its terms' flag mask, read off :func:`context_vectors`."""
+    vectors = context_vectors(ctx)
+    return sum(_PAIR[_BIT[n]] for n in vectors[0].outcome_names), tuple(
+        (prod(v.signs), sum(_BIT[n] for n in v.outcome_names))
+        for v in vectors
+    )
+
+
 def value_assignment_search(
     constraints: Iterable[tuple[Context, int]] = OMEGA_CONSTRAINTS,
 ) -> ValueSearchResult:
@@ -314,11 +330,8 @@ def value_assignment_search(
     rows = []
     for ctx, target in constraints:
         _require_known(ctx)
-        vectors = context_vectors(ctx)
-        rows.append((sum(_PAIR[_BIT[n]] for n in vectors[0].outcome_names), [
-            sum(_BIT[n] for n in v.outcome_names)
-            for v in vectors if prod(v.signs) == target
-        ]))
+        measured, vectors = _context_products(ctx)
+        rows.append((measured, [m for p, m in vectors if p == target]))
     keys = ValueSearchResult.assignment_keys()
     plus = [_BIT[outcome_name(i, a, 1)] for i, a in keys]
     rows += [(_PAIR[b], (_PAIR[b] ^ b, b)) for b in plus]
@@ -624,15 +637,89 @@ def _common(sets: Iterable[int]) -> list[int]:
     return masks
 
 
-def _survivors(contexts: Sequence[Context]) -> list[int]:
-    """The full masks surviving every listed context, in increasing order,
-    so in profile order: the :func:`_common` masks of the contexts' sets."""
-    return _common(map(_context_profiles, contexts))
-
-
 @functools.cache
 def _profile(t: int) -> CandidateProfile:
     return CandidateProfile(flags=tuple(bool(t & b) for b in _BIT.values()))
+
+
+# Per step of a bisection over the 2^12 profiles: the width of the half it
+# keeps, and the mask of the lower half.
+_HALVES = tuple(
+    (1 << k, (1 << (1 << k)) - 1)
+    for k in reversed(range(len(OUTCOME_EVENT_ORDER)))
+)
+
+
+class ProfileSet(Sequence[CandidateProfile]):
+    """A profile set as a read-only sequence of its profiles, read out
+    only on demand.
+
+    It holds the set alone, bit t the profile with flag mask t.  Its
+    length is the set's bit count and its truth whether any bit is set.
+    Iteration reads the set out by :func:`_common`, lowest bit first, so
+    in profile order; an index selects its set bit by bisection on bit
+    counts, and a slice is taken of the profiles' tuple.  It equals,
+    hashes and prints as the tuple of its profiles, equals another
+    profile set with the same bits, refuses assignment, and pickles and
+    copies as its bits.
+    """
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, bits: int) -> None:
+        object.__setattr__(self, "_bits", bits)
+
+    def __len__(self) -> int:
+        return self._bits.bit_count()
+
+    def __bool__(self) -> bool:
+        return self._bits != 0
+
+    def __iter__(self) -> Iterator[CandidateProfile]:
+        return map(_profile, _common((self._bits,)))
+
+    def __getitem__(  # type: ignore[override]
+        self, index: int | slice
+    ) -> CandidateProfile | tuple[CandidateProfile, ...]:
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        bits, i = self._bits, operator.index(index)
+        n = bits.bit_count()
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("ProfileSet index out of range")
+        # keep the half of the remaining bits that holds the i-th set bit
+        t = 0
+        for half, low in _HALVES:
+            below = (bits & low).bit_count()
+            if i >= below:
+                i -= below
+                bits >>= half
+                t += half
+        return _profile(t)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ProfileSet):
+            return self._bits == other._bits
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[int]]:
+        return type(self), (self._bits,)
 
 
 @functools.cache
@@ -731,6 +818,16 @@ def _derivation(
 
 
 class RefutationResult(_Record):
+    """Outcome of the profile refutation of a context family.
+
+    ``survivors`` is a :class:`ProfileSet`, the AND of the contexts'
+    profile sets read out only on demand: ``len`` is a bit count, and
+    iterating it lists the surviving profiles in lexicographic order.  It
+    equals the tuple of those profiles, so ``survivors == ()`` exactly
+    when the family is refuted.  ``witness`` is the first survivor, or
+    None; ``trace`` is the derivation of a refuted family, else None.
+    """
+
     __slots__ = (
         "contexts", "profile_count", "survivors", "witness", "trace", "notes"
     )
@@ -758,13 +855,15 @@ def refute_joint_common_cause(
         if name not in structure.events:
             raise ValueError(f"structure lacks outcome event {name!r}")
 
-    survivors = tuple(map(_profile, _survivors(ctx_list)))
+    profiles = _ALL_PROFILES
+    for ctx in ctx_list:
+        profiles &= _context_profiles(ctx)
 
     notes: list[str] = []
     trace: ReductioTrace | None = None
     if not ctx_list:
         notes.append("no contexts listed; every profile survives vacuously")
-    if survivors:
+    if profiles:
         notes.append(
             "surviving profiles satisfy necessary conditions only; they do "
             "not establish that a common cause exists"
@@ -777,8 +876,8 @@ def refute_joint_common_cause(
     return RefutationResult(
         tuple(ctx_list),
         2 ** len(OUTCOME_EVENT_ORDER),
-        survivors,
-        survivors[0] if survivors else None,
+        ProfileSet(profiles),
+        _profile((profiles & -profiles).bit_length() - 1) if profiles else None,
         trace,
         tuple(notes),
     )

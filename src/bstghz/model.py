@@ -73,8 +73,10 @@ class _Record:
     fields have one); a field still missing, one given twice, an unknown
     keyword or one positional too many raise :class:`TypeError`.  Each
     field is set through its slot's own setter, which
-    ``__init_subclass__`` caches per class, since ``__setattr__`` refuses.
-    A record defines its own ``__init__`` only when it does more than
+    ``__init_subclass__`` caches per class, since ``__setattr__`` refuses;
+    a class with a ``_hash`` slot also gets that slot's setter as
+    ``_put_hash``, for a constructor that caches the hash.  A record
+    defines its own ``__init__`` only when it does more than
     set its fields (it checks them, caches a hash or fills a default that
     must be fresh per call), or when a benchmarked operation builds it
     several times and a hand-written one is measurably faster.  A call
@@ -96,6 +98,8 @@ class _Record:
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+        if "_hash" in cls.__slots__:
+            cls._put_hash = cls._hash.__set__
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         setters = self._setters

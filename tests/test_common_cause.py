@@ -1,11 +1,13 @@
 """Screening conditions, the profile refutation, and determinism levels."""
 
 import collections
+import copy
 import functools
 import gc
 import itertools
 import math
 import operator
+import pickle
 import random
 from pathlib import Path
 
@@ -45,14 +47,17 @@ from bstghz.ghz import (
     OUTCOME_EVENT_ORDER,
     THEOREM_CONTEXTS,
     CandidateProfile,
+    ProfileSet,
     ReductioTrace,
+    RefutationResult,
     TraceStep,
+    _ALL_FLAGS,
+    _ALL_PROFILES,
     _BIT,
     _close,
     _compile,
     _context_profiles,
     _context_settings,
-    _survivors,
     _profile,
     build_abstract_structure,
     build_concrete_model,
@@ -933,7 +938,19 @@ class TestProfiles:
             oracle = brute_force_survivors(
                 OUTCOME_EVENT_ORDER, family_groups(fam)
             )
-            assert [p.flags for p in result.survivors] == oracle, fam
+            survivors = result.survivors
+            assert [p.flags for p in survivors] == oracle, fam
+            assert len(survivors) == len(oracle), fam
+            assert result.witness == (
+                survivors[0] if survivors else None
+            ), fam
+            # the result equals, and hashes as, one holding a plain tuple
+            plain = RefutationResult(
+                result.contexts, result.profile_count, tuple(survivors),
+                result.witness, result.trace, result.notes,
+            )
+            assert plain == result and result == plain, fam
+            assert hash(plain) == hash(result), fam
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.sampled_from(ALL_CONTEXTS), min_size=1, max_size=10))
@@ -994,7 +1011,7 @@ class TestProfiles:
         monkeypatch.setattr(ghz, "inconsistent_vectors", lambda ctx: ())
         clear_ghz_caches()
         try:
-            got = [_profile(m).flags for m in _survivors([ctx])]
+            got = [p.flags for p in ProfileSet(_context_profiles(ctx))]
         finally:
             clear_ghz_caches()
         vectors = [v.outcome_names for v in context_vectors(ctx)]
@@ -1032,6 +1049,68 @@ class TestProfiles:
             ).survivors
         }
         assert narrowed <= base
+
+
+# Sets of the 4096 profile bits: empty, one bit (the lowest and the highest
+# among them), every bit, dense (about half the bits, or all but a few) and
+# sparse.
+PROFILE_SETS = st.one_of(
+    st.just(0),
+    st.sampled_from((1, 1 << _ALL_FLAGS)),
+    st.integers(0, _ALL_FLAGS).map(lambda t: 1 << t),
+    st.just(_ALL_PROFILES),
+    st.integers(0, _ALL_PROFILES),
+    st.sets(st.integers(0, _ALL_FLAGS), max_size=8).map(
+        lambda ts: _ALL_PROFILES ^ sum(1 << t for t in ts)
+    ),
+    st.sets(st.integers(0, _ALL_FLAGS), max_size=40).map(
+        lambda ts: sum(1 << t for t in ts)
+    ),
+)
+
+
+class TestProfileSet:
+    @settings(deadline=None, max_examples=60)
+    @given(PROFILE_SETS, st.data())
+    def test_reads_as_the_tuple_of_its_profiles(self, bits, data):
+        # the cheap checks first, so a failing case shrinks quickly
+        ps = ProfileSet(bits)
+        tup = tuple(ps)
+        n = len(tup)
+        # iteration is every set bit, lowest first, as its profile
+        assert tup == tuple(_profile(t) for t in range(4096) if bits >> t & 1)
+        assert isinstance(ps, collections.abc.Sequence)
+        assert len(ps) == n
+        assert bool(ps) == bool(tup)
+        assert ps == tup and tup == ps and not ps != tup
+        assert ps != list(tup) and not ps == list(tup)
+        # order counts, as on the tuple
+        assert (ps == tup[::-1]) == (tup[::-1] == ps) == (n < 2)
+        assert ps == ProfileSet(bits) and ps != ProfileSet(bits ^ 1)
+        assert hash(ps) == hash(tup)
+        # in lists, so that pytest explains a failure without a character
+        # diff of two long strings
+        assert [repr(ps)] == [repr(tup)]
+        for twin in (
+            pickle.loads(pickle.dumps(ps)), copy.copy(ps), copy.deepcopy(ps)
+        ):
+            assert type(twin) is ProfileSet and twin == ps
+            assert twin._bits == bits
+        with pytest.raises(AttributeError):
+            ps._bits = 0
+        with pytest.raises(AttributeError):
+            del ps._bits
+        with pytest.raises(TypeError):
+            ps[0] = None
+        assert ps._bits == bits
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                ps[i]
+        for _ in range(5):
+            cut = data.draw(st.slices(n + 2))
+            assert ps[cut] == tup[cut]
+        assert [ps[i] for i in range(n)] == list(tup)
+        assert [ps[i] for i in range(-n, 0)] == list(tup)
 
 
 class TestRefutation:

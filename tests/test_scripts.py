@@ -93,6 +93,7 @@ def test_scale_refute_prints_one_json_line_per_family_size():
             assert (ms >= 0) if present else (ms is None)
         assert row["first_ms"] >= 0
         assert row["survivors_ms"] >= 0
+        assert row["readout_ms"] >= 0
         derivation = row["derivation_ms"]
         assert (derivation >= 0) if row["refuted"] else (derivation is None)
 

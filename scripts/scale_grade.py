@@ -19,53 +19,48 @@ FILE --search --nspread Sigma`` runs on it as written by
 ``bstghz.document.dump_document``.
 
 For each width the n-spread is searched once, unrecorded, which pays
-the per-model chain checks, spread validations and candidate spreads.
-Then ``search_ms`` is the median milliseconds, over ``repeats`` calls
-timed with ``time.perf_counter``, of the search against every
-inconsistent vector by the box test (``_search_every_vector``), which is
-what ``bstghz check-cc --search`` does; it lists no vector.  The script
-prints one JSON line per width: the number of points and histories, the
-vector count, the number of inconsistent vectors (the vector count less
-the consistent ones the box walk finds), ``search_ms``, ``grade_ms`` and
-``check_ms``.
+the per-model chain checks, spread validations and candidate spreads
+and writes the n-spread's record.  Then ``search_ms``
+is the median milliseconds, over ``repeats`` calls timed with
+``time.perf_counter``, of the search against every inconsistent vector
+by the box test (``_search_every_vector``), which is what ``bstghz
+check-cc --search`` does; it lists no vector.  The script prints one
+JSON line per width: the number of points and histories, the vector
+count, the number of inconsistent vectors (the vector count less the
+consistent ranks the n-spread's record holds), ``search_ms``,
+``grade_ms`` and ``check_ms``.
 
 ``grade_ms`` is the median milliseconds, over ``repeats`` calls, of
-``consistency_grade``, which lists every inconsistent vector; it is null
-above width ``GRADE_MAX_WIDTH``, where that list would not fit in a
-modest memory.
+``consistency_grade``.  The grade reads the n-spread's record and holds
+its inconsistent vectors as a lazy sequence over the ranks that are not
+consistent, so it lists no vector and is timed at every width.  Like
+``len(range(2**64))``, ``len`` of that sequence raises
+``OverflowError`` past ``sys.maxsize`` vectors; the vector count and
+the inconsistent count printed here are exact.
 
 ``check_ms`` is the median milliseconds, over ``repeats`` calls after one
 unrecorded call, of ``check_common_cause`` with the first station's
 spread as the candidate against the first inconsistent vector in
-lexicographic order.  That station precedes no outcome of the other
-k - 1 stations, so cc1 fails with 2(k - 1) witnesses, which the check
-words.  With no inconsistent vector (k = 1) there is nothing to check
-and ``check_ms`` is null.
+lexicographic order, item 0 of the grade's sequence.  That station
+precedes no outcome of the other k - 1 stations, so cc1 fails with
+2(k - 1) witnesses, which the check words.  With no inconsistent vector
+(k = 1) there is nothing to check and ``check_ms`` is null.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import statistics
 import sys
 import time
 
 from bstghz.common_cause import _search_every_vector, check_common_cause
 from bstghz.document import ModelDocument, SpreadDoc, resolve_document
-from bstghz.events import (
-    NSpread,
-    OutcomeVector,
-    consistency_grade,
-    _box_ranks,
-    _nspread_record,
-)
+from bstghz.events import NSpread, consistency_grade, _nspread_record
 from bstghz.model import CausalModel
 
 REPEATS = 5
 WIDTHS = (8, 12, 16, 20, 24, 32, 40, 48, 56, 64)
-# 2^16 vectors: the widest n-spread whose grade is timed
-GRADE_MAX_WIDTH = 16
 
 
 def width_document(k: int) -> ModelDocument:
@@ -109,35 +104,15 @@ def median_ms(call, repeats: int) -> float:
     return statistics.median(times) * 1000
 
 
-def first_inconsistent(
-    model: CausalModel, ns: NSpread
-) -> OutcomeVector | None:
-    """The first inconsistent vector of ``ns`` in lexicographic order,
-    found from the consistent ranks without listing the product; None
-    when every vector is consistent."""
-    outs = _nspread_record(model, ns)[1]
-    consistent = _box_ranks(outs, (1 << len(model.histories)) - 1)
-    rank = next(
-        (r for r, c in enumerate(consistent) if r != c), len(consistent)
-    )
-    if rank == math.prod(map(len, outs)):
-        return None
-    terms = []
-    for s in reversed(ns.spreads):
-        rank, j = divmod(rank, len(s.outcomes))
-        terms.append(s.outcomes[j])
-    return OutcomeVector(terms=tuple(reversed(terms)))
-
-
 def check_ms(model: CausalModel, ns: NSpread, repeats: int) -> float | None:
     """The median milliseconds, over ``repeats`` calls after an unrecorded
     one, of ``check_common_cause`` with the first station's spread as the
     candidate against ``ns``'s first inconsistent vector; None when
     there is none."""
-    vector = first_inconsistent(model, ns)
-    if vector is None:
+    inconsistent = consistency_grade(model, ns).inconsistent_vectors
+    if not inconsistent:
         return None
-    sigma = ns.spreads[0]
+    sigma, vector = ns.spreads[0], inconsistent[0]
     check_common_cause(model, sigma, ns, vector)
     return median_ms(
         lambda: check_common_cause(model, sigma, ns, vector), repeats
@@ -148,21 +123,19 @@ def measure(widths: list[int], repeats: int) -> list[dict]:
     rows = []
     for k in widths:
         model, ns = width_model(k)
-        count = math.prod(len(s.outcomes) for s in ns.spreads)
-        inconsistent, _ = _search_every_vector(model, [ns])
+        _search_every_vector(model, [ns])
+        _, _, count, ranks, _ = _nspread_record(model, ns)
         search_ms = median_ms(
             lambda: _search_every_vector(model, [ns]), repeats
         )
-        grade_ms = None
-        if k <= GRADE_MAX_WIDTH:
-            grade_ms = median_ms(lambda: consistency_grade(model, ns), repeats)
+        grade_ms = median_ms(lambda: consistency_grade(model, ns), repeats)
         rows.append(
             {
                 "width": k,
                 "points": len(model.points),
                 "histories": len(model.histories),
                 "vector_count": count,
-                "inconsistent": inconsistent,
+                "inconsistent": count - len(ranks),
                 "search_ms": search_ms,
                 "grade_ms": grade_ms,
                 "check_ms": check_ms(model, ns, repeats),

@@ -22,22 +22,31 @@ when the condition fails, cc3 per outcome of sigma.  The cc1 witnesses
 come from the point masks of the n-spread's outcomes, which its
 screening masks keep, by the walk that words condition (i) of a spread
 (``events._precedence_gaps``): a repeated check builds no point mask.
+Each n-spread's screening masks are memoised once its preconditions
+pass.  Those extend the n-spread's record in ``events`` with its
+outcomes' point masks and per spread a map from outcome to overlapping
+mask, which gives the checker and the search a vector's term masks by
+one lookup per term, once per check.
+
 The search (``search_common_causes``) reads the verdicts alone, each
-atomic candidate's masks from its spread's entry.  Each n-spread's
-screening masks are memoised once its preconditions pass.  Those extend
-the n-spread's record in ``events`` with its outcomes' point masks and
-per spread a map from outcome to overlapping mask, which gives the
-checker and the search a vector's term masks by one lookup per term,
-once per check.
+atomic candidate's masks from its spread's entry.  An atomic
+candidate's initial is one point, so cc1 holds for it exactly when that
+point lies below every outcome point of the n-spreads: the search ANDs
+the ``down`` masks of those points into the mask of the candidates'
+initials, point by point until no bit is left, and runs cc2 and cc3
+only on the candidates left.  On the GHZ model none is left after two
+or three points, so cc1 costs a few ANDs however many candidates there
+are.
 
 Against every inconsistent vector of an n-spread the search lists none
 (``_search_every_vector``, which ``check-cc --search`` and
-``classify_determinism`` use).  For an outcome of a candidate with
-overlapping mask m, let B_m hold per spread the outcomes whose masks
-meet m: cc3 fails for that outcome exactly when B_m holds an
-inconsistent vector, that is, when B_m holds more vectors than the box
-walk (``events._box_ranks``) finds consistent.  So the work grows with
-the spreads and the histories, not with the product.
+``classify_determinism`` use).  Their number is the product size less
+the consistent ranks, both from the n-spread's record.  For an outcome
+of a candidate with overlapping mask m, let B_m hold per spread the
+outcomes whose masks meet m: cc3 fails for that outcome exactly when
+B_m holds an inconsistent vector, that is, when B_m holds more vectors
+than the box walk (``events._box_ranks``) finds consistent.  So the
+work grows with the spreads and the histories, not with the product.
 
 Passing all three does not *establish* a common cause, which is why the
 interesting direction is the refutation; the GHZ scenario's, which needs
@@ -67,17 +76,17 @@ from .events import (
     _event_masks,
     _nspread_record,
     _precedence_gaps,
-    _one_consistent,
     _require_valid,
 )
-from .model import CausalModel, _Record
+from .model import CausalModel, _Record, bit_indices
 
 
 class ConditionResult(_Record):
     __slots__ = ("passed", "witnesses")
 
-    # Three per verdict, 4.5 per ghz-checkcc operation, and this __init__
-    # is about 0.25 us a call faster than the shared one (BENCH_26.json).
+    # Three per verdict, 4.5 per ghz-checkcc operation.  This __init__ is
+    # about 0.18 us a call faster than the shared one, 0.39 against 0.57
+    # us (timeit, best of 7, three rounds; BENCH_33.json).
     def __init__(self, passed: bool, witnesses: tuple[str, ...] = ()) -> None:
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "witnesses", witnesses)
@@ -116,8 +125,8 @@ def _require_cc_preconditions(model: CausalModel, ns: NSpread) -> _CCMasks:
         if not is_spacelike(model, ns):
             raise PreconditionFailed("the n-spread is not space-like")
         # is_spacelike validated the spreads and found the initials consistent
-        hist, outs = _nspread_record(model, ns)
-        if not _one_consistent(hist, outs):
+        hist, outs, _, _, one = _nspread_record(model, ns)
+        if not one:
             raise PreconditionFailed("the n-spread is not 1-consistent")
         by_outcome = tuple(
             dict(zip(s.outcomes, ms)) for s, ms in zip(ns.spreads, outs)
@@ -276,7 +285,9 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
     if atomic_spreads in memo:
         return memo[atomic_spreads]
     out: list[Spread] = []
-    for p in model.points:
+    initials = 0
+    at = {}
+    for i, p in enumerate(model.points):
         cov = model.covers(p)
         if not cov:
             continue
@@ -288,9 +299,12 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
         )
         if validate_spread(model, spread).ok:
             out.append(spread)
+            # for the scan: the candidate by its initial point, with its
+            # outcomes' masks from the entry that validating it wrote
+            initials |= 1 << i
+            at[i] = spread, memo[spread][1]
     memo[atomic_spreads] = tuple(out)
-    # their spreads' entries, which validating them wrote, for the scan
-    memo[_scan] = tuple([memo[s] for s in out])
+    memo[_scan] = initials, at
     return memo[atomic_spreads]
 
 
@@ -311,12 +325,12 @@ def search_common_causes(
     conditions for every listed pair.  An empty target list makes the
     search vacuous, which the result flags.
 
-    The verdicts are the mask tests that ``check_common_cause`` reports
-    from (cc1 inline, ``_cc2``, and ``_cc3``, the checker's cc3 walk
-    without its lines), on the masks of each distinct
-    n-spread (told apart by identity) and each distinct vector, whose
-    term masks are looked up in its n-spread's record; no witness is
-    worded.  A candidate stops at its first failing test.
+    The verdicts are those of the mask tests that ``check_common_cause``
+    reports from (cc1 by :func:`_scan`'s walk, ``_cc2``, and ``_cc3``,
+    the checker's cc3 walk without its lines), on the masks of each
+    distinct n-spread (told apart by identity) and each distinct vector,
+    whose term masks are looked up in its n-spread's record; no witness
+    is worded.
     """
     if len(ns_list) != len(vectors):
         raise ValueError("ns_list and vectors must pair up one to one")
@@ -351,22 +365,29 @@ def _scan(
     """The atomic candidates passing cc1 and cc2 for the n-spreads whose
     screening ``masks`` are given, and ``cc3`` on their outcomes' masks.
 
-    Each candidate's masks are read from its spread's entry, which
-    :func:`atomic_spreads` wrote by validating it and keeps in candidate
-    order.  A candidate stops at its first failing test.  ``vacuous``
+    An atomic candidate's initial is one point, so it passes cc1 exactly
+    when that point lies below every outcome point of the n-spreads: the
+    candidates passing cc1 are the bits of :func:`atomic_spreads`'
+    initials left by ANDing the ``down`` mask of each outcome point, a
+    walk that stops once no bit is left (on the GHZ model, after two or
+    three points).  cc2 and ``cc3`` run only on the candidates left, whose
+    outcomes' masks are read from their spreads' entries.  ``vacuous``
     marks a search without targets and adds its note.
     """
     masks = list(masks)
     pts = functools.reduce(operator.or_, (m[0] for m in masks), 0)
     hists = {m[1] for m in masks}
     candidates = atomic_spreads(model)
+    left, at = model.memo[_scan]
+    down = model.down
+    while pts and left:
+        low = pts & -pts
+        left &= down[low.bit_length() - 1]
+        pts ^= low
     passing = []
-    for cand, (above, outs) in zip(candidates, model.memo[_scan]):
-        if (
-            not pts & ~above
-            and all(_cc2(h, outs) for h in hists)
-            and cc3(outs)
-        ):
+    for i in bit_indices(left):
+        cand, outs = at[i]
+        if all(_cc2(h, outs) for h in hists) and cc3(outs):
             passing.append(cand)
     notes = (
         ("no target vectors were supplied; every candidate passes vacuously",)
@@ -384,23 +405,24 @@ def _search_every_vector(
     """The number of inconsistent vectors of the listed n-spreads, and
     the search with every one of them as a target, neither listing them.
 
-    Each n-spread must pass the preconditions.  One with no inconsistent
-    vector adds no condition, and with none at all the search is
-    vacuous, as :func:`search_common_causes` is on an empty target list.
-    A candidate outcome with overlapping mask m fails cc3 against some
-    target of an n-spread exactly when the box of the outcomes meeting m
-    holds more vectors than :func:`events._box_ranks` finds consistent.
+    Each n-spread must pass the preconditions.  Its inconsistent count is
+    its product size less its consistent ranks, both from its record in
+    ``events``.  One with no inconsistent vector adds no condition, and
+    with none at all the search is vacuous, as
+    :func:`search_common_causes` is on an empty target list.  A candidate
+    outcome with overlapping mask m fails cc3 against some target of an
+    n-spread exactly when the box of the outcomes meeting m holds more
+    vectors than :func:`events._box_ranks` finds consistent.
     """
     full = (1 << len(model.histories)) - 1
-    count = 0
+    total = 0
     listed = {}
     for ns in nspreads:
         masks = _require_cc_preconditions(model, ns)
-        outs = _nspread_record(model, ns)[1]
-        inconsistent = math.prod(map(len, outs)) - len(_box_ranks(outs, full))
-        if inconsistent:
+        _, outs, count, ranks, _ = _nspread_record(model, ns)
+        if count > len(ranks):
             listed[ns] = masks, outs
-        count += inconsistent
+        total += count - len(ranks)
 
     def cc3(cand: tuple[int, ...]) -> bool:
         for m in cand:
@@ -410,8 +432,8 @@ def _search_every_vector(
                     return False
         return True
 
-    return count, _scan(
-        model, (masks for masks, _ in listed.values()), cc3, not count
+    return total, _scan(
+        model, (masks for masks, _ in listed.values()), cc3, not total
     )
 
 

@@ -40,27 +40,31 @@ event's chain check runs on its point mask, once per model.  A
 spread's entry, keyed by the spread and written by ``validate_spread``
 on a pass, holds the points above its initial and its outcomes'
 overlapping masks.  An n-spread's record (``_nspread_record``), written
-once its spreads pass, holds the AND of its initials' containing masks
-and its spreads' outcome masks, taken from their entries; the
-common-cause layer adds what only it reads.
+once its spreads pass, holds the AND of its initials' containing masks,
+its spreads' outcome masks, taken from their entries, the size of its
+product, the ranks of its consistent vectors and its 1-consistency bit;
+the common-cause layer adds what only it reads.
 Violations are worded only after a mask test has failed.  Precedence
 failures are named by one walk (``_precedence_gaps``) that spread
 validation and the common-cause checker share: it skips an outcome whose
 mask lies above the initial and names, per point p of the initial, the
 outcome's bits outside ``up[p]``.
 
-Grading an n-spread reads its record and makes no consistency query:
-the AND of its initials' containing masks decides minimal and
-1-consistency (the space-like test reads the same AND), and its
-consistent outcome vectors are found by the box walk (``_box_ranks``).
-A box gives one set of outcomes per spread; the walk extends prefixes
-spread by spread, keeping a prefix only while the AND of its outcomes'
-overlapping masks is nonzero.  No history overlaps two outcomes of one
-spread, so the live prefixes of each length have disjoint masks and
-number at most the model's histories, and a box holds an inconsistent
-vector exactly when its size exceeds its consistent count.  The grade
-is the box of all outcomes; only its list of inconsistent vectors, the
-product minus the consistent ones, grows with the product.
+Grading an n-spread reads its record and makes no consistency query
+and no walk: the AND of its initials' containing masks decides minimal
+consistency (the space-like test reads the same AND), the record's bit
+1-consistency, and the consistent ranks maximal consistency.  Those
+ranks are found once, when the record is written, by the box walk
+(``_box_ranks``) on the box of all outcomes.  A box gives one set of
+outcomes per spread; the walk extends prefixes spread by spread, keeping
+a prefix only while the AND of its outcomes' overlapping masks is
+nonzero.  No history overlaps two outcomes of one spread, so the live
+prefixes of each length have disjoint masks and number at most the
+model's histories, and a box holds an inconsistent vector exactly when
+its size exceeds its consistent count.  A vector is its mixed-radix
+rank, so the grade's inconsistent vectors are a lazy sequence over the
+ranks that are not consistent (``InconsistentVectors``), whose length
+is a subtraction: nothing in the grade grows with the product.
 
 ``Event``, ``Spread`` and ``NSpread`` are memo keys, so each hashes its
 fields once, at construction, into a private slot.  ``Event`` and
@@ -88,6 +92,7 @@ from .model import (
     ValidationReport,
     bit_indices,
     _is_chain_mask,
+    _LazyTuple,
     _Record,
 )
 
@@ -185,9 +190,10 @@ class OutcomeVector(_Record):
 
     __slots__ = ("terms",)
 
-    # The grade builds one per inconsistent vector, 9 per ghz-checkcc
-    # operation, and this __init__ is about 0.3 us a call faster than the
-    # shared one (BENCH_26.json).
+    # Reading a grade's inconsistent vectors builds one per vector: with
+    # the vector it checks, 9 per ghz-checkcc operation.  This __init__ is
+    # about 0.24 us a call faster than the shared one, 0.25 against 0.49
+    # us (timeit, best of 7, three rounds; BENCH_33.json).
     def __init__(self, terms: tuple[Event, ...]) -> None:
         object.__setattr__(self, "terms", terms)
 
@@ -199,12 +205,71 @@ class OutcomeVector(_Record):
         return ",".join(self.names)
 
 
+class InconsistentVectors(_LazyTuple):
+    """The inconsistent outcome vectors of an n-spread, in lexicographic
+    order, as a read-only sequence that builds a vector only when one is
+    read.
+
+    It holds the n-spread, the size of its product and the increasing
+    ranks of its consistent vectors, from the n-spread's record; its
+    items are the vectors of the other ranks.  Its length is the product
+    size less the consistent count and its truth whether that is
+    nonzero, so neither builds a vector.  Iteration walks the product in
+    rank order past the consistent ranks.  An index finds the i-th rank
+    outside the consistent ones by one pass over them and unranks it as a
+    mixed-radix number, by ``divmod`` with each spread's outcome count,
+    last spread first (Knuth, TAOCP 4A, 7.2.1.1).  The rest of its
+    reading as the tuple of its vectors is :class:`model._LazyTuple`'s.
+    """
+
+    __slots__ = ("_nspread", "_count", "_ranks")
+
+    def __init__(
+        self, nspread: NSpread, count: int, ranks: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "_nspread", nspread)
+        object.__setattr__(self, "_count", count)
+        object.__setattr__(self, "_ranks", ranks)
+
+    def __len__(self) -> int:
+        return self._count - len(self._ranks)
+
+    def __bool__(self) -> bool:
+        return self._count != len(self._ranks)
+
+    def __iter__(self) -> Iterator[OutcomeVector]:
+        ranks = iter(self._ranks)
+        skip = next(ranks, None)
+        outcomes = [s.outcomes for s in self._nspread.spreads]
+        for rank, terms in enumerate(itertools.product(*outcomes)):
+            if rank == skip:
+                skip = next(ranks, None)
+            else:
+                yield OutcomeVector(terms)
+
+    def _item(self, i: int) -> OutcomeVector:
+        rank = i
+        for consistent in self._ranks:
+            if consistent > rank:
+                break
+            rank += 1
+        terms = []
+        for s in reversed(self._nspread.spreads):
+            rank, j = divmod(rank, len(s.outcomes))
+            terms.append(s.outcomes[j])
+        terms.reverse()
+        return OutcomeVector(tuple(terms))
+
+
 class GradeReport(_Record):
     """Consistency grading of an n-spread.
 
     ``minimal``: the initials alone are consistent.  ``one_consistent``:
     additionally each single outcome of each spread is consistent with the
     initials.  ``maximal``: every outcome vector is consistent.
+    ``vector_count`` is the size of the product, exactly, and
+    ``inconsistent_vectors`` the vectors that are not consistent, as an
+    :class:`InconsistentVectors` sequence when the grade built it.
     """
 
     __slots__ = (
@@ -406,10 +471,13 @@ def _require_valid(
 
 def _nspread_record(
     model: CausalModel, ns: NSpread
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The n-spread's masks: the histories containing every initial, and
-    per spread the histories overlapping each of its outcomes in
-    declared order, from its spreads' entries.
+) -> tuple[int, tuple[tuple[int, ...], ...], int, tuple[int, ...], bool]:
+    """The n-spread's record: the histories containing every initial; per
+    spread the histories overlapping each of its outcomes in declared
+    order, from its spreads' entries; the size of its product; the ranks
+    of its consistent vectors, in increasing order (:func:`_box_ranks` on
+    the box of all outcomes); and whether it is 1-consistent, that is,
+    whether that AND is nonzero and meets every overlapping mask.
 
     Validates the spreads on a miss, so an invalid one raises
     :class:`InvalidSpread`, and memoises the record on the model, keyed
@@ -424,14 +492,14 @@ def _nspread_record(
             (_event_masks(model, s.initial, "initial")[1] for s in ns.spreads),
         )
         outs = tuple([memo[s][1] for s in ns.spreads])
-        record = memo[ns] = (hist, outs)
+        record = memo[ns] = (
+            hist,
+            outs,
+            math.prod(map(len, outs)),
+            tuple(_box_ranks(outs, (1 << len(model.histories)) - 1)),
+            hist != 0 and all(hist & m for ms in outs for m in ms),
+        )
     return record
-
-
-def _one_consistent(hist: int, outs: Sequence[Sequence[int]]) -> bool:
-    """Each outcome is consistent with the initials: every overlapping
-    mask of the record's ``outs`` meets its ``hist``."""
-    return all(hist & m for ms in outs for m in ms)
 
 
 def _box_ranks(outs: Sequence[Sequence[int]], start: int) -> list[int]:
@@ -463,39 +531,28 @@ def consistency_grade(model: CausalModel, ns: NSpread) -> GradeReport:
     """Grade an n-spread: minimal, 1-consistent, maximally consistent.
 
     Raises :class:`InvalidSpread` when a constituent spread fails
-    validation.  The grade is read off the history masks: the initials
-    are consistent when the AND of their containing masks is nonzero, and
-    an outcome with them when its overlapping mask meets that AND.  The
-    consistent vectors are the prefixes, extended one spread at a time,
-    whose overlapping masks keep a nonzero AND (:func:`_box_ranks` on
-    the box of all outcomes); each is held as its lexicographic rank, and
-    ``inconsistent_vectors`` lists the other vectors of the product in
-    order.  The implication chain maximal => 1-consistent => minimal is
-    checked on every grading; a break is a bug and raises
-    ``RuntimeError``, also under ``python -O``.
+    validation.  The grade is read off the n-spread's record
+    (:func:`_nspread_record`), so a repeated grade walks nothing: the
+    initials are consistent when the AND of their containing masks is
+    nonzero, the record holds the 1-consistency bit, and the n-spread is
+    maximally consistent when its consistent ranks number its product.
+    ``inconsistent_vectors`` is the :class:`InconsistentVectors` sequence
+    of the other ranks, which builds no vector until it is read.  The
+    implication chain maximal => 1-consistent => minimal is checked on
+    every grading; a break is a bug and raises ``RuntimeError``, also
+    under ``python -O``.
     """
-    hist, outs = _nspread_record(model, ns)
+    hist, _, count, ranks, one = _nspread_record(model, ns)
     minimal = hist != 0
-    one = minimal and _one_consistent(hist, outs)
-    count = math.prod(map(len, outs))
-    keep = [True] * count
-    for rank in _box_ranks(outs, (1 << len(model.histories)) - 1):
-        keep[rank] = False
-    inconsistent = tuple(
-        map(
-            OutcomeVector,
-            itertools.compress(
-                itertools.product(*[s.outcomes for s in ns.spreads]), keep
-            ),
-        )
-    )
-    maximal = not inconsistent
+    maximal = count == len(ranks)
     if (maximal and not one) or (one and not minimal):
         raise RuntimeError(
             "internal error: consistency grade breaks the implication chain "
             f"maximal => 1-consistent => minimal ({maximal}, {one}, {minimal})"
         )
-    return GradeReport(minimal, one, maximal, count, inconsistent)
+    return GradeReport(
+        minimal, one, maximal, count, InconsistentVectors(ns, count, ranks)
+    )
 
 
 def is_spacelike(model: CausalModel, ns: NSpread) -> bool:

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from math import prod
@@ -87,7 +86,7 @@ from .document import (
     resolve_document,
 )
 from .errors import BadFlag
-from .model import CausalModel, _Record
+from .model import CausalModel, _LazyTuple, _Record
 
 STATIONS = (1, 2, 3)
 AXES = ("x", "y")
@@ -650,18 +649,18 @@ _HALVES = tuple(
 )
 
 
-class ProfileSet(Sequence[CandidateProfile]):
+class ProfileSet(_LazyTuple):
     """A profile set as a read-only sequence of its profiles, read out
     only on demand.
 
     It holds the set alone, bit t the profile with flag mask t.  Its
     length is the set's bit count and its truth whether any bit is set.
     Iteration reads the set out by :func:`_common`, lowest bit first, so
-    in profile order; an index selects its set bit by bisection on bit
-    counts, and a slice is taken of the profiles' tuple.  It equals,
-    hashes and prints as the tuple of its profiles, equals another
-    profile set with the same bits, refuses assignment, and pickles and
-    copies as its bits.
+    in profile order, and an index selects its set bit by bisection on
+    bit counts.  The bits determine the profiles, so it equals another
+    profile set exactly when their bits are equal.  The rest of its
+    reading as the tuple of its profiles is :class:`model._LazyTuple`'s,
+    and its state is its bits.
     """
 
     __slots__ = ("_bits",)
@@ -675,22 +674,19 @@ class ProfileSet(Sequence[CandidateProfile]):
     def __bool__(self) -> bool:
         return self._bits != 0
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ProfileSet):
+            return self._bits == other._bits
+        return _LazyTuple.__eq__(self, other)
+
+    __hash__ = _LazyTuple.__hash__
+
     def __iter__(self) -> Iterator[CandidateProfile]:
         return map(_profile, _common((self._bits,)))
 
-    def __getitem__(  # type: ignore[override]
-        self, index: int | slice
-    ) -> CandidateProfile | tuple[CandidateProfile, ...]:
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        bits, i = self._bits, operator.index(index)
-        n = bits.bit_count()
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("ProfileSet index out of range")
+    def _item(self, i: int) -> CandidateProfile:
         # keep the half of the remaining bits that holds the i-th set bit
-        t = 0
+        bits, t = self._bits, 0
         for half, low in _HALVES:
             below = (bits & low).bit_count()
             if i >= below:
@@ -698,28 +694,6 @@ class ProfileSet(Sequence[CandidateProfile]):
                 bits >>= half
                 t += half
         return _profile(t)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ProfileSet):
-            return self._bits == other._bits
-        if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}")
-
-    def __reduce__(self) -> tuple[type, tuple[int]]:
-        return type(self), (self._bits,)
 
 
 @functools.cache

@@ -47,6 +47,8 @@ in every nontrivial finite order and is reported as waived.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
@@ -161,6 +163,72 @@ class _Record:
 
     def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
         return type(self), self._values()
+
+
+class _LazyTuple(Sequence):
+    """A read-only sequence that stands for the tuple of its items and
+    reads them out only when asked: the base of ``ghz.ProfileSet`` and
+    ``events.InconsistentVectors``.
+
+    A subclass keeps its state in private ``__slots__``, set by its
+    constructor through ``object.__setattr__``, and defines ``__len__``,
+    ``__bool__``, ``__iter__`` and ``_item(i)``, the item at an index
+    ``0 <= i < len``.  This base gives it the rest of a tuple's reading:
+    a negative index counts from the end, one outside the sequence raises
+    :class:`IndexError`, and a slice gives the tuple of the items it
+    selects.  The sequence equals, hashes and prints as the tuple of its
+    items, and equals another of its class with the same state without
+    reading either out.  It refuses assignment and deletion, and pickles
+    and copies as its constructor call on its state.  As with ``range``,
+    ``len`` of a sequence longer than ``sys.maxsize`` raises
+    :class:`OverflowError`; indexing, slicing and equality read
+    ``__len__`` itself and take any length.
+    """
+
+    __slots__ = ()
+
+    def _state(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, s) for s in self.__slots__])
+
+    def _item(self, i: int) -> Any:
+        raise NotImplementedError
+
+    def __getitem__(self, index: Any) -> Any:
+        n = self.__len__()
+        if isinstance(index, slice):
+            return tuple(map(self._item, range(*index.indices(n))))
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._item(i)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__ and (
+            self._state() == other._state()  # type: ignore[attr-defined]
+        ):
+            return True
+        if isinstance(other, (tuple, _LazyTuple)):
+            return self.__len__() == other.__len__() and all(
+                map(operator.eq, self, other)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), self._state()
 
 
 class History(_Record):

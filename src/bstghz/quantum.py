@@ -216,9 +216,5 @@ def compare_with_stipulation() -> DiscrepancyReport:
             p = outcome_probability(ctx, v.signs)
             stip = parity_consistent(v)
             if stip != (p > 0):
-                disagreements.append(
-                    Discrepancy(
-                        vector=v, stipulated_consistent=stip, probability=p
-                    )
-                )
-    return DiscrepancyReport(disagreements=tuple(disagreements))
+                disagreements.append(Discrepancy(v, stip, p))
+    return DiscrepancyReport(tuple(disagreements))

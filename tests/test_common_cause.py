@@ -225,6 +225,19 @@ def every_vector_agrees(model, nspreads):
     return expected
 
 
+def reference_cc1_cc2_initials(model, ns):
+    """The initials of the reference candidates that pass cc1 and cc2
+    against ``ns``, by ``reference_cc_conditions``; those two conditions
+    do not read the vector, so any vector of ``ns`` serves."""
+    vector = OutcomeVector(terms=tuple(s.outcomes[0] for s in ns.spreads))
+    names = []
+    for cand in reference_atomic_spreads(model):
+        report = reference_cc_conditions(model, cand, ns, vector)
+        if report.cc1.passed and report.cc2.passed:
+            names.append(cand.initial.name)
+    return sorted(names)
+
+
 def search_agrees(model, ns_list, vectors):
     """Assert that the search agrees with the reference loop: the same
     exception type, or the same candidates and passing tuple.  Returns
@@ -690,6 +703,21 @@ class TestMemoRule:
                 assert all(
                     reference_spread_report(model, s).ok for s in key.spreads
                 ), key
+                # the record: the outcome masks are the spreads' entries,
+                # the rest is checked against the brute-force grade
+                hist, outs, count, ranks, one = entry
+                assert outs == tuple(memo[s][1] for s in key.spreads), key
+                grade = brute_force_grade(model, key)
+                vectors = enumerate_outcome_vectors(key)
+                assert count == len(vectors), key
+                assert ranks == tuple(
+                    rank
+                    for rank, v in enumerate(vectors)
+                    if v not in grade.inconsistent_vectors
+                ), key
+                assert (hist != 0, one) == (
+                    grade.minimal, grade.one_consistent
+                ), key
             elif isinstance(key, tuple):
                 assert key[0] is _require_cc_preconditions, key
                 reference_cc_preconditions(model, key[1])
@@ -697,6 +725,17 @@ class TestMemoRule:
                 assert sorted(entry, key=repr) == sorted(valid, key=repr)
             else:
                 assert key is common_cause._scan, key
+                # the candidates by initial point, with their outcomes'
+                # masks from their spreads' entries
+                initials, at = entry
+                cands = memo[atomic_spreads]
+                assert list(at) == [
+                    i for i in range(len(model.points)) if initials >> i & 1
+                ]
+                assert [model.points[i] for i in at] == [
+                    c.initial.name for c in cands
+                ]
+                assert list(at.values()) == [(c, memo[c][1]) for c in cands]
 
 
 class TestAtomicSpreads:
@@ -837,6 +876,29 @@ class TestSearch:
                 if len(failed) < 2:
                     seen[failed[0] if failed else "pass"] += 1
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("width", [None, 2, 3, 5])
+    def test_agrees_with_the_reference_past_cc1_and_cc2(
+        self, width, toy, scale_grade
+    ):
+        # on the toy the decay point passes cc1 and cc2, and then cc3; on a
+        # width model, as on the GHZ model, every candidate fails cc1 (the
+        # root, below every station, is no candidate: its covers share
+        # every history), so cc1's walk leaves none and cc3 never runs.
+        # The seeded draws of test_reference_draws_cover_every_verdict
+        # hold candidates that pass cc1 and cc2 and fail cc3.
+        if width is None:
+            model, ns = toy.model, toy.station_nspread
+        else:
+            model, ns = scale_grade.width_model(width)
+        targets = brute_force_grade(model, ns).inconsistent_vectors
+        expected = search_agrees(model, [ns] * len(targets), list(targets))
+        left = reference_cc1_cc2_initials(model, ns)
+        if width is None:
+            assert left == ["d"]
+            assert [s.initial.name for s in expected.passing] == ["d"]
+        else:
+            assert left == [] and expected.passing == ()
 
     @pytest.mark.parametrize("fixture", ["toy", "ghz"])
     def test_targets_are_deduplicated_without_changing_the_result(
@@ -1111,6 +1173,25 @@ class TestProfileSet:
             assert ps[cut] == tup[cut]
         assert [ps[i] for i in range(n)] == list(tup)
         assert [ps[i] for i in range(-n, 0)] == list(tup)
+
+    def test_sets_of_one_length_compare_by_their_bits(self, monkeypatch):
+        full = (1 << 4096) - 1
+        pairs = [(0b0110, 0b1010), (full ^ 1, full ^ 1 << 4095)]
+        tuples = [(tuple(ProfileSet(a)), tuple(ProfileSet(b))) for a, b in pairs]
+
+        def no_readout(self):
+            raise AssertionError("a profile set was read out")
+
+        monkeypatch.setattr(ProfileSet, "__iter__", no_readout)
+        for a, b in pairs:
+            assert len(ProfileSet(a)) == len(ProfileSet(b))
+            assert ProfileSet(a) != ProfileSet(b)
+            assert not ProfileSet(a) == ProfileSet(b)
+            assert ProfileSet(a) == ProfileSet(a)
+        monkeypatch.undo()
+        for (a, b), (ta, tb) in zip(pairs, tuples):
+            assert ta != tb
+            assert ProfileSet(a) == ta and ProfileSet(a) != tb
 
 
 class TestRefutation:

@@ -1,7 +1,10 @@
 """Event roles, spread validation, and consistency grading."""
 
 import copy
+import itertools
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -48,9 +51,12 @@ def ev(*names):
 
 def broken_masks(model, ns):
     """An n-spread record of history masks no model has: the initials in
-    no history together, every outcome in all of them."""
+    no history together, every outcome in all of them, so every vector
+    consistent and the n-spread not 1-consistent."""
     every = (1 << len(model.histories)) - 1
-    return 0, tuple((every,) * len(s.outcomes) for s in ns.spreads)
+    outs = tuple((every,) * len(s.outcomes) for s in ns.spreads)
+    count = math.prod(map(len, outs))
+    return 0, outs, count, tuple(range(count)), False
 
 
 def fork():
@@ -395,12 +401,15 @@ class TestGrading:
     def test_broken_implication_chain_raises_under_optimize(self):
         script = textwrap.dedent(
             """
+            import math
+
             from bstghz import build_toy_decay, consistency_grade, events
 
             def broken_masks(model, ns):
                 every = (1 << len(model.histories)) - 1
                 outs = tuple((every,) * len(s.outcomes) for s in ns.spreads)
-                return 0, outs
+                count = math.prod(map(len, outs))
+                return 0, outs, count, tuple(range(count)), False
 
             events._nspread_record = broken_masks
             toy = build_toy_decay()
@@ -491,6 +500,97 @@ class TestGrading:
         monkeypatch.setattr(events, "is_consistent", refuse)
         g = consistency_grade(toy.model, toy.station_nspread)
         assert g.vector_count == 4 and len(g.inconsistent_vectors) == 2
+
+
+class TestInconsistentVectors:
+    """A grade's ``inconsistent_vectors`` reads as the tuple that
+    ``brute_force_grade`` lists, in the order of ``itertools.product``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    def test_reads_as_the_brute_force_tuple(self, seed, data):
+        # station spreads drawn with repeats, so that two terms of one
+        # vector can be distinct outcomes of one spread
+        rng = random.Random(seed)
+        model, pool = seeded_station_model(rng)
+        ns = NSpread(spreads=tuple(rng.choices(pool, k=rng.randint(1, 4))))
+        grade = consistency_grade(model, ns)
+        expected = brute_force_grade(model, ns)
+        assert grade == expected and expected == grade
+        seq, tup = grade.inconsistent_vectors, expected.inconsistent_vectors
+        assert type(seq) is events.InconsistentVectors
+        # the order is the product's, less its consistent vectors
+        product = [
+            OutcomeVector(terms=t)
+            for t in itertools.product(*[s.outcomes for s in ns.spreads])
+        ]
+        assert list(seq) == [v for v in product if v in tup]
+        assert tuple(seq) == tup
+        n = len(tup)
+        assert len(seq) == n and bool(seq) == bool(tup)
+        assert grade.vector_count == len(product)
+        assert seq == tup and tup == seq and not seq != tup
+        assert seq != list(tup) and not seq == list(tup)
+        assert hash(seq) == hash(tup)
+        assert [repr(seq)] == [repr(tup)]
+        assert [seq[i] for i in range(n)] == list(tup)
+        assert [seq[i] for i in range(-n, 0)] == list(tup)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                seq[i]
+        for _ in range(5):
+            cut = data.draw(st.slices(n + 2))
+            assert seq[cut] == tup[cut]
+        for twin in (
+            pickle.loads(pickle.dumps(seq)), copy.copy(seq), copy.deepcopy(seq)
+        ):
+            assert type(twin) is events.InconsistentVectors
+            assert twin == seq and tuple(twin) == tup
+        with pytest.raises(AttributeError):
+            seq._ranks = ()
+        with pytest.raises(AttributeError):
+            del seq._ranks
+        with pytest.raises(TypeError):
+            seq[0] = None
+        # another n-spread's sequence equals this one exactly when their
+        # tuples do
+        other = NSpread(spreads=(rng.choice(pool),))
+        theirs = consistency_grade(model, other).inconsistent_vectors
+        assert (seq == theirs) == (tup == tuple(theirs)) == (theirs == seq)
+
+    def test_width_64_is_indexed_without_iterating(
+        self, scale_grade, monkeypatch
+    ):
+        model, ns = scale_grade.width_model(64)
+        grade = consistency_grade(model, ns)
+        seq = grade.inconsistent_vectors
+
+        def refuse(self):
+            raise AssertionError("iterated over the inconsistent vectors")
+
+        monkeypatch.setattr(events.InconsistentVectors, "__iter__", refuse)
+        n = 2**64 - 3
+        assert grade.vector_count == 2**64 and not grade.maximal
+        assert seq.__len__() == n and seq
+        # like len(range(2**64)), len past sys.maxsize overflows
+        with pytest.raises(OverflowError):
+            len(seq)
+        # rank 0 (all -) and rank 2^64 - 1 (all +) are consistent
+        first = ("-",) * 63 + ("+",)
+        last = ("+",) * 63 + ("-",)
+        for index, signs in [
+            (0, first), (-n, first), (-1, last), (n - 1, last),
+        ]:
+            assert [t.name[-1] for t in seq[index].terms] == list(signs)
+            assert seq[index].names[0] == f"s00{signs[0]}"
+        assert seq[:2] == (seq[0], seq[1]) and seq[-1:] == (seq[-1],)
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                seq[index]
+        # equality tells by state or by length, without reading out
+        assert pickle.loads(pickle.dumps(seq)) == seq
+        narrower = consistency_grade(*scale_grade.width_model(63))
+        assert seq != narrower.inconsistent_vectors
 
 
 class TestSpacelike:

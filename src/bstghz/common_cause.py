@@ -11,17 +11,21 @@ vector c of a space-like, 1-consistent n-spread:
 * cc3 (screening): each outcome of sigma is inconsistent with at least
   one single term of c.
 
-Each condition's verdict is one mask test on the model's bitsets, shared
-by the checker and the search: cc1 asks whether the outcome points of
-the n-spread lie inside the points above sigma's initial, cc2 and cc3
-AND history masks.  Sigma's masks, the points above its initial and
-its outcomes' overlapping masks, are its spread's entry, which
-validating the spread wrote; the n-spread's come from its record in
-``events``.  Witness lines are worded only for a report: cc1 and cc2
-when the condition fails, cc3 per outcome of sigma.  The cc1 witnesses
-come from the point masks of the n-spread's outcomes, which its
-screening masks keep, by the walk that words condition (i) of a spread
-(``events._precedence_gaps``): a repeated check builds no point mask.
+Each condition's verdict is one mask test on the model's bitsets, and
+the checker and the search run the same tests (``pts & ~above == 0``,
+``_cc2`` and ``_cc3``): cc1 asks whether the outcome points of the
+n-spread lie inside the points above sigma's initial, cc2 and cc3 AND
+history masks.  Sigma's masks, the points above its initial and its
+outcomes' overlapping masks, are its spread's entry, which validating
+the spread wrote; the n-spread's come from its record in ``events``.
+A report's witnesses are worded on demand: each condition's is a
+read-only :class:`Witnesses` sequence that words its lines once, on
+first read, and equals, hashes, prints and pickles as the tuple of those
+lines; a passing cc1 or cc2 has ``()``, cc3 a line per outcome of
+sigma.  The cc1 witnesses come from the point masks of the n-spread's
+outcomes, which its screening masks keep, by the walk that words
+condition (i) of a spread (``events._precedence_gaps``): wording them
+builds no point mask.
 Each n-spread's screening masks are memoised once its preconditions
 pass.  Those extend the n-spread's record in ``events`` with its
 outcomes' point masks and per spread a map from outcome to overlapping
@@ -61,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .document import ModelDocument, SpreadDoc, resolve_document
 from .errors import NotInconsistencyType, PreconditionFailed
@@ -78,18 +82,87 @@ from .events import (
     _precedence_gaps,
     _require_valid,
 )
-from .model import CausalModel, _Record, bit_indices
+from .model import CausalModel, _LazyTuple, _Record, bit_indices
+
+
+class Witnesses(_LazyTuple):
+    """The witness lines of one screening condition, as a read-only
+    sequence that words them on first read.
+
+    Until then it holds the wording call alone, a partial application of
+    one of the module's line functions to the events and masks of the
+    check; the first read words the lines once and keeps them in its place,
+    so the model and masks go.  Its reading as the tuple of its lines is
+    :class:`model._LazyTuple`'s, with the lines as its state; ``in``,
+    ``index`` and ``count`` ask the lines, which may repeat.  It pickles
+    and copies as the tuple of its lines, so a pickled report carries no
+    model.
+    """
+
+    # _lines: the wording call until the first read, then the lines
+    __slots__ = ("_lines",)
+
+    def __init__(self, word: Callable[[], list[str]]) -> None:
+        _put_lines(self, word)
+
+    def _read(self) -> tuple[str, ...]:
+        lines = self._lines
+        if lines.__class__ is not tuple:
+            lines = tuple(lines())
+            _put_lines(self, lines)
+        return lines
+
+    def _state(self) -> tuple[tuple[str, ...]]:
+        return (self._read(),)
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __bool__(self) -> bool:
+        return bool(self._read())
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._read())
+
+    def _item(self, i: int) -> str:
+        return self._read()[i]
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._read()
+
+    def index(self, value: Any, *bounds: Any) -> int:
+        return self._read().index(value, *bounds)
+
+    def count(self, value: Any) -> int:
+        return self._read().count(value)
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[str, ...]]]:
+        return tuple, (self._read(),)
+
+
+# The slot's own setter: a report builds up to three sequences, and this
+# is a cheaper call than object.__setattr__.
+_put_lines = Witnesses._lines.__set__  # type: ignore[attr-defined]
 
 
 class ConditionResult(_Record):
+    """The verdict of one screening condition, with its witness lines:
+    ``()`` for a passing cc1 or cc2, else a :class:`Witnesses` sequence.
+    """
+
     __slots__ = ("passed", "witnesses")
 
-    # Three per verdict, 4.5 per ghz-checkcc operation.  This __init__ is
-    # about 0.18 us a call faster than the shared one, 0.39 against 0.57
-    # us (timeit, best of 7, three rounds; BENCH_33.json).
-    def __init__(self, passed: bool, witnesses: tuple[str, ...] = ()) -> None:
+    # Up to three per check.  This __init__ is about 0.18 us a call faster
+    # than the shared one, 0.39 against 0.57 us (timeit, best of 7, three
+    # rounds; BENCH_33.json).
+    def __init__(self, passed: bool, witnesses: Sequence[str] = ()) -> None:
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "witnesses", witnesses)
+
+
+# A passing cc1 or cc2 has no witness; the record is immutable, so every
+# report shares this one.
+_PASSED = ConditionResult(True)
 
 
 class CommonCauseReport(_Record):
@@ -182,15 +255,68 @@ def _term_masks(
 # the n-spread's (from ``_require_cc_preconditions``), ``terms`` the
 # vector's ``_term_masks``.  cc1 is the test ``pts & ~above == 0`` on the
 # n-spread's outcome points and the points above the candidate's initial,
-# written out where it is asked.
+# written out where it is asked.  cc2 and cc3 are plain loops: every check
+# runs both, and a loop is faster than the same test written with all()
+# over generators (with two outcomes and three terms, 0.20 against 1.04
+# us for cc3 and 0.14 against 0.40 us for cc2; timeit, best of 7).
 
 
 def _cc2(hist: int, outs: tuple[int, ...]) -> bool:
-    return all(hist & m for m in outs)
+    for m in outs:
+        if not hist & m:
+            return False
+    return True
 
 
 def _cc3(outs: tuple[int, ...], terms: tuple[int, ...]) -> bool:
-    return all(any(not m & t for t in terms) for m in outs)
+    for m in outs:
+        for t in terms:
+            if not m & t:
+                break
+        else:
+            return False
+    return True
+
+
+def _cc1_lines(
+    model: CausalModel,
+    initial: Event,
+    points: tuple[tuple[Event, int], ...],
+    above: int,
+) -> list[str]:
+    return [
+        f"{p} is not strictly below {q} (outcome {o.name})"
+        for o, p, q in _precedence_gaps(model, initial, points, above)
+    ]
+
+
+def _cc2_lines(
+    outcomes: tuple[Event, ...], outs: tuple[int, ...], hist: int
+) -> list[str]:
+    return [
+        f"{o.name} is not consistent with the initials"
+        for o, m in zip(outcomes, outs)
+        if not hist & m
+    ]
+
+
+def _cc3_lines(
+    outcomes: tuple[Event, ...],
+    outs: tuple[int, ...],
+    vector: OutcomeVector,
+    terms: tuple[int, ...],
+) -> list[str]:
+    lines = []
+    for o, m in zip(outcomes, outs):
+        for t, tm in zip(vector.terms, terms):
+            if not m & tm:
+                lines.append(f"{o.name} is inconsistent with {t.name}")
+                break
+        else:
+            lines.append(
+                f"{o.name} is consistent with every term of the vector"
+            )
+    return lines
 
 
 def _cc_conditions(
@@ -201,10 +327,11 @@ def _cc_conditions(
     masks: _CCMasks,
     terms: tuple[int, ...],
 ) -> CommonCauseReport:
-    """The report of cc1..cc3: verdicts from the mask tests, cc1 and cc2
-    witnesses worded only on a failure, a cc3 line per candidate outcome
-    from the walk that also gives cc3's verdict.  ``entry`` is sigma's
-    spread entry, ``masks`` the n-spread's, as
+    """The report of cc1..cc3: each verdict from the mask test the search
+    runs (``pts & ~above == 0``, :func:`_cc2` and :func:`_cc3`), the
+    witnesses as :class:`Witnesses` worded on first read: for cc1 and cc2
+    only on a failure, for cc3 a line per candidate outcome.  ``entry``
+    is sigma's spread entry, ``masks`` the n-spread's, as
     :func:`_require_cc_preconditions` returns them, and ``terms`` the
     vector's ``_term_masks``.
 
@@ -215,34 +342,21 @@ def _cc_conditions(
     """
     pts, hist, _, points = masks
     above, outs = entry
-    cc1_ok = pts & ~above == 0
-    cc1_witnesses = () if cc1_ok else tuple(
-        f"{p} is not strictly below {q} (outcome {o.name})"
-        for o, p, q in _precedence_gaps(model, sigma.initial, points, above)
-    )
-    cc2_ok = _cc2(hist, outs)
-    cc2_witnesses = () if cc2_ok else tuple(
-        f"{o.name} is not consistent with the initials"
-        for o, m in zip(sigma.outcomes, outs)
-        if not hist & m
-    )
-    cc3_ok = True
-    cc3_witnesses = []
-    for o, m in zip(sigma.outcomes, outs):
-        for t, tm in zip(vector.terms, terms):
-            if not m & tm:
-                cc3_witnesses.append(f"{o.name} is inconsistent with {t.name}")
-                break
-        else:
-            cc3_ok = False
-            cc3_witnesses.append(
-                f"{o.name} is consistent with every term of the vector"
-            )
+    outcomes = sigma.outcomes
+    word = functools.partial
     return CommonCauseReport(
         vector.names,
-        ConditionResult(cc1_ok, cc1_witnesses),
-        ConditionResult(cc2_ok, cc2_witnesses),
-        ConditionResult(cc3_ok, tuple(cc3_witnesses)),
+        _PASSED if pts & ~above == 0 else ConditionResult(
+            False,
+            Witnesses(word(_cc1_lines, model, sigma.initial, points, above)),
+        ),
+        _PASSED if _cc2(hist, outs) else ConditionResult(
+            False, Witnesses(word(_cc2_lines, outcomes, outs, hist))
+        ),
+        ConditionResult(
+            _cc3(outs, terms),
+            Witnesses(word(_cc3_lines, outcomes, outs, vector, terms)),
+        ),
     )
 
 
@@ -326,11 +440,11 @@ def search_common_causes(
     search vacuous, which the result flags.
 
     The verdicts are those of the mask tests that ``check_common_cause``
-    reports from (cc1 by :func:`_scan`'s walk, ``_cc2``, and ``_cc3``,
-    the checker's cc3 walk without its lines), on the masks of each
-    distinct n-spread (told apart by identity) and each distinct vector,
-    whose term masks are looked up in its n-spread's record; no witness
-    is worded.
+    takes its verdicts from (cc1 by :func:`_scan`'s walk, which answers
+    ``pts & ~above == 0`` for every atomic candidate at once, ``_cc2``
+    and ``_cc3``), on the masks of each distinct n-spread (told apart by
+    identity) and each distinct vector, whose term masks are looked up in
+    its n-spread's record; no witness is built.
     """
     if len(ns_list) != len(vectors):
         raise ValueError("ns_list and vectors must pair up one to one")

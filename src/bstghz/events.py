@@ -79,11 +79,12 @@ hashes afresh where it is loaded.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import InvalidSpread, MisclassifiedEvent
 from .model import (
@@ -218,8 +219,13 @@ class InconsistentVectors(_LazyTuple):
     rank order past the consistent ranks.  An index finds the i-th rank
     outside the consistent ones by one pass over them and unranks it as a
     mixed-radix number, by ``divmod`` with each spread's outcome count,
-    last spread first (Knuth, TAOCP 4A, 7.2.1.1).  The rest of its
-    reading as the tuple of its vectors is :class:`model._LazyTuple`'s.
+    last spread first (Knuth, TAOCP 4A, 7.2.1.1).  ``in``, ``index`` and
+    ``count`` rank the vector the same way, first spread first, and
+    bisect the consistent ranks: a vector that is no outcome vector of
+    the n-spread, or whose rank is consistent, is not in it, and one that
+    is sits at its rank less the consistent ranks below it.  The rest of
+    its reading as the tuple of its vectors is
+    :class:`model._LazyTuple`'s.
     """
 
     __slots__ = ("_nspread", "_count", "_ranks")
@@ -259,6 +265,22 @@ class InconsistentVectors(_LazyTuple):
             terms.append(s.outcomes[j])
         terms.reverse()
         return OutcomeVector(tuple(terms))
+
+    def _find(self, value: Any) -> int | None:
+        if value.__class__ is not OutcomeVector:
+            return None
+        spreads = self._nspread.spreads
+        if len(value.terms) != len(spreads):
+            return None
+        rank = 0
+        for term, s in zip(value.terms, spreads):
+            if term not in s.outcomes:
+                return None
+            rank = rank * len(s.outcomes) + s.outcomes.index(term)
+        below = bisect.bisect_left(self._ranks, rank)
+        if below < len(self._ranks) and self._ranks[below] == rank:
+            return None
+        return rank - below
 
 
 class GradeReport(_Record):

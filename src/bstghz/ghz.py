@@ -78,6 +78,7 @@ import itertools
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from math import prod
+from typing import Any
 
 from .document import (
     ModelDocument,
@@ -657,7 +658,9 @@ class ProfileSet(_LazyTuple):
     length is the set's bit count and its truth whether any bit is set.
     Iteration reads the set out by :func:`_common`, lowest bit first, so
     in profile order, and an index selects its set bit by bisection on
-    bit counts.  The bits determine the profiles, so it equals another
+    bit counts.  ``in``, ``index`` and ``count`` read a profile's flag
+    mask t and test bit t; the profile's index is the count of set bits
+    below it.  The bits determine the profiles, so it equals another
     profile set exactly when their bits are equal.  The rest of its
     reading as the tuple of its profiles is :class:`model._LazyTuple`'s,
     and its state is its bits.
@@ -694,6 +697,14 @@ class ProfileSet(_LazyTuple):
                 bits >>= half
                 t += half
         return _profile(t)
+
+    def _find(self, value: Any) -> int | None:
+        if value.__class__ is not CandidateProfile:
+            return None
+        t = sum(b for f, b in zip(value.flags, _BIT.values()) if f)
+        if not self._bits >> t & 1 or _profile(t) != value:
+            return None
+        return (self._bits & (1 << t) - 1).bit_count()
 
 
 @functools.cache

@@ -167,22 +167,26 @@ class _Record:
 
 class _LazyTuple(Sequence):
     """A read-only sequence that stands for the tuple of its items and
-    reads them out only when asked: the base of ``ghz.ProfileSet`` and
-    ``events.InconsistentVectors``.
+    reads them out only when asked: the base of ``ghz.ProfileSet``,
+    ``events.InconsistentVectors`` and ``common_cause.Witnesses``.
 
     A subclass keeps its state in private ``__slots__``, set by its
     constructor through ``object.__setattr__``, and defines ``__len__``,
-    ``__bool__``, ``__iter__`` and ``_item(i)``, the item at an index
-    ``0 <= i < len``.  This base gives it the rest of a tuple's reading:
-    a negative index counts from the end, one outside the sequence raises
-    :class:`IndexError`, and a slice gives the tuple of the items it
-    selects.  The sequence equals, hashes and prints as the tuple of its
-    items, and equals another of its class with the same state without
-    reading either out.  It refuses assignment and deletion, and pickles
-    and copies as its constructor call on its state.  As with ``range``,
-    ``len`` of a sequence longer than ``sys.maxsize`` raises
-    :class:`OverflowError`; indexing, slicing and equality read
-    ``__len__`` itself and take any length.
+    ``__bool__``, ``__iter__``, ``_item(i)``, the item at an index
+    ``0 <= i < len``, and ``_find(value)``, the index of the item equal
+    to ``value`` or None; a subclass whose items may repeat defines
+    ``in``, ``index`` and ``count`` instead.  This base gives it the rest
+    of a tuple's reading: a negative index counts from the end, one
+    outside the sequence raises :class:`IndexError`, and a slice gives
+    the tuple of the items it selects; ``in``, ``index`` and ``count``
+    ask ``_find`` alone, so none walks the items.  The sequence equals,
+    hashes and prints as the tuple of its items, and equals another of
+    its class with the same state without reading either out.  It
+    refuses assignment and deletion, and pickles and copies as its
+    constructor call on its state.  As with ``range``, ``len`` of a
+    sequence longer than ``sys.maxsize`` raises :class:`OverflowError`;
+    indexing, slicing, equality and ``index`` read ``__len__`` itself and
+    take any length.
     """
 
     __slots__ = ()
@@ -192,6 +196,24 @@ class _LazyTuple(Sequence):
 
     def _item(self, i: int) -> Any:
         raise NotImplementedError
+
+    def _find(self, value: Any) -> int | None:
+        raise NotImplementedError
+
+    def __contains__(self, value: object) -> bool:
+        return self._find(value) is not None
+
+    def index(
+        self, value: Any, start: int | None = 0, stop: int | None = None
+    ) -> int:
+        i = self._find(value)
+        # the bounds read as a slice of the indices, as on a tuple
+        if i is None or i not in range(self.__len__())[start:stop]:
+            raise ValueError(f"{value!r} is not in {type(self).__name__}")
+        return i
+
+    def count(self, value: Any) -> int:
+        return int(self._find(value) is not None)
 
     def __getitem__(self, index: Any) -> Any:
         n = self.__len__()

@@ -636,6 +636,129 @@ class TestChecker:
             ) == reference_cc_conditions(m, sigma, ns, vector)
 
 
+def ghz_check(structure, sigma="sigma_x_1", ctx=("x", "y", "y")):
+    """A spread, the n-spread of a context and its first inconsistent
+    vector on the concrete GHZ model: cc1 fails (the stations are
+    space-like) with four witnesses, and cc3 has a line per outcome."""
+    ns = structure.nspreads[nspread_name(ctx)]
+    vector = OutcomeVector(
+        terms=tuple(
+            structure.events[n]
+            for n in inconsistent_vectors(ctx)[0].outcome_names
+        )
+    )
+    return structure.spreads[sigma], ns, vector
+
+
+class TestWitnesses:
+    """A report's verdicts come from the mask tests alone; its witnesses
+    are worded when first read, once, and read as the tuple of lines."""
+
+    def test_checker_and_search_give_one_verdict(
+        self, ghz_model, ghz_structure, toy
+    ):
+        cases = [(toy.model, toy.station_nspread)] + [
+            (ghz_model, ghz_structure.nspreads[nspread_name(ctx)])
+            for ctx in ALL_CONTEXTS
+        ]
+        seen = set()
+        for model, ns in cases:
+            for v in consistency_grade(model, ns).inconsistent_vectors:
+                passing = search_common_causes(model, [ns], [v]).passing
+                for cand in atomic_spreads(model):
+                    passed = check_common_cause(model, cand, ns, v).passed
+                    assert passed == (cand in passing), (cand, v)
+                    seen.add(passed)
+        assert seen == {True, False}
+
+    def test_lines_are_worded_on_first_read_once(
+        self, ghz_structure, ghz_model, monkeypatch
+    ):
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(common_cause, name, call)
+
+        for name in ("_precedence_gaps", "_cc2_lines", "_cc3_lines"):
+            counted(name, getattr(common_cause, name))
+        sigma, ns, vector = ghz_check(ghz_structure)
+        report = check_common_cause(ghz_model, sigma, ns, vector)
+        expected = reference_cc_conditions(ghz_model, sigma, ns, vector)
+        assert (report.cc1.passed, report.cc3.passed) == (False, False)
+        assert report.passed == expected.passed and not calls
+        # as check-cc reads them: the first six lines, then all of them
+        for cond, lines, name in [
+            (report.cc1, expected.cc1.witnesses, "_precedence_gaps"),
+            (report.cc3, expected.cc3.witnesses, "_cc3_lines"),
+        ]:
+            assert cond.witnesses[:6] == lines[:6] and calls[name] == 1
+            assert list(cond.witnesses) == list(lines) and calls[name] == 1
+        assert calls["_cc2_lines"] == 0
+        assert report == expected
+        assert calls["_cc2_lines"] == (not report.cc2.passed)
+        assert calls["_precedence_gaps"] == calls["_cc3_lines"] == 1
+
+    def test_passing_conditions_have_no_witness(self, toy):
+        report = check_common_cause(
+            toy.model,
+            toy.decay_spread,
+            toy.station_nspread,
+            toy.inconsistent[0],
+        )
+        assert report.cc1.witnesses == () == report.cc2.witnesses
+        assert type(report.cc1.witnesses) is tuple
+        assert type(report.cc3.witnesses) is common_cause.Witnesses
+
+    def test_witnesses_read_as_the_tuple(self, ghz_structure, ghz_model):
+        report = check_common_cause(
+            ghz_model, *ghz_check(ghz_structure)
+        )
+        w = report.cc1.witnesses
+        assert type(w) is common_cause.Witnesses
+        tup = tuple(w)
+        n = len(tup)
+        assert n == 4 and len(w) == n and bool(w)
+        assert w == tup and tup == w and not w != tup
+        assert w != list(tup) and w != tup[:-1]
+        assert hash(w) == hash(tup) and repr(w) == repr(tup)
+        assert [w[i] for i in range(-n, n)] == list(tup + tup)
+        assert w[1:3] == tup[1:3] and w[::-1] == tup[::-1]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                w[i]
+        for line in tup + ("no such line",):
+            assert (line in w) == (line in tup)
+            assert w.count(line) == tup.count(line)
+        assert w.index(tup[2]) == 2 and w.index(tup[2], 1, 3) == 2
+        with pytest.raises(ValueError):
+            w.index(tup[0], 1)
+        with pytest.raises(AttributeError):
+            w._lines = ()
+        with pytest.raises(TypeError):
+            w[0] = ""
+
+    def test_report_pickles_and_copies_without_its_model(
+        self, ghz_structure, ghz_model
+    ):
+        sigma, ns, vector = ghz_check(ghz_structure)
+        unread = check_common_cause(ghz_model, sigma, ns, vector)
+        report = check_common_cause(ghz_model, sigma, ns, vector)
+        shown = repr(report)
+        data = pickle.dumps(unread)
+        assert b"CausalModel" not in data
+        for twin in (
+            pickle.loads(data),
+            copy.copy(unread),
+            copy.deepcopy(unread),
+        ):
+            assert twin == report and report == twin
+            assert repr(twin) == shown and hash(twin) == hash(report)
+
+
 class TestMemoRule:
     """Every entry of ``CausalModel.memo`` stands for a check that passed,
     and input that failed its check leaves no entry."""
@@ -1173,6 +1296,31 @@ class TestProfileSet:
             assert ps[cut] == tup[cut]
         assert [ps[i] for i in range(n)] == list(tup)
         assert [ps[i] for i in range(-n, 0)] == list(tup)
+        # in, index and count test the profile's bit, as the tuple answers
+        drawn = data.draw(st.lists(st.integers(0, _ALL_FLAGS), max_size=6))
+        strangers = [_profile(0).flags, None, CandidateProfile((1,) * 12)]
+        for p in [_profile(t) for t in drawn] + list(tup[:3]) + strangers:
+            assert (p in ps) == (p in tup)
+            assert ps.count(p) == tup.count(p)
+            if p in tup:
+                assert ps.index(p) == tup.index(p)
+            else:
+                with pytest.raises(ValueError):
+                    ps.index(p)
+
+    def test_membership_reads_no_profile_out(self, monkeypatch):
+        def no_readout(self):
+            raise AssertionError("a profile set was read out")
+
+        monkeypatch.setattr(ProfileSet, "__iter__", no_readout)
+        full, some = ProfileSet(_ALL_PROFILES), ProfileSet(0b1010 << 4000)
+        for t in (0, 1, 2047, 4095):
+            assert _profile(t) in full and full.count(_profile(t)) == 1
+            assert full.index(_profile(t)) == t
+        assert some.index(_profile(4003)) == 1
+        assert _profile(4002) not in some and some.count(_profile(0)) == 0
+        with pytest.raises(ValueError):
+            some.index(_profile(4003), 2)
 
     def test_sets_of_one_length_compare_by_their_bits(self, monkeypatch):
         full = (1 << 4096) - 1

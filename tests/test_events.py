@@ -558,6 +558,51 @@ class TestInconsistentVectors:
         theirs = consistency_grade(model, other).inconsistent_vectors
         assert (seq == theirs) == (tup == tuple(theirs)) == (theirs == seq)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    def test_membership_reads_as_the_tuple(self, seed, data):
+        # in, index and count rank the vector against the consistent
+        # ranks; each answer is the tuple's, for every outcome vector of
+        # the n-spread and for vectors that are none
+        rng = random.Random(seed)
+        model, pool = seeded_station_model(rng)
+        ns = NSpread(spreads=tuple(rng.choices(pool, k=rng.randint(1, 4))))
+        seq = consistency_grade(model, ns).inconsistent_vectors
+        tup = tuple(seq)
+        product = [
+            OutcomeVector(terms=t)
+            for t in itertools.product(*[s.outcomes for s in ns.spreads])
+        ]
+        others = [rng.choice(pool).outcomes for _ in range(3)]
+        strangers = [
+            OutcomeVector(terms=product[0].terms[:-1]),
+            OutcomeVector(terms=product[0].terms + product[0].terms[:1]),
+            OutcomeVector(terms=tuple(o[0] for o in others)),
+            OutcomeVector(terms=tuple(o[-1] for o in others)),
+            product[0].terms,
+            product[0].names,
+            None,
+        ]
+        n = len(tup)
+        for v in product + strangers:
+            assert (v in seq) == (v in tup)
+            assert seq.count(v) == tup.count(v)
+            bounds = data.draw(
+                st.lists(
+                    st.none() | st.integers(-n - 2, n + 2), max_size=2
+                )
+            )
+            # tuple.index takes no None bound; a slice of the tuple does
+            start, stop = (bounds + [None, None])[:2]
+            expected = next(
+                (i for i in range(n)[start:stop] if tup[i] == v), None
+            )
+            if expected is None:
+                with pytest.raises(ValueError):
+                    seq.index(v, *bounds)
+            else:
+                assert seq.index(v, *bounds) == expected
+
     def test_width_64_is_indexed_without_iterating(
         self, scale_grade, monkeypatch
     ):
@@ -587,6 +632,26 @@ class TestInconsistentVectors:
         for index in (n, -n - 1):
             with pytest.raises(IndexError):
                 seq[index]
+        # membership ranks the vector, without reading the sequence out:
+        # the consistent all-plus and all-minus vectors are not in it, and
+        # neither is a vector one term short
+        for index in (0, 1, 2**40, n - 1):
+            v = seq[index]
+            assert v in seq and seq.count(v) == 1
+            assert seq.index(v) == index and seq.index(v, index) == index
+            with pytest.raises(ValueError):
+                seq.index(v, index + 1)
+        spreads = ns.spreads
+        for sign in "+-":
+            v = OutcomeVector(
+                terms=tuple(s.outcomes[sign == "+"] for s in spreads)
+            )
+            assert v.names[0] == f"s00{sign}"
+            assert v not in seq and seq.count(v) == 0
+            with pytest.raises(ValueError):
+                seq.index(v)
+        short = OutcomeVector(terms=seq[0].terms[1:])
+        assert short not in seq and seq.count(short) == 0
         # equality tells by state or by length, without reading out
         assert pickle.loads(pickle.dumps(seq)) == seq
         narrower = consistency_grade(*scale_grade.width_model(63))

@@ -18,14 +18,13 @@ n-spread lie inside the points above sigma's initial, cc2 and cc3 AND
 history masks.  Sigma's masks, the points above its initial and its
 outcomes' overlapping masks, are its spread's entry, which validating
 the spread wrote; the n-spread's come from its record in ``events``.
-A report's witnesses are worded on demand: each condition's is a
-read-only :class:`Witnesses` sequence that words its lines once, on
-first read, and equals, hashes, prints and pickles as the tuple of those
-lines; a passing cc1 or cc2 has ``()``, cc3 a line per outcome of
-sigma.  The cc1 witnesses come from the point masks of the n-spread's
-outcomes, which its screening masks keep, by the walk that words
-condition (i) of a spread (``events._precedence_gaps``): wording them
-builds no point mask.
+A report's witnesses are worded on demand: each condition's are a plain
+tuple of lines, worded once, on first read, by the call its
+:class:`ConditionResult` holds until then; a passing cc1 or cc2 has
+``()``, cc3 a line per outcome of sigma.  The cc1 witnesses come from
+the point masks of the n-spread's outcomes, which its screening masks
+keep, by the walk that words condition (i) of a spread
+(``events._precedence_gaps``): wording them builds no point mask.
 Each n-spread's screening masks are memoised once its preconditions
 pass.  Those extend the n-spread's record in ``events`` with its
 outcomes' point masks and per spread a map from outcome to overlapping
@@ -65,7 +64,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .document import ModelDocument, SpreadDoc, resolve_document
 from .errors import NotInconsistencyType, PreconditionFailed
@@ -82,82 +81,46 @@ from .events import (
     _precedence_gaps,
     _require_valid,
 )
-from .model import CausalModel, _LazyTuple, _Record, bit_indices
-
-
-class Witnesses(_LazyTuple):
-    """The witness lines of one screening condition, as a read-only
-    sequence that words them on first read.
-
-    Until then it holds the wording call alone, a partial application of
-    one of the module's line functions to the events and masks of the
-    check; the first read words the lines once and keeps them in its place,
-    so the model and masks go.  Its reading as the tuple of its lines is
-    :class:`model._LazyTuple`'s, with the lines as its state; ``in``,
-    ``index`` and ``count`` ask the lines, which may repeat.  It pickles
-    and copies as the tuple of its lines, so a pickled report carries no
-    model.
-    """
-
-    # _lines: the wording call until the first read, then the lines
-    __slots__ = ("_lines",)
-
-    def __init__(self, word: Callable[[], list[str]]) -> None:
-        _put_lines(self, word)
-
-    def _read(self) -> tuple[str, ...]:
-        lines = self._lines
-        if lines.__class__ is not tuple:
-            lines = tuple(lines())
-            _put_lines(self, lines)
-        return lines
-
-    def _state(self) -> tuple[tuple[str, ...]]:
-        return (self._read(),)
-
-    def __len__(self) -> int:
-        return len(self._read())
-
-    def __bool__(self) -> bool:
-        return bool(self._read())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._read())
-
-    def _item(self, i: int) -> str:
-        return self._read()[i]
-
-    def __contains__(self, value: object) -> bool:
-        return value in self._read()
-
-    def index(self, value: Any, *bounds: Any) -> int:
-        return self._read().index(value, *bounds)
-
-    def count(self, value: Any) -> int:
-        return self._read().count(value)
-
-    def __reduce__(self) -> tuple[type, tuple[tuple[str, ...]]]:
-        return tuple, (self._read(),)
-
-
-# The slot's own setter: a report builds up to three sequences, and this
-# is a cheaper call than object.__setattr__.
-_put_lines = Witnesses._lines.__set__  # type: ignore[attr-defined]
+from .model import CausalModel, _Record, bit_indices
 
 
 class ConditionResult(_Record):
-    """The verdict of one screening condition, with its witness lines:
-    ``()`` for a passing cc1 or cc2, else a :class:`Witnesses` sequence.
+    """The verdict of one screening condition, with its witness lines as a
+    tuple: ``()`` for a passing cc1 or cc2.
+
+    The checker gives it, in place of the lines, the call that words
+    them: a partial application of one of the module's line functions to
+    the events and masks of the check.  The first read of ``witnesses``
+    words the lines once and keeps their tuple in the call's place, so
+    the model and masks go; a sequence of lines reads back as its tuple.
+    Its fields are ``passed`` and ``witnesses``, so it equals, hashes,
+    prints, pickles and copies with its lines worded, and a pickled
+    report carries no model.
     """
 
-    __slots__ = ("passed", "witnesses")
+    __slots__ = ("passed", "_witnesses")
+    _fields = ("passed", "witnesses")
 
-    # Up to three per check.  This __init__ is about 0.18 us a call faster
-    # than the shared one, 0.39 against 0.57 us (timeit, best of 7, three
+    # The shared __init__ sets fields through their slots, and witnesses is
+    # a property over the _witnesses slot.  Up to three per check; setting
+    # the slots directly was also about 0.18 us a call faster than the
+    # shared __init__, 0.39 against 0.57 us (timeit, best of 7, three
     # rounds; BENCH_33.json).
-    def __init__(self, passed: bool, witnesses: Sequence[str] = ()) -> None:
+    def __init__(
+        self,
+        passed: bool,
+        witnesses: Sequence[str] | Callable[[], list[str]] = (),
+    ) -> None:
         object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "_witnesses", witnesses)
+
+    @property
+    def witnesses(self) -> tuple[str, ...]:
+        lines = self._witnesses
+        if lines.__class__ is not tuple:
+            lines = tuple(lines() if callable(lines) else lines)
+            object.__setattr__(self, "_witnesses", lines)
+        return lines
 
 
 # A passing cc1 or cc2 has no witness; the record is immutable, so every
@@ -329,11 +292,11 @@ def _cc_conditions(
 ) -> CommonCauseReport:
     """The report of cc1..cc3: each verdict from the mask test the search
     runs (``pts & ~above == 0``, :func:`_cc2` and :func:`_cc3`), the
-    witnesses as :class:`Witnesses` worded on first read: for cc1 and cc2
-    only on a failure, for cc3 a line per candidate outcome.  ``entry``
-    is sigma's spread entry, ``masks`` the n-spread's, as
-    :func:`_require_cc_preconditions` returns them, and ``terms`` the
-    vector's ``_term_masks``.
+    witnesses as a wording call that :class:`ConditionResult` makes on
+    first read: for cc1 and cc2 only on a failure, for cc3 a line per
+    candidate outcome.  ``entry`` is sigma's spread entry, ``masks`` the
+    n-spread's, as :func:`_require_cc_preconditions` returns them, and
+    ``terms`` the vector's ``_term_masks``.
 
     The cc1 witnesses are read off the n-spread's per-outcome point masks
     by :func:`events._precedence_gaps`, so no outcome's mask is built per
@@ -347,15 +310,13 @@ def _cc_conditions(
     return CommonCauseReport(
         vector.names,
         _PASSED if pts & ~above == 0 else ConditionResult(
-            False,
-            Witnesses(word(_cc1_lines, model, sigma.initial, points, above)),
+            False, word(_cc1_lines, model, sigma.initial, points, above)
         ),
         _PASSED if _cc2(hist, outs) else ConditionResult(
-            False, Witnesses(word(_cc2_lines, outcomes, outs, hist))
+            False, word(_cc2_lines, outcomes, outs, hist)
         ),
         ConditionResult(
-            _cc3(outs, terms),
-            Witnesses(word(_cc3_lines, outcomes, outs, vector, terms)),
+            _cc3(outs, terms), word(_cc3_lines, outcomes, outs, vector, terms)
         ),
     )
 
@@ -393,11 +354,13 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
     its covers as singleton outcomes.  Candidates failing the spread
     conditions (for instance when two covers share a history) are
     dropped.  The candidates depend on the model alone and are memoised
-    on it.
+    on it, with what :func:`_scan` reads: the mask of their initial
+    points, and a map from each such point to its candidate and its
+    outcomes' masks.
     """
     memo = model.memo
     if atomic_spreads in memo:
-        return memo[atomic_spreads]
+        return memo[atomic_spreads][0]
     out: list[Spread] = []
     initials = 0
     at = {}
@@ -417,9 +380,8 @@ def atomic_spreads(model: CausalModel) -> tuple[Spread, ...]:
             # outcomes' masks from the entry that validating it wrote
             initials |= 1 << i
             at[i] = spread, memo[spread][1]
-    memo[atomic_spreads] = tuple(out)
-    memo[_scan] = initials, at
-    return memo[atomic_spreads]
+    memo[atomic_spreads] = tuple(out), initials, at
+    return memo[atomic_spreads][0]
 
 
 class CommonCauseSearch(_Record):
@@ -491,8 +453,8 @@ def _scan(
     masks = list(masks)
     pts = functools.reduce(operator.or_, (m[0] for m in masks), 0)
     hists = {m[1] for m in masks}
-    candidates = atomic_spreads(model)
-    left, at = model.memo[_scan]
+    atomic_spreads(model)
+    candidates, left, at = model.memo[atomic_spreads]
     down = model.down
     while pts and left:
         low = pts & -pts

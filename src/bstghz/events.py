@@ -67,14 +67,14 @@ ranks that are not consistent (``InconsistentVectors``), whose length
 is a subtraction: nothing in the grade grows with the product.
 
 ``Event``, ``Spread`` and ``NSpread`` are memo keys, so each hashes its
-fields once, at construction, into a private slot.  ``Event`` and
-``Spread`` also compare that hash before their fields: an atomic
-candidate and a declared spread over the same points are equal but
-distinct objects, so a lookup by the one finds the other's entry only
-after an equality test, which then costs one field compare per level
-instead of building every field tuple.  The hash stays out
-of the pickled state: a record is pickled as its constructor call and
-hashes afresh where it is loaded.
+fields once, at construction, into a private ``_hash`` slot, and the
+record base (``model._Record``) gives each the hash of that slot and an
+equality that compares it before the fields: an atomic candidate and a
+declared spread over the same points are equal but distinct objects, so
+a lookup by the one finds the other's entry only after an equality
+test, which then costs one field compare per level instead of building
+every field tuple.  The hash stays out of the pickled state: a record is
+pickled as its constructor call and hashes afresh where it is loaded.
 """
 
 from __future__ import annotations
@@ -113,18 +113,6 @@ class Event(_Record):
         put_members(self, members)
         self._put_hash(self, hash((name, members)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._hash == other._hash  # type: ignore[attr-defined]
-            and self.name == other.name  # type: ignore[attr-defined]
-            and self.members == other.members  # type: ignore[attr-defined]
-        )
-
 
 class EventClassification(_Record):
     __slots__ = ("is_initial", "is_outcome", "is_stable")
@@ -154,18 +142,6 @@ class Spread(_Record):
         put_outcomes(self, outcomes)
         self._put_hash(self, hash((initial, outcomes)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._hash == other._hash  # type: ignore[attr-defined]
-            and self.initial == other.initial  # type: ignore[attr-defined]
-            and self.outcomes == other.outcomes  # type: ignore[attr-defined]
-        )
-
 
 class NSpread(_Record):
     """An ordered tuple of spreads treated as one joint arrangement."""
@@ -177,9 +153,6 @@ class NSpread(_Record):
             raise ValueError("an n-spread needs at least one spread")
         self._setters[0](self, spreads)
         self._put_hash(self, hash((spreads,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def initials(self) -> tuple[Event, ...]:
@@ -239,9 +212,6 @@ class InconsistentVectors(_LazyTuple):
 
     def __len__(self) -> int:
         return self._count - len(self._ranks)
-
-    def __bool__(self) -> bool:
-        return self._count != len(self._ranks)
 
     def __iter__(self) -> Iterator[OutcomeVector]:
         ranks = iter(self._ranks)

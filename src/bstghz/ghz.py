@@ -674,9 +674,6 @@ class ProfileSet(_LazyTuple):
     def __len__(self) -> int:
         return self._bits.bit_count()
 
-    def __bool__(self) -> bool:
-        return self._bits != 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ProfileSet):
             return self._bits == other._bits

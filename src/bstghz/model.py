@@ -75,9 +75,13 @@ class _Record:
     fields have one); a field still missing, one given twice, an unknown
     keyword or one positional too many raise :class:`TypeError`.  Each
     field is set through its slot's own setter, which
-    ``__init_subclass__`` caches per class, since ``__setattr__`` refuses;
-    a class with a ``_hash`` slot also gets that slot's setter as
-    ``_put_hash``, for a constructor that caches the hash.  A record
+    ``__init_subclass__`` caches per class, since ``__setattr__`` refuses.
+    A class may declare ``_fields`` itself, to name a property that reads
+    a private slot as a field.  A class with a ``_hash`` slot also gets
+    that slot's setter as ``_put_hash``, for a constructor that caches the
+    hash, and hashes as that slot: two such records compare their hashes
+    before their fields, so equal but distinct memo keys are told apart
+    by one compare per level instead of a field tuple each.  A record
     defines its own ``__init__`` only when it does more than
     set its fields (it checks them, caches a hash or fills a default that
     must be fresh per call), or when a benchmarked operation builds it
@@ -98,10 +102,13 @@ class _Record:
     _defaults: Mapping[str, Any] = {}
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        if "_fields" not in vars(cls):
+            cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
         if "_hash" in cls.__slots__:
             cls._put_hash = cls._hash.__set__
+            cls.__hash__ = _cached_hash
+            cls.__eq__ = _hash_first_eq
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         setters = self._setters
@@ -165,31 +172,48 @@ class _Record:
         return type(self), self._values()
 
 
+def _cached_hash(self: _Record) -> int:
+    return self._hash  # type: ignore[attr-defined]
+
+
+def _hash_first_eq(self: _Record, other: object) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    if self._hash != other._hash:  # type: ignore[attr-defined]
+        return False
+    for f in self._fields:
+        if getattr(self, f) != getattr(other, f):
+            return False
+    return True
+
+
 class _LazyTuple(Sequence):
     """A read-only sequence that stands for the tuple of its items and
-    reads them out only when asked: the base of ``ghz.ProfileSet``,
-    ``events.InconsistentVectors`` and ``common_cause.Witnesses``.
+    reads them out only when asked: the base of ``ghz.ProfileSet`` and
+    ``events.InconsistentVectors``.
 
     A subclass keeps its state in private ``__slots__``, set by its
     constructor through ``object.__setattr__``, and defines ``__len__``,
-    ``__bool__``, ``__iter__``, ``_item(i)``, the item at an index
-    ``0 <= i < len``, and ``_find(value)``, the index of the item equal
-    to ``value`` or None; a subclass whose items may repeat defines
-    ``in``, ``index`` and ``count`` instead.  This base gives it the rest
-    of a tuple's reading: a negative index counts from the end, one
-    outside the sequence raises :class:`IndexError`, and a slice gives
-    the tuple of the items it selects; ``in``, ``index`` and ``count``
-    ask ``_find`` alone, so none walks the items.  The sequence equals,
-    hashes and prints as the tuple of its items, and equals another of
-    its class with the same state without reading either out.  It
+    ``__iter__``, ``_item(i)``, the item at an index ``0 <= i < len``,
+    and ``_find(value)``, the index of the item equal to ``value`` or
+    None.  This base gives it the rest of a tuple's reading: truth is a
+    nonzero length, a negative index counts from the end, one outside the
+    sequence raises :class:`IndexError`, and a slice gives the tuple of
+    the items it selects; ``in``, ``index`` and ``count`` ask ``_find``
+    alone, so none walks the items.  The sequence equals, hashes and
+    prints as the tuple of its items, and equals another of its class
+    with the same state without reading either out.  It
     refuses assignment and deletion, and pickles and copies as its
     constructor call on its state.  As with ``range``, ``len`` of a
     sequence longer than ``sys.maxsize`` raises :class:`OverflowError`;
-    indexing, slicing, equality and ``index`` read ``__len__`` itself and
-    take any length.
+    truth, indexing, slicing, equality and ``index`` read ``__len__``
+    itself and take any length.
     """
 
     __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return self.__len__() != 0
 
     def _state(self) -> tuple[Any, ...]:
         return tuple([getattr(self, s) for s in self.__slots__])

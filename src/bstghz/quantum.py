@@ -82,10 +82,10 @@ def _apply(axes: Context, amplitudes: Sequence[Gaussian]) -> list[Gaussian]:
     n = len(axes)
     flip = (1 << n) - 1
     ys = sum(1 << (n - 1 - j) for j, a in enumerate(axes) if a == "y")
-    n_y = bin(ys).count("1")
+    n_y = ys.bit_count()
     out: list[Gaussian] = [(0, 0)] * len(amplitudes)
     for b, z in enumerate(amplitudes):
-        out[b ^ flip] = _times_i(z, n_y + 2 * bin(b & ys).count("1"))
+        out[b ^ flip] = _times_i(z, n_y + 2 * (b & ys).bit_count())
     return out
 
 

@@ -6,7 +6,6 @@ derived independently (closed forms, hand counts, brute enumeration)
 before being frozen.
 """
 
-import itertools
 import random
 import time
 

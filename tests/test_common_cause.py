@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from bstghz import common_cause, events, ghz
 from bstghz.common_cause import (
+    ConditionResult,
     _cc_conditions,
     _require_cc_preconditions,
     _search_every_vector,
@@ -710,15 +711,15 @@ class TestWitnesses:
             toy.inconsistent[0],
         )
         assert report.cc1.witnesses == () == report.cc2.witnesses
-        assert type(report.cc1.witnesses) is tuple
-        assert type(report.cc3.witnesses) is common_cause.Witnesses
+        for cond in (report.cc1, report.cc2, report.cc3):
+            assert type(cond.witnesses) is tuple
 
     def test_witnesses_read_as_the_tuple(self, ghz_structure, ghz_model):
         report = check_common_cause(
             ghz_model, *ghz_check(ghz_structure)
         )
         w = report.cc1.witnesses
-        assert type(w) is common_cause.Witnesses
+        assert type(w) is tuple and report.cc1.witnesses is w
         tup = tuple(w)
         n = len(tup)
         assert n == 4 and len(w) == n and bool(w)
@@ -736,10 +737,49 @@ class TestWitnesses:
         assert w.index(tup[2]) == 2 and w.index(tup[2], 1, 3) == 2
         with pytest.raises(ValueError):
             w.index(tup[0], 1)
-        with pytest.raises(AttributeError):
-            w._lines = ()
+        for name in ("witnesses", "_witnesses"):
+            with pytest.raises(AttributeError):
+                setattr(report.cc1, name, ())
         with pytest.raises(TypeError):
             w[0] = ""
+
+    def test_lines_given_as_a_sequence_read_back_as_their_tuple(self):
+        cond = ConditionResult(False, ["l"])
+        assert cond.witnesses == ("l",) and type(cond.witnesses) is tuple
+        assert cond == ConditionResult(False, ("l",))
+
+    def test_copying_an_unread_report_words_each_condition_once(
+        self, ghz_structure, ghz_model, monkeypatch
+    ):
+        calls = collections.Counter()
+        for name in ("_cc1_lines", "_cc2_lines", "_cc3_lines"):
+            def call(*args, name=name, f=getattr(common_cause, name)):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(common_cause, name, call)
+        sigma, ns, vector = ghz_check(ghz_structure)
+        # a shallow copy of a report shares its conditions, so each
+        # condition is copied on its own
+        for clone in (
+            lambda r: pickle.loads(pickle.dumps(r)),
+            lambda r: type(r)(
+                r.vector, *map(copy.copy, (r.cc1, r.cc2, r.cc3))
+            ),
+            copy.deepcopy,
+        ):
+            calls.clear()
+            report = check_common_cause(ghz_model, sigma, ns, vector)
+            twin = clone(report)
+            worded = {"_cc1_lines": 1, "_cc3_lines": 1}
+            if not report.cc2.passed:
+                worded["_cc2_lines"] = 1
+            assert calls == worded
+            # both hold the lines alone: no wording call, so no model
+            for r in (report, twin):
+                for cond in (r.cc1, r.cc2, r.cc3):
+                    assert type(cond._witnesses) is tuple
+            assert twin == report and calls == worded
 
     def test_report_pickles_and_copies_without_its_model(
         self, ghz_structure, ghz_model
@@ -844,14 +884,13 @@ class TestMemoRule:
             elif isinstance(key, tuple):
                 assert key[0] is _require_cc_preconditions, key
                 reference_cc_preconditions(model, key[1])
-            elif key is atomic_spreads:
-                assert sorted(entry, key=repr) == sorted(valid, key=repr)
             else:
-                assert key is common_cause._scan, key
-                # the candidates by initial point, with their outcomes'
-                # masks from their spreads' entries
-                initials, at = entry
-                cands = memo[atomic_spreads]
+                assert key is atomic_spreads, key
+                # the candidates, the mask of their initial points, and the
+                # candidates by initial point, with their outcomes' masks
+                # from their spreads' entries
+                cands, initials, at = entry
+                assert sorted(cands, key=repr) == sorted(valid, key=repr)
                 assert list(at) == [
                     i for i in range(len(model.points)) if initials >> i & 1
                 ]

@@ -102,10 +102,13 @@ def test_generic_layer_imports_no_scenario():
 
 
 def test_source_imports_only_names_it_uses():
-    """Each name a module imports is read there, as a name or as the base
-    of an attribute."""
+    """Each name a module of the package, a script or a test imports is
+    read there, as a name or as the base of an attribute."""
     unused = []
-    for path in sorted(SOURCE.glob("*.py")):
+    for path in sorted(
+        [*SOURCE.glob("*.py"), *ROOT.glob("scripts/*.py"),
+         *ROOT.glob("tests/*.py")]
+    ):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
@@ -116,7 +119,7 @@ def test_source_imports_only_names_it_uses():
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 if bound not in read:
-                    unused.append(f"{path.name}: {bound}")
+                    unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert unused == []
 
 

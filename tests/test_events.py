@@ -110,11 +110,17 @@ class TestRecordHash:
             d, dm, dp = ev("d", "d-", "d+")
             spread = Spread(initial=d, outcomes=(dm, dp))
             built.append(NSpread(spreads=(spread,)))
-        assert built[0] is not built[1] and built[0] == built[1]
-        consistency_grade(f, built[0])
+        a, b = built
+        # equal at every level, the same object at none
+        assert a is not b and a.spreads[0] is not b.spreads[0]
+        assert a.spreads[0].initial is not b.spreads[0].initial
+        assert a == b and not a != b and hash(a) == hash(b)
+        consistency_grade(f, a)
         size = len(f.memo)
-        consistency_grade(f, built[1])
-        assert len(f.memo) == size
+        consistency_grade(f, b)
+        assert len(f.memo) == size and f.memo[b] is f.memo[a]
+        assert [key for key in f.memo if key == b] == [a]
+        assert NSpread(spreads=(a.spreads[0], b.spreads[0])) != a
 
     def test_hash_is_not_pickled(self):
         # a record pickled under one hash seed and loaded under another
